@@ -31,7 +31,6 @@ __all__ = [
     "AffineFactorization",
     "affine_simple_root",
     "reflect_affine_root",
-    "affine_inner",
     "identity_element",
     "simple_reflection",
     "from_word",
@@ -45,8 +44,6 @@ __all__ = [
     "factorize",
     "star",
     "alcove_barycenter",
-    "z_coordinate",
-    "y_coordinate",
     "in_min_simplex",
     "in_max_simplex",
     "normalizer_by_zwall",
@@ -99,14 +96,6 @@ def reflect_affine_root(rs: RootSystem, i: int, mu: AffineRoot) -> AffineRoot:
         f - pair if j == a else f for j, f in enumerate(mu.finite)
     )
     return AffineRoot(mu.level, fin)
-
-
-def affine_inner(rs: RootSystem, x, y) -> Fraction:
-    """Bilinear form on the affine span: gram on the finite block plus
-    the delta/Lambda pairing."""
-    p = rs.rank
-    total = inner(rs, x[:p], y[:p])
-    return total + Fraction(x[p]) * y[p + 1] + Fraction(x[p + 1]) * y[p]
 
 
 def _identity_matrix(n: int) -> IntMatrix:
@@ -426,16 +415,6 @@ def alcove_barycenter(rs: RootSystem) -> RationalVector:
         for j in range(p):
             total[j] += cw.coords[j] / rs.marks[i]
     return RationalVector(tuple(t / (p + 1) for t in total))
-
-
-def z_coordinate(ideal: UpperIdeal) -> RationalVector:
-    """Translation part of the minimal element of the ideal."""
-    return factorize(w_min(ideal)).translation
-
-
-def y_coordinate(ideal: UpperIdeal) -> RationalVector:
-    """Translation part of the maximal element (strictly positive ideals)."""
-    return factorize(w_max(ideal)).translation
 
 
 def in_min_simplex(rs: RootSystem, x) -> bool:

@@ -1,100 +1,43 @@
-"""Command line interface: enumeration tables, count cross-checks, verification suites."""
+"""Command line interface: argument parsing and report rendering.
+
+The commands build reports from the library; the verification suites and
+the reference table live in `adnil.verify`.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
-from math import comb
 
-from . import typeac
-from .affine import (
-    affine_simple_root,
-    check_inversion_sum,
-    factorize,
-    first_layer,
-    from_word,
-    is_dominant,
-    is_maximal_representative,
-    is_minimal_representative,
-    is_minimax,
-    length,
-    n_set,
-    normalizer_by_zwall,
-    translation_element,
-    w_max,
-    w_min,
-    word_from_biconvex,
-)
-from .counting import (
-    catalan,
-    count_so2n_borel,
-    count_sp2n_borel,
-    directed_animals,
-    extended_marks,
-    gf_count,
-    gf_count_from_marks,
-    lattice_count,
-    motzkin,
-    riordan,
-    verify_identities,
-)
+from .affine import factorize, is_minimax, w_min
+from .counting import count_routes
 from .ideals import (
     UpperIdeal,
     close_upward,
     enumerate_ideals,
-    ideal_powers,
     is_abelian,
     is_strictly_positive,
     weight,
 )
-from .normalizers import ParabolicLabel, nilradical, normalizer, normalizer_by_weight
-from .rootsys import ConfigurationError, RationalVector, Root, build, in_coroot_lattice
-from .shi import alcove_membership, is_wall, region_of, region_witness
+from .normalizers import ParabolicLabel, normalizer
+from .rootsys import ConfigurationError, RationalVector, Root, build
+from .verify import SUITES, VerificationFailure, run_table7, suite_runners
 
 __all__ = [
     "main",
     "Report",
-    "VerificationFailure",
+    "render",
     "serialize_ideal",
     "parse_ideal",
-    "run_table7",
-    "run_count",
-    "suite_normalizer_oracles",
-    "suite_affine",
-    "suite_shi",
-    "suite_counting",
-    "suite_typeac",
-    "suite_identities",
-    "ORACLE_TYPES",
-    "COUNTING_TYPES",
-    "TABLE_ROWS",
 ]
-
-ORACLE_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "C2", "C3", "D4", "G2", "F4")
-COUNTING_TYPES = ORACLE_TYPES[:5] + (
-    "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2", "E6",
-)
-TABLE_ROWS = (
-    ("so_8", "D4", 9, 11),
-    ("so_10", "D5", 23, 31),
-    ("E6", "E6", 67, 111),
-    ("F4", "F4", 17, 19),
-    ("G2", "G2", 3, 2),
-)
-SUITES = ("normalizer-oracles", "affine", "shi", "counting", "typeAC", "identities", "all")
 
 
 # ---------- serialization ----------
 
 
-def fmt_int_vec(coeffs) -> str:
-    return "[" + ",".join(str(c) for c in coeffs) + "]"
-
-
-def fmt_frac_vec(coords) -> str:
+def fmt_vec(coords) -> str:
     return "[" + ",".join(str(c) for c in coords) + "]"
 
 
@@ -122,19 +65,42 @@ def parse_ideal(obj: dict) -> UpperIdeal:
     )
 
 
+def _jsonable(value):
+    """JSON form of a value in a verification failure payload."""
+    if isinstance(value, UpperIdeal):
+        return serialize_ideal(value)
+    if isinstance(value, ParabolicLabel):
+        return fmt_levi(value)
+    if isinstance(value, RationalVector):
+        return fmt_vec(value.coords)
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
+
+
 # ---------- report rendering ----------
 
 
 @dataclass(frozen=True)
 class Report:
-    """Tabular command output with a named-value footer."""
+    """Tabular command output with a named-value footer.
+
+    A footer value is a string, or a tuple of strings: one line each in text
+    output, a list in JSON.
+    """
 
     command: str
     label: str | None
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     json_rows: tuple[dict, ...]
-    footer: tuple[tuple[str, str], ...]
+    footer: tuple[tuple[str, str | tuple[str, ...]], ...]
+
+
+def _footer_lines(footer):
+    for name, value in footer:
+        for v in (value,) if isinstance(value, str) else value:
+            yield name, v
 
 
 def render(report: Report, fmt: str) -> str:
@@ -144,7 +110,7 @@ def render(report: Report, fmt: str) -> str:
             "label": report.label,
             "columns": list(report.columns),
             "rows": list(report.json_rows),
-            "footer": {k: v for k, v in report.footer},
+            "footer": {k: v if isinstance(v, str) else list(v) for k, v in report.footer},
         }
         return json.dumps(payload, indent=2) + "\n"
     lines: list[str] = []
@@ -157,7 +123,7 @@ def render(report: Report, fmt: str) -> str:
             lines.append("\t".join(report.columns))
             for row in report.rows:
                 lines.append("\t".join(row))
-        for name, value in report.footer:
+        for name, value in _footer_lines(report.footer):
             lines.append(f"# {name}\t{value}")
         return "\n".join(lines) + "\n"
     head = f"adnil {report.command}"
@@ -172,560 +138,9 @@ def render(report: Report, fmt: str) -> str:
         lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(report.columns)).rstrip())
         for row in report.rows:
             lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    for name, value in report.footer:
+    for name, value in _footer_lines(report.footer):
         lines.append(f"{name}: {value}")
     return "\n".join(lines) + "\n"
-
-
-# ---------- verification plumbing ----------
-
-
-class VerificationFailure(Exception):
-    """First counterexample found by a verification suite."""
-
-    def __init__(self, check: str, payload: dict):
-        super().__init__(check)
-        self.check = check
-        self.payload = payload
-
-
-def _fail(check: str, **payload):
-    raise VerificationFailure(check, payload)
-
-
-def _require(condition: bool, check: str, **payload) -> None:
-    if not condition:
-        _fail(check, **payload)
-
-
-def _simple_image_levi(w) -> ParabolicLabel:
-    """Levi read off which finite simples map to affine simple roots."""
-    rs = w.rs
-    simples = {affine_simple_root(rs, i) for i in range(rs.rank + 1)}
-    levi = frozenset(
-        a
-        for a in range(rs.rank)
-        if w.apply_root(affine_simple_root(rs, a + 1)) in simples
-    )
-    return ParabolicLabel(rs.rank, levi)
-
-
-def _wall_levi(ideal: UpperIdeal) -> ParabolicLabel:
-    rs = ideal.rs
-    return ParabolicLabel(
-        rs.rank, frozenset(a for a in range(rs.rank) if is_wall(ideal, a))
-    )
-
-
-# ---------- suites ----------
-
-
-def suite_normalizer_oracles(types) -> list[tuple[str, str]]:
-    """Five independent normalizer computations agree on every ideal."""
-    results = []
-    for label in types:
-        rs = build(label)
-        count = 0
-        for ideal in enumerate_ideals(rs):
-            count += 1
-            got = {
-                "generators": normalizer(ideal),
-                "weight": normalizer_by_weight(ideal),
-                "minimal-element": _simple_image_levi(w_min(ideal)),
-                "shi-walls": _wall_levi(ideal),
-                "z-walls": normalizer_by_zwall(ideal),
-            }
-            values = set(got.values())
-            if len(values) != 1:
-                _fail(
-                    "five-way-normalizer",
-                    type=label,
-                    ideal=serialize_ideal(ideal),
-                    labels={k: fmt_levi(v) for k, v in got.items()},
-                )
-        results.append((f"five-way-normalizer[{label}]", f"{count} ideals"))
-    return results
-
-
-def _random_word(rng: random.Random, rank: int) -> tuple[int, ...]:
-    n = rng.randrange(0, 25)
-    return tuple(rng.randrange(0, rank + 1) for _ in range(n))
-
-
-def suite_affine(types, seed: int, words_per_type: int = 1000) -> list[tuple[str, str]]:
-    """Weights, extremal elements, lattice bijections, and random-word laws."""
-    results = []
-    for label in types:
-        rs = build(label)
-        ideals = list(enumerate_ideals(rs))
-
-        seen = {}
-        for ideal in ideals:
-            coords = weight(ideal).coords
-            _require(
-                all(rs.coroot_pairing(coords, j) >= 0 for j in range(rs.rank)),
-                "weight-dominance",
-                type=label,
-                ideal=serialize_ideal(ideal),
-            )
-            if coords in seen:
-                _fail(
-                    "weight-injectivity",
-                    type=label,
-                    ideal=serialize_ideal(ideal),
-                    other=seen[coords],
-                )
-            seen[coords] = serialize_ideal(ideal)
-        results.append((f"weights[{label}]", f"{len(ideals)} ideals"))
-
-        z_points = set()
-        for ideal in ideals:
-            w = w_min(ideal)
-            ok = (
-                is_dominant(w)
-                and is_minimal_representative(w)
-                and first_layer(w).bits == ideal.bits
-                and len(w.word) == length(w)
-                and length(w) == sum(p.size for p in ideal_powers(ideal).powers)
-            )
-            _require(ok, "minimal-element-flags", type=label, ideal=serialize_ideal(ideal))
-            z_points.add(factorize(w).translation.coords)
-        lattice_min = lattice_count(rs, "min")
-        _require(
-            z_points == {p.coords for p in lattice_min.points}
-            and lattice_min.count == len(ideals),
-            "z-lattice-bijection",
-            type=label,
-            ideals=len(ideals),
-            lattice=lattice_min.count,
-        )
-        results.append((f"z-lattice-bijection[{label}]", f"{len(ideals)} points"))
-
-        strict = [ideal for ideal in ideals if is_strictly_positive(ideal)]
-        y_points = set()
-        for ideal in strict:
-            w = w_max(ideal)
-            wmin = w_min(ideal)
-            ok = (
-                is_dominant(w)
-                and is_maximal_representative(w)
-                and first_layer(w).bits == ideal.bits
-                and len(w.word) == length(w)
-            )
-            _require(ok, "maximal-element-flags", type=label, ideal=serialize_ideal(ideal))
-            _require(
-                _simple_image_levi(w) == _simple_image_levi(wmin) == normalizer(ideal),
-                "minimal-maximal-levi-agreement",
-                type=label,
-                ideal=serialize_ideal(ideal),
-            )
-            _require(
-                is_minimax(ideal) == (w == wmin),
-                "minimax-element-equality",
-                type=label,
-                ideal=serialize_ideal(ideal),
-            )
-            y_points.add(factorize(w).translation.coords)
-        lattice_max = lattice_count(rs, "max")
-        _require(
-            y_points == {p.coords for p in lattice_max.points}
-            and lattice_max.count == len(strict),
-            "y-lattice-bijection",
-            type=label,
-            ideals=len(strict),
-            lattice=lattice_max.count,
-        )
-        results.append((f"y-lattice-bijection[{label}]", f"{len(strict)} points"))
-
-        for which in ("min", "max"):
-            _require(
-                lattice_count(rs, which, lattice="coweight").count
-                == rs.f * lattice_count(rs, which).count,
-                "index-factor",
-                type=label,
-                simplex=which,
-            )
-        results.append((f"index-factor[{label}]", f"f={rs.f}"))
-
-        rng = random.Random(f"{seed}:{label}")
-        for _ in range(words_per_type):
-            word = _random_word(rng, rs.rank)
-            w = from_word(rs, word)
-            _require(
-                check_inversion_sum(w),
-                "inversion-sum",
-                type=label,
-                word=list(word),
-            )
-            rebuilt = word_from_biconvex(rs, n_set(w))
-            _require(
-                rebuilt == w and len(rebuilt.word) == length(w) <= len(word),
-                "biconvex-roundtrip",
-                type=label,
-                word=list(word),
-            )
-        results.append((f"random-words[{label}]", f"{words_per_type} words"))
-    return results
-
-
-def suite_shi(types, seed: int) -> list[tuple[str, str]]:
-    """Region feasibility, membership of minimal alcoves, dominant translations."""
-    results = []
-    for label in types:
-        rs = build(label)
-        ideals = list(enumerate_ideals(rs))
-        for ideal in ideals:
-            witness = region_witness(ideal)
-            _require(
-                region_of(ideal).holds_at(witness.coords),
-                "region-witness",
-                type=label,
-                ideal=serialize_ideal(ideal),
-            )
-            _require(
-                alcove_membership(w_min(ideal), ideal),
-                "minimal-alcove-membership",
-                type=label,
-                ideal=serialize_ideal(ideal),
-            )
-        results.append((f"regions[{label}]", f"{len(ideals)} ideals"))
-
-        rng = random.Random(f"{seed}:shi:{label}")
-        pairs = 0
-        for _ in range(min(40, len(ideals) * 2)):
-            a = rng.randrange(len(ideals))
-            b = rng.randrange(len(ideals))
-            if a == b:
-                continue
-            pairs += 1
-            _require(
-                not alcove_membership(w_min(ideals[a]), ideals[b]),
-                "region-exclusivity",
-                type=label,
-                ideal=serialize_ideal(ideals[a]),
-                other=serialize_ideal(ideals[b]),
-            )
-        results.append((f"region-exclusivity[{label}]", f"{pairs} pairs"))
-
-        found = 0
-        attempts = 0
-        while found < 10 and attempts < 400:
-            attempts += 1
-            ks = [rng.randrange(0, 3) for _ in range(rs.rank)]
-            if sum(ks) == 0 or sum(ks) > 3:
-                continue
-            coords = tuple(
-                -sum(k * cw.coords[j] for k, cw in zip(ks, rs.fundamental_coweights))
-                for j in range(rs.rank)
-            )
-            if not in_coroot_lattice(rs, coords):
-                continue
-            found += 1
-            w = translation_element(rs, RationalVector(coords))
-            layer = first_layer(w)
-            ok = (
-                is_dominant(w)
-                and check_inversion_sum(w)
-                and alcove_membership(w, layer)
-            )
-            _require(ok, "dominant-translation", type=label, z=fmt_frac_vec(coords))
-            for _ in range(3):
-                other = ideals[rng.randrange(len(ideals))]
-                if other.bits != layer.bits:
-                    _require(
-                        not alcove_membership(w, other),
-                        "dominant-translation-exclusivity",
-                        type=label,
-                        z=fmt_frac_vec(coords),
-                        other=serialize_ideal(other),
-                    )
-        results.append((f"dominant-translations[{label}]", f"{found} elements"))
-    return results
-
-
-def suite_counting(types) -> list[tuple[str, str]]:
-    """Generating-function, lattice, and enumeration counts agree."""
-    results = []
-    for label in types:
-        rs = build(label)
-        g_min = gf_count(rs, 1)
-        g_max = gf_count(rs, -1)
-        routes = [f"gf={g_min}/{g_max}"]
-        if rs.rank <= 8:
-            l_min = lattice_count(rs, "min", off_walls=True).count
-            l_max = lattice_count(rs, "max", off_walls=True).count
-            _require(
-                (l_min, l_max) == (g_min, g_max),
-                "lattice-vs-gf",
-                type=label,
-                gf=[g_min, g_max],
-                lattice=[l_min, l_max],
-            )
-            routes.append("lattice ok")
-        if len(rs.positive_roots) <= 120:
-            n_all = n_strict = n_borel = n_borel_strict = 0
-            for ideal in enumerate_ideals(rs):
-                n_all += 1
-                strict = is_strictly_positive(ideal)
-                n_strict += strict
-                if not normalizer(ideal).levi:
-                    n_borel += 1
-                    n_borel_strict += strict
-            _require(
-                (n_borel, n_borel_strict) == (g_min, g_max),
-                "enumeration-vs-gf",
-                type=label,
-                gf=[g_min, g_max],
-                enumeration=[n_borel, n_borel_strict],
-            )
-            if rs.rank <= 8:
-                totals = (
-                    lattice_count(rs, "min").count,
-                    lattice_count(rs, "max").count,
-                )
-                _require(
-                    totals == (n_all, n_strict),
-                    "lattice-totals",
-                    type=label,
-                    lattice=list(totals),
-                    enumeration=[n_all, n_strict],
-                )
-            routes.append("enumeration ok")
-        results.append((f"three-route[{label}]", "; ".join(routes)))
-
-    for n in range(2, 9):
-        for target in (1, -1):
-            _require(
-                count_sp2n_borel(n, target)
-                == gf_count_from_marks(extended_marks("C", n), target),
-                "symplectic-closed-form",
-                n=n,
-                target=target,
-            )
-    for n in range(4, 9):
-        for target in (1, -1):
-            _require(
-                count_so2n_borel(n, target)
-                == gf_count_from_marks(extended_marks("D", n), target),
-                "even-orthogonal-closed-form",
-                n=n,
-                target=target,
-            )
-    results.append(("closed-forms[B/C/D]", "ranks 2..8"))
-    return results
-
-
-def suite_typeac() -> list[tuple[str, str]]:
-    """Coordinate combinatorics for the special linear and symplectic families."""
-    results = []
-    for n in range(1, 6):
-        rs = build(f"A{n}")
-        ideals = list(enumerate_ideals(rs))
-        by_label: dict[ParabolicLabel, set[int]] = {}
-        n_mm = 0
-        n_selfdual = 0
-        for ideal in ideals:
-            c = typeac.from_upper_ideal_A(ideal)
-            _require(
-                c.to_upper_ideal().bits == ideal.bits
-                and typeac.normalizer_A(c) == normalizer(ideal),
-                "ferrers-roundtrip",
-                type=f"A{n}",
-                ideal=serialize_ideal(ideal),
-            )
-            by_label.setdefault(normalizer(ideal), set()).add(ideal.bits)
-            _require(
-                typeac.dual_A(typeac.dual_A(c)) == c,
-                "ferrers-duality-involution",
-                type=f"A{n}",
-                ideal=serialize_ideal(ideal),
-            )
-            mm = typeac.is_minimax_A(c)
-            borel = ParabolicLabel(n, frozenset())
-            _require(
-                mm == is_minimax(ideal)
-                and mm == (typeac.normalizer_A(typeac.dual_A(c)) == borel)
-                and (typeac.is_minimax_A(typeac.dual_A(c)) == (typeac.normalizer_A(c) == borel)),
-                "ferrers-duality-minimax",
-                type=f"A{n}",
-                ideal=serialize_ideal(ideal),
-            )
-            n_mm += mm
-            n_selfdual += typeac.dual_A(c) == c
-        _require(
-            n_mm == motzkin(n)
-            and n_selfdual == (catalan(n // 2) if n % 2 == 0 else 0),
-            "ferrers-minimax-count",
-            type=f"A{n}",
-            minimax=n_mm,
-            selfdual=n_selfdual,
-        )
-
-        total = 0
-        for mask in range(1 << n):
-            removed = {l for l in range(1, n + 1) if mask >> (l - 1) & 1}
-            s = len(removed)
-            lab = ParabolicLabel(
-                n, frozenset(l - 1 for l in range(1, n + 1) if l not in removed)
-            )
-            fib = typeac.fiber_A(n, removed)
-            bits = {c.to_upper_ideal().bits for c in fib}
-            _require(
-                bits == by_label.get(lab, set()) and len(fib) == motzkin(s),
-                "ferrers-fiber",
-                type=f"A{n}",
-                removed=sorted(removed),
-                size=len(fib),
-            )
-            total += len(fib)
-            mini = typeac.fiber_minimum_A(n, removed)
-            mini_u = mini.to_upper_ideal()
-            power = ideal_powers(nilradical(rs, lab)).powers[s // 2]
-            _require(
-                mini_u.bits in bits
-                and all(mini_u.bits & b == mini_u.bits for b in bits)
-                and is_abelian(mini_u)
-                and power.bits == mini_u.bits,
-                "ferrers-fiber-minimum",
-                type=f"A{n}",
-                removed=sorted(removed),
-                minimum=serialize_ideal(mini_u),
-            )
-            got_mm = sum(1 for c in fib if typeac.is_minimax_A(c))
-            _require(
-                got_mm == (catalan(s // 2) if s % 2 == 0 else 0),
-                "ferrers-fiber-minimax-count",
-                type=f"A{n}",
-                removed=sorted(removed),
-                count=got_mm,
-            )
-        _require(total == catalan(n + 1), "ferrers-fiber-partition", type=f"A{n}", total=total)
-        results.append((f"ferrers[A{n}]", f"{len(ideals)} ideals"))
-
-    for n in range(2, 5):
-        rs = build(f"C{n}")
-        ideals = list(enumerate_ideals(rs))
-        by_label = {}
-        n_mm = 0
-        mm_by_corank: dict[int, int] = {}
-        for ideal in ideals:
-            c = typeac.from_upper_ideal_C(ideal)
-            cbar = typeac.symmetrize(c)
-            _require(
-                c.to_upper_ideal().bits == ideal.bits
-                and typeac.normalizer_C(c) == normalizer(ideal)
-                and typeac.desymmetrize(cbar) == c
-                and typeac.symmetrize(typeac.dual_C(c)) == typeac.dual_A(cbar)
-                and typeac.dual_C(typeac.dual_C(c)) == c
-                and typeac.is_minimax_C(c) == is_minimax(ideal),
-                "symplectic-roundtrip",
-                type=f"C{n}",
-                ideal=serialize_ideal(ideal),
-            )
-            by_label.setdefault(normalizer(ideal), set()).add(ideal.bits)
-            n_mm += typeac.is_minimax_C(c)
-        _require(
-            n_mm == directed_animals(n),
-            "symplectic-minimax-count",
-            type=f"C{n}",
-            minimax=n_mm,
-        )
-
-        total = 0
-        for mask in range(1 << n):
-            removed = {l for l in range(1, n + 1) if mask >> (l - 1) & 1}
-            lab = ParabolicLabel(
-                n, frozenset(l - 1 for l in range(1, n + 1) if l not in removed)
-            )
-            fib = typeac.fiber_C(n, removed)
-            bits = {c.to_upper_ideal().bits for c in fib}
-            core = len([l for l in removed if l != n])
-            _require(
-                bits == by_label.get(lab, set())
-                and len(fib) == directed_animals(core + 1),
-                "symplectic-fiber",
-                type=f"C{n}",
-                removed=sorted(removed),
-                size=len(fib),
-            )
-            total += len(fib)
-            bit_list = sorted(bits)
-            minimal = [b for b in bit_list if all(b & o == b for o in bit_list)]
-            _require(
-                len(minimal) == 1
-                and is_abelian(UpperIdeal(rs, minimal[0])),
-                "symplectic-fiber-minimum",
-                type=f"C{n}",
-                removed=sorted(removed),
-            )
-            mmf = typeac.fiber_minimax_C(n, removed)
-            want = {c.pairs for c in fib if typeac.is_minimax_C(c)}
-            _require(
-                {c.pairs for c in mmf} == want
-                and len(mmf)
-                == (0 if n in removed else typeac.minimax_fiber_count_C(len(removed))),
-                "symplectic-fiber-minimax",
-                type=f"C{n}",
-                removed=sorted(removed),
-            )
-            mm_by_corank[len(removed)] = mm_by_corank.get(len(removed), 0) + len(mmf)
-            if n not in removed:
-                for c in fib:
-                    _require(
-                        typeac.decode_word(n, removed, typeac.encode_word(c)) == c,
-                        "symplectic-word-roundtrip",
-                        type=f"C{n}",
-                        removed=sorted(removed),
-                    )
-                partner = typeac.fiber_C(n, removed | {n})
-                _require(
-                    sorted(typeac.encode_word(c).letters for c in partner)
-                    == sorted(typeac.encode_word(c).letters for c in fib),
-                    "symplectic-last-root-bijection",
-                    type=f"C{n}",
-                    removed=sorted(removed),
-                )
-        _require(
-            total == len(ideals) == comb(2 * n, n),
-            "symplectic-fiber-partition",
-            type=f"C{n}",
-            total=total,
-        )
-        poly = typeac.minimax_fiber_polynomial(n)
-        _require(
-            sum(poly) == directed_animals(n)
-            and sum((-1) ** s * v for s, v in enumerate(poly)) == riordan(n - 1)
-            and all(mm_by_corank.get(s, 0) == v for s, v in enumerate(poly)),
-            "symplectic-minimax-polynomial",
-            type=f"C{n}",
-            coefficients=list(poly),
-        )
-        results.append((f"symplectic[C{n}]", f"{len(ideals)} ideals"))
-
-    for s in range(21):
-        _require(
-            typeac.ballot(s) == comb(s, s // 2),
-            "ballot-closed-form",
-            s=s,
-            count=typeac.ballot(s),
-        )
-    results.append(("ballot[s<=20]", "21 values"))
-    return results
-
-
-def suite_identities(n_max: int) -> list[tuple[str, str]]:
-    """Integer-sequence identity battery."""
-    checks = verify_identities(n_max)
-    for chk in checks:
-        if not chk.passed:
-            _fail(
-                "identity",
-                name=chk.name,
-                argument=chk.argument,
-                lhs=str(chk.lhs),
-                rhs=str(chk.rhs),
-            )
-    return [("identities", f"{len(checks)} checks, n <= {n_max}")]
 
 
 # ---------- commands ----------
@@ -750,11 +165,11 @@ def cmd_enumerate(args) -> tuple[Report, int]:
         coords = weight(ideal).coords
         rows.append(
             (
-                "|".join(fmt_int_vec(g.coeffs) for g in gens) or "-",
-                fmt_frac_vec(coords),
+                "|".join(fmt_vec(g.coeffs) for g in gens) or "-",
+                fmt_vec(coords),
                 fmt_levi(lab),
                 fmt_word(w.word),
-                fmt_frac_vec(z.coords),
+                fmt_vec(z.coords),
             )
         )
         json_rows.append(
@@ -771,31 +186,6 @@ def cmd_enumerate(args) -> tuple[Report, int]:
         Report("enumerate", args.type, columns, tuple(rows), tuple(json_rows), footer),
         0,
     )
-
-
-def run_table7() -> tuple[list[tuple[str, str, int, int, str]], list[str]]:
-    """Recompute the minimax/borel-fiber table; return rows and mismatched cells."""
-    rows = []
-    failures = []
-    for algebra, label, want_mm, want_b in TABLE_ROWS:
-        rs = build(label)
-        n_mm = 0
-        n_b = 0
-        for ideal in enumerate_ideals(rs):
-            if is_minimax(ideal):
-                n_mm += 1
-            if not normalizer(ideal).levi:
-                n_b += 1
-        if n_mm != want_mm:
-            failures.append(f"{label} minimax: computed {n_mm}, expected {want_mm}")
-        if n_b != want_b:
-            failures.append(f"{label} borel-fiber: computed {n_b}, expected {want_b}")
-        if label == "E6":
-            g = gf_count(rs, 1)
-            if g != want_b:
-                failures.append(f"E6 borel-fiber gf: computed {g}, expected {want_b}")
-        rows.append((algebra, label, n_mm, n_b, f"{want_mm}/{want_b}"))
-    return rows, failures
 
 
 def cmd_table7(args) -> tuple[Report, int]:
@@ -818,51 +208,20 @@ def cmd_table7(args) -> tuple[Report, int]:
             }
         )
     footer = [("status", "mismatch" if failures else "ok")]
-    for f in failures:
-        footer.append(("mismatch", f))
+    if failures:
+        footer.append(("mismatch", tuple(failures)))
     return (
         Report("table7", None, columns, tuple(out_rows), tuple(json_rows), tuple(footer)),
         3 if failures else 0,
     )
 
 
-def run_count(label: str) -> tuple[list[tuple[str, str]], bool]:
-    """Borel-fiber counts by every applicable route; returns rows and agreement."""
-    rs = build(label)
-    g_min = gf_count(rs, 1)
-    g_max = gf_count(rs, -1)
-    rows = [
-        ("borel_fiber_gf", str(g_min)),
-        ("strict_borel_fiber_gf", str(g_max)),
-    ]
-    agree = True
-    if rs.rank <= 8:
-        l_min = lattice_count(rs, "min", off_walls=True).count
-        l_max = lattice_count(rs, "max", off_walls=True).count
-        rows.append(("borel_fiber_lattice", str(l_min)))
-        rows.append(("strict_borel_fiber_lattice", str(l_max)))
-        agree = agree and (l_min, l_max) == (g_min, g_max)
-    if len(rs.positive_roots) <= 120:
-        n_all = n_strict = n_b = n_b_strict = 0
-        for ideal in enumerate_ideals(rs):
-            n_all += 1
-            strict = is_strictly_positive(ideal)
-            n_strict += strict
-            if not normalizer(ideal).levi:
-                n_b += 1
-                n_b_strict += strict
-        rows.append(("borel_fiber_enumeration", str(n_b)))
-        rows.append(("strict_borel_fiber_enumeration", str(n_b_strict)))
-        rows.append(("ideals", str(n_all)))
-        rows.append(("strict_ideals", str(n_strict)))
-        agree = agree and (n_b, n_b_strict) == (g_min, g_max)
-    rows.append(("routes_agree", "yes" if agree else "NO"))
-    return rows, agree
-
-
 def cmd_count(args) -> tuple[Report, int]:
-    rows, agree = run_count(args.type)
-    footer = list(rows)
+    counts = count_routes(build(args.type))
+    pairs = {(v, counts["strict_" + k]) for k, v in counts.items() if k.startswith("borel_fiber_")}
+    agree = len(pairs) == 1  # every route gave the same (all, strict) pair
+    footer = [(k, str(v)) for k, v in counts.items()]
+    footer.append(("routes_agree", "yes" if agree else "NO"))
     if args.type in ("E7", "E8"):
         footer.append(("note", "computed output; no reference value"))
     return (
@@ -871,22 +230,10 @@ def cmd_count(args) -> tuple[Report, int]:
     )
 
 
-def _suite_runners(args):
-    types = (args.type,) if args.type else None
-    return {
-        "normalizer-oracles": lambda: suite_normalizer_oracles(types or ORACLE_TYPES),
-        "affine": lambda: suite_affine(types or ORACLE_TYPES, args.seed),
-        "shi": lambda: suite_shi(types or ORACLE_TYPES, args.seed),
-        "counting": lambda: suite_counting(types or COUNTING_TYPES),
-        "typeAC": suite_typeac,
-        "identities": lambda: suite_identities(args.n_max),
-    }
-
-
 def cmd_verify(args) -> tuple[Report, int]:
     if args.type:
         build(args.type)
-    runners = _suite_runners(args)
+    runners = suite_runners(args.type, args.seed, args.n_max)
     names = list(runners) if args.suite == "all" else [args.suite]
     columns = ("suite", "check", "detail", "status")
     rows: list[tuple[str, str, str, str]] = []
@@ -895,18 +242,19 @@ def cmd_verify(args) -> tuple[Report, int]:
         try:
             outcome = runners[name]()
         except VerificationFailure as failure:
+            payload = _jsonable(failure.payload)
             rows.append((name, failure.check, "counterexample found", "FAIL"))
             json_rows.append(
                 {
                     "suite": name,
                     "check": failure.check,
                     "status": "FAIL",
-                    "counterexample": failure.payload,
+                    "counterexample": payload,
                 }
             )
             footer = (
                 ("status", "fail"),
-                ("counterexample", json.dumps(failure.payload, sort_keys=True)),
+                ("counterexample", json.dumps(payload, sort_keys=True)),
             )
             return (
                 Report("verify", args.type, columns, tuple(rows), tuple(json_rows), footer),
@@ -927,10 +275,10 @@ def cmd_verify(args) -> tuple[Report, int]:
 # ---------- argument parsing ----------
 
 
-def _positive_int(text: str) -> int:
+def _n_max(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be an integer >= 2")
     return value
 
 
@@ -940,14 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true", help="emit a JSON report")
     fmt.add_argument("--tsv", action="store_true", help="emit a tab-separated report")
     common.add_argument("--out", metavar="FILE", help="write the report to FILE")
-    common.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="accepted for interface stability; execution is sequential and "
-        "output is identical for any value",
-    )
 
     parser = argparse.ArgumentParser(
         prog="adnil",
@@ -989,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", help="restrict the suite to one root system label")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument(
-        "--n-max", type=_positive_int, default=12, dest="n_max",
+        "--n-max", type=_n_max, default=12, dest="n_max",
         help="bound for the identity battery",
     )
     p.set_defaults(func=cmd_verify)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .ideals import enumerate_ideals, is_strictly_positive
+from .normalizers import normalizer
 from .rootsys import RationalVector, RootSystem, in_coroot_lattice
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "count_so2n_borel",
     "LatticeCount",
     "lattice_count",
+    "count_routes",
     "IdentityCheck",
     "verify_identities",
 ]
@@ -281,6 +284,37 @@ def lattice_count(
             continue
         points.append(point)
     return LatticeCount(len(points), tuple(points))
+
+
+def count_routes(rs: RootSystem) -> dict[str, int]:
+    """Borel-fiber counts (all, then strictly positive) by every feasible route.
+
+    The generating function always runs; the lattice count through rank 8;
+    enumeration, which also gives the total and strict ideal counts, up to
+    120 positive roots.  Keys are in report order.  Enumeration streams
+    the ideals once and keeps none of them.
+    """
+    counts = {
+        "borel_fiber_gf": gf_count(rs, 1),
+        "strict_borel_fiber_gf": gf_count(rs, -1),
+    }
+    if rs.rank <= 8:
+        counts["borel_fiber_lattice"] = lattice_count(rs, "min", off_walls=True).count
+        counts["strict_borel_fiber_lattice"] = lattice_count(rs, "max", off_walls=True).count
+    if len(rs.positive_roots) <= 120:
+        n_all = n_strict = n_b = n_b_strict = 0
+        for ideal in enumerate_ideals(rs):
+            n_all += 1
+            strict = is_strictly_positive(ideal)
+            n_strict += strict
+            if not normalizer(ideal).levi:
+                n_b += 1
+                n_b_strict += strict
+        counts["borel_fiber_enumeration"] = n_b
+        counts["strict_borel_fiber_enumeration"] = n_b_strict
+        counts["ideals"] = n_all
+        counts["strict_ideals"] = n_strict
+    return counts
 
 
 @dataclass(frozen=True)

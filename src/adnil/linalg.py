@@ -25,13 +25,6 @@ def mat_vec(a: Matrix, v) -> Vector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
 def _elimination(a: Matrix, rhs: list[list[Fraction]]) -> list[list[Fraction]]:
     """Gauss-Jordan on [a | rhs]; returns the transformed rhs columns."""
     n = len(a)

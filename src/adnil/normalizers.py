@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import UpperIdeal, enumerate_ideals, weight
+from .ideals import UpperIdeal, _iter_bits, enumerate_ideals, weight
 from .rootsys import RootSystem, inner
 
 __all__ = [
@@ -176,7 +176,7 @@ def quotient_poset(rs: RootSystem, simple: int) -> QuotientPoset:
         changed = False
         for j in range(n):
             acc = rel[j]
-            for i in list(_bits(rel[j])):
+            for i in list(_iter_bits(rel[j])):
                 acc |= rel[i]
             if acc != rel[j]:
                 rel[j] = acc
@@ -190,19 +190,12 @@ def quotient_poset(rs: RootSystem, simple: int) -> QuotientPoset:
     return QuotientPoset(rs, simple, classes, tuple(rel))
 
 
-def _bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def count_upper_ideals(poset: QuotientPoset) -> int:
     """Number of upward-closed subsets of a quotient poset."""
     n = len(poset.classes)
     above: list[int] = [0] * n
     for j in range(n):
-        for i in _bits(poset.below[j]):
+        for i in _iter_bits(poset.below[j]):
             if i != j:
                 above[i] |= 1 << j
     order = sorted(range(n), key=lambda k: (above[k].bit_count(), k))

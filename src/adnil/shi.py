@@ -229,19 +229,12 @@ def feasible(system: LinearConstraintSystem) -> FeasibilityResult:
     return FeasibilityResult(True, witness)
 
 
-_witness_cache: dict[tuple[str, int], RationalVector] = {}
-
-
 def region_witness(ideal: UpperIdeal) -> RationalVector:
-    """Memoized interior point of the region of the ideal."""
-    key = (ideal.rs.label, ideal.bits)
-    cached = _witness_cache.get(key)
-    if cached is None:
-        result = feasible(region_of(ideal))
-        if not result.feasible:
-            raise AssertionError(f"region of {ideal!r} is infeasible")
-        cached = _witness_cache[key] = result.witness
-    return cached
+    """Exact interior point of the region of the ideal."""
+    result = feasible(region_of(ideal))
+    if not result.feasible:
+        raise AssertionError(f"region of {ideal!r} is infeasible")
+    return result.witness
 
 
 def is_wall(ideal: UpperIdeal, simple: int) -> bool:

@@ -15,7 +15,7 @@ from adnil.affine import (
     w_max,
     w_min,
 )
-from adnil.cli import (
+from adnil.verify import (
     ORACLE_TYPES,
     run_table7,
     suite_affine,

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from adnil import cli
+from adnil import verify
 from adnil.cli import main, parse_ideal, serialize_ideal
 from adnil.ideals import enumerate_ideals
 from adnil.rootsys import build
@@ -87,6 +87,24 @@ def test_table7_ok(capsys):
     assert [r["borel_fiber"] for r in payload["rows"]] == [11, 31, 111, 19, 2]
 
 
+def test_table7_reports_every_mismatch(capsys, monkeypatch):
+    wrong_d4 = ("so_8", "D4", 10, 12)  # both cells off by one
+    monkeypatch.setattr(verify, "TABLE_ROWS", (wrong_d4,) + verify.TABLE_ROWS[1:])
+    code, out, _ = run(capsys, "table7")
+    assert code == 3
+    assert [l for l in out.splitlines() if l.startswith("mismatch: ")] == [
+        "mismatch: D4 minimax: computed 9, expected 10",
+        "mismatch: D4 borel-fiber: computed 11, expected 12",
+    ]
+    code, out, _ = run(capsys, "table7", "--json")
+    footer = json.loads(out)["footer"]
+    assert code == 3 and footer["status"] == "mismatch"
+    assert footer["mismatch"] == [
+        "D4 minimax: computed 9, expected 10",
+        "D4 borel-fiber: computed 11, expected 12",
+    ]
+
+
 def test_count_e6(capsys):
     code, out, _ = run(capsys, "count", "E6", "--json")
     assert code == 0
@@ -131,7 +149,7 @@ def test_verify_restricted_to_one_type(capsys):
 
 def test_verify_reports_first_counterexample(capsys, monkeypatch):
     fake = SimpleNamespace(name="fake", argument=3, lhs=1, rhs=2, passed=False)
-    monkeypatch.setattr(cli, "verify_identities", lambda n_max: (fake,))
+    monkeypatch.setattr(verify, "verify_identities", lambda n_max: (fake,))
     code, out, _ = run(capsys, "verify", "identities", "--json")
     assert code == 1
     payload = json.loads(out)
@@ -156,7 +174,7 @@ def test_usage_errors_exit_two(capsys):
         main(["verify", "bogus-suite"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "A3", "--jobs", "0"])
+        main(["verify", "identities", "--n-max", "1"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "A3", "--json", "--tsv"])
@@ -182,8 +200,3 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
 
-
-def test_jobs_flag_is_accepted_and_inert(capsys):
-    _, base, _ = run(capsys, "count", "G2")
-    _, jobs, _ = run(capsys, "count", "G2", "--jobs", "4")
-    assert base == jobs

@@ -82,12 +82,6 @@ def test_barycenter_lies_in_the_empty_region():
         assert region_of(empty).holds_at(alcove_barycenter(rs).coords)
 
 
-def test_region_witness_is_memoized():
-    rs = build("B2")
-    c = list(enumerate_ideals(rs))[2]
-    assert region_witness(c) is region_witness(c)
-
-
 def test_wall_test_matches_normalizer():
     for label in ("A3", "B2", "G2"):
         rs = build(label)
