@@ -149,9 +149,6 @@ class AffineWeylElement:
             self.matrix,
         )
 
-    def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(self.rs.rank + 2)
-
     def finite_part_matrix(self) -> IntMatrix:
         p = self.rs.rank
         return tuple(row[:p] for row in self.matrix[:p])

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .affine import factorize, is_minimax, w_min
-from .counting import count_routes
+from .counting import count_routes, enumeration_skip
 from .ideals import (
     UpperIdeal,
     close_upward,
@@ -217,7 +217,11 @@ def cmd_table7(args) -> tuple[Report, int]:
 
 
 def cmd_count(args) -> tuple[Report, int]:
-    counts = count_routes(build(args.type))
+    rs = build(args.type)
+    skip = enumeration_skip(rs)
+    if skip:
+        print(f"note: {skip}", file=sys.stderr)
+    counts = count_routes(rs)
     pairs = {(v, counts["strict_" + k]) for k, v in counts.items() if k.startswith("borel_fiber_")}
     agree = len(pairs) == 1  # every route gave the same (all, strict) pair
     footer = [(k, str(v)) for k, v in counts.items()]

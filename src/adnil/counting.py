@@ -31,6 +31,8 @@ __all__ = [
     "count_so2n_borel",
     "LatticeCount",
     "lattice_count",
+    "ideal_count",
+    "enumeration_skip",
     "count_routes",
     "IdentityCheck",
     "verify_identities",
@@ -286,13 +288,45 @@ def lattice_count(
     return LatticeCount(len(points), tuple(points))
 
 
+# Every type under the default rank caps has at most this many ideals
+# (E8 has the most, 25080); enumeration beyond it would run for hours.
+ENUMERATION_LIMIT = 100_000
+
+
+def ideal_count(rs: RootSystem) -> int:
+    """Number of ad-nilpotent ideals, prod (h + e_i + 1) / (e_i + 1).
+
+    The exponents e_i come from the height partition of the positive
+    roots: as many exponents equal k as there are roots of height k,
+    less those of height k + 1.
+    """
+    h = rs.coxeter_number
+    num = den = 1
+    for k in range(1, h):
+        for _ in range(rs.heights.count(k) - rs.heights.count(k + 1)):
+            num *= h + k + 1
+            den *= k + 1
+    return num // den
+
+
+def enumeration_skip(rs: RootSystem) -> str | None:
+    """Why `count_routes` does not enumerate the ideals of rs, or None."""
+    n = ideal_count(rs)
+    if n > ENUMERATION_LIMIT:
+        return (
+            f"enumeration skipped: {rs.label} has {n} ideals, "
+            f"more than the limit of {ENUMERATION_LIMIT}"
+        )
+    return None
+
+
 def count_routes(rs: RootSystem) -> dict[str, int]:
     """Borel-fiber counts (all, then strictly positive) by every feasible route.
 
     The generating function always runs; the lattice count through rank 8;
-    enumeration, which also gives the total and strict ideal counts, up to
-    120 positive roots.  Keys are in report order.  Enumeration streams
-    the ideals once and keeps none of them.
+    enumeration, which also gives the total and strict ideal counts, unless
+    `enumeration_skip` gives a reason.  Keys are in report order.
+    Enumeration streams the ideals once and keeps none of them.
     """
     counts = {
         "borel_fiber_gf": gf_count(rs, 1),
@@ -301,7 +335,7 @@ def count_routes(rs: RootSystem) -> dict[str, int]:
     if rs.rank <= 8:
         counts["borel_fiber_lattice"] = lattice_count(rs, "min", off_walls=True).count
         counts["strict_borel_fiber_lattice"] = lattice_count(rs, "max", off_walls=True).count
-    if len(rs.positive_roots) <= 120:
+    if enumeration_skip(rs) is None:
         n_all = n_strict = n_b = n_b_strict = 0
         for ideal in enumerate_ideals(rs):
             n_all += 1

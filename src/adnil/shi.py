@@ -2,19 +2,26 @@
 
 Each upper ideal corresponds to the open region where the pairing with a
 root exceeds one exactly for roots in the ideal (inside the dominant
-chamber).  Feasibility and wall detection are decided by an exact
-rational simplex that maximizes a slack margin, so all sign decisions
-are certain.
+chamber).  Feasibility is decided by a one-phase simplex on an integer
+tableau: the system is homogenised so that the origin is a feasible
+basis, and pivots are fraction-free, so every sign decision is exact.
+
+The region and wall solves use only the boundary rows of the region, in
+pairing coordinates y_i = (x, alpha_i): y_i > 0, c.y > 1 for the
+generators of the ideal and c.y < 1 for the maximal roots of its
+complement, where c is the coefficient vector of the root.  Pairings rise
+along the root poset when y >= 0, so every other row is implied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .affine import AffineWeylElement, alcove_barycenter, is_dominant, star
 from .ideals import UpperIdeal
-from .rootsys import RationalVector, RootSystem, _coords
+from .rootsys import RationalVector, _coords
 
 __all__ = [
     "Constraint",
@@ -30,22 +37,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Constraint:
-    """One linear condition sum(normal[i] * x[i]) relation bound."""
+    """One strict linear condition sum(normal[i] * x[i]) relation bound."""
 
     normal: tuple[Fraction, ...]
     bound: Fraction
     relation: str
 
     def __post_init__(self):
-        if self.relation not in ("=", ">", "<"):
+        if self.relation not in (">", "<"):
             raise ValueError(f"unknown relation {self.relation!r}")
-        if self.relation != "=" and not any(self.normal):
+        if not any(self.normal):
             raise ValueError("inequality with zero normal")
 
     def holds_at(self, x) -> bool:
         value = sum(n * Fraction(c) for n, c in zip(self.normal, x))
-        if self.relation == "=":
-            return value == self.bound
         if self.relation == ">":
             return value > self.bound
         return value < self.bound
@@ -63,36 +68,19 @@ class LinearConstraintSystem:
         return all(c.holds_at(pt) for c in self.constraints)
 
 
-def _root_functional(rs: RootSystem, g: int) -> tuple[Fraction, ...]:
-    return tuple(rs.pairing_rows[g])
-
-
-def _region_constraints(
-    rs: RootSystem, bits: int, wall: int | None
-) -> tuple[Constraint, ...]:
-    one = Fraction(1)
-    zero = Fraction(0)
-    out = []
-    for a in range(rs.rank):
-        g = rs.simple_index[a]
-        rel = "=" if a == wall else ">"
-        out.append(Constraint(_root_functional(rs, g), zero, rel))
-    for g in range(len(rs.positive_roots)):
-        rel = ">" if (bits >> g) & 1 else "<"
-        out.append(Constraint(_root_functional(rs, g), one, rel))
-    return tuple(out)
-
-
 def region_of(ideal: UpperIdeal) -> LinearConstraintSystem:
     """Open region attached to the ideal by the Shi correspondence.
 
     Pairings with simple roots are positive, with ideal roots exceed one,
-    with all other positive roots stay below one.
+    with all other positive roots stay below one.  Every positive root
+    gives a row; the solves in this module use the boundary rows only.
     """
     rs = ideal.rs
-    return LinearConstraintSystem(
-        rs.rank, _region_constraints(rs, ideal.bits, None)
-    )
+    one, zero = Fraction(1), Fraction(0)
+    rows = [Constraint(rs.pairing_rows[g], zero, ">") for g in rs.simple_index]
+    for g, normal in enumerate(rs.pairing_rows):
+        rows.append(Constraint(normal, one, ">" if (ideal.bits >> g) & 1 else "<"))
+    return LinearConstraintSystem(rs.rank, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -101,153 +89,150 @@ class FeasibilityResult:
     witness: RationalVector | None
 
 
-def _pivot(tableau, z_row, basis, row, col) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r, other in enumerate(tableau):
-        if r != row and other[col]:
-            factor = other[col]
-            tableau[r] = [v - factor * w for v, w in zip(other, tableau[row])]
-    if z_row[col]:
-        factor = z_row[col]
-        for j, w in enumerate(tableau[row]):
-            z_row[j] -= factor * w
-    basis[row] = col
+def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> None:
+    """Fraction-free exchange of the basic variable of row r with column c.
 
-
-def _run_simplex(tableau, z_row, basis, allowed) -> None:
-    """Bland pivots until no allowed column has negative reduced cost."""
-    while True:
-        enter = next(
-            (j for j in allowed if z_row[j] < 0),
-            None,
-        )
-        if enter is None:
-            return
-        best = None
-        for r, row in enumerate(tableau):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                key = (ratio, basis[r])
-                if best is None or key < best[0]:
-                    best = (key, r)
-        if best is None:
-            raise AssertionError("unbounded slack objective")
-        _pivot(tableau, z_row, basis, best[1], enter)
+    Every row holds det times its true entries; afterwards the common
+    factor is the pivot entry, and the division by det is exact.
+    """
+    pivot_row = rows[r]
+    p = pivot_row[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * w) // det for a, w in zip(row, pivot_row)]
+            rows[i][c] = -f
+    pivot_row[c] = det
 
 
 def feasible(system: LinearConstraintSystem) -> FeasibilityResult:
     """Exact strict-feasibility test with an interior rational witness.
 
-    Maximizes a margin t, capped at one, by which every strict inequality
-    clears its bound; the open system is feasible iff the optimum is
-    positive.
+    Each row is scaled to integers and homogenised with x = (u - v) / s
+    over u, v, s >= 0.  A margin t must satisfy s >= t and clear every row
+    (a.(u - v) - b s >= t for a.x > b, and the negation for <), and
+    sum(u) + sum(v) + s <= 1 bounds the problem.  Only that last row has a
+    nonzero right-hand side, so the origin is a feasible basis and a single
+    phase maximizes t on an integer tableau with fraction-free pivots and
+    Bland's rule.  The system is feasible iff t can be made positive; the
+    search stops at the first basis where it is.
     """
     p = system.dimension
-    t_col = 2 * p
-    ncols = 2 * p + 1
-    rows: list[list[Fraction]] = []
-    zero, one = Fraction(0), Fraction(1)
-    slack_cols = []
+    s_col, t_col = 2 * p, 2 * p + 1
+    n = 2 * p + 2
+    rows = []
     for con in system.constraints:
-        row = [zero] * ncols
-        for i, c in enumerate(con.normal):
-            row[i] = c
-            row[p + i] = -c
-        if con.relation == ">":
-            row[t_col] = -one
-            slack_cols.append(-one)
-        elif con.relation == "<":
-            row[t_col] = one
-            slack_cols.append(one)
-        else:
-            slack_cols.append(zero)
-        row.append(con.bound)
+        scale = lcm(con.bound.denominator, *(a.denominator for a in con.normal))
+        sign = -1 if con.relation == ">" else 1
+        row = [0] * (n + 1)
+        for i, a in enumerate(con.normal):
+            row[i] = sign * a.numerator * (scale // a.denominator)
+            row[p + i] = -row[i]
+        row[s_col] = -sign * con.bound.numerator * (scale // con.bound.denominator)
+        row[t_col] = 1
         rows.append(row)
-    cap = [zero] * ncols
-    cap[t_col] = one
-    cap.append(one)
-    rows.append(cap)
-    slack_cols.append(one)
-    # append slack columns (one per non-equality row, sign as recorded)
-    m = len(rows)
-    for r, sign in enumerate(slack_cols):
-        if sign:
-            for rr in range(m):
-                rows[rr].insert(-1, sign if rr == r else zero)
-    ncols = len(rows[0]) - 1
-    # normalize rhs nonnegative, then add artificials
-    for r in range(m):
-        if rows[r][-1] < 0:
-            rows[r] = [-v for v in rows[r]]
-    basis = []
-    for r in range(m):
-        for rr in range(m):
-            rows[rr].insert(-1, one if rr == r else zero)
-        basis.append(ncols + r)
-    total_cols = ncols + m
-    # phase 1: maximize minus the sum of artificials
-    z_row = [zero] * (total_cols + 1)
-    for j in range(total_cols + 1):
-        z_row[j] = -sum(rows[r][j] for r in range(m))
-    for col in basis:
-        z_row[col] = zero
-    allowed = list(range(total_cols))
-    _run_simplex(rows, z_row, basis, allowed)
-    if z_row[-1] != 0:
-        return FeasibilityResult(False, None)
-    # drive leftover artificials out of the basis
-    keep = []
-    for r in range(m):
-        if basis[r] >= ncols:
-            col = next((j for j in range(ncols) if rows[r][j] != 0), None)
-            if col is None:
-                continue
-            _pivot(rows, z_row, basis, r, col)
-        keep.append(r)
-    rows = [rows[r] for r in keep]
-    basis = [basis[r] for r in keep]
-    # phase 2: maximize t
-    z_row = [zero] * (total_cols + 1)
-    z_row[t_col] = -one
-    for r, col in enumerate(basis):
-        if col == t_col:
-            factor = -z_row[col]
-            for j in range(total_cols + 1):
-                z_row[j] += factor * rows[r][j]
-    allowed = list(range(ncols))
-    _run_simplex(rows, z_row, basis, allowed)
-    solution = [zero] * total_cols
-    for r, col in enumerate(basis):
-        solution[col] = rows[r][-1]
-    margin = solution[t_col]
-    if margin <= 0:
-        return FeasibilityResult(False, None)
-    witness = RationalVector(
-        tuple(solution[i] - solution[p + i] for i in range(p))
+    margin = [0] * (n + 1)
+    margin[s_col], margin[t_col] = -1, 1
+    norm = [1] * (2 * p + 1) + [0, 1]
+    objective = [0] * (n + 1)
+    objective[t_col] = -1
+    rows += [margin, norm, objective]
+    m = len(rows) - 1
+    basis = list(range(n, n + m))
+    nonbasic = list(range(n))
+    det = 1
+    while t_col not in basis or rows[basis.index(t_col)][-1] <= 0:
+        enter = min(
+            (nonbasic[j] for j in range(n) if objective[j] < 0), default=None
+        )
+        if enter is None:
+            return FeasibilityResult(False, None)
+        c = nonbasic.index(enter)
+        r = None
+        for i in range(m):
+            a = rows[i][c]
+            if a > 0:
+                if r is None:
+                    r = i
+                    continue
+                lhs, rhs = rows[i][-1] * rows[r][c], rows[r][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            raise AssertionError("unbounded margin objective")
+        new_det = rows[r][c]
+        _pivot(rows, r, c, det)
+        objective = rows[-1]
+        det = new_det
+        basis[r], nonbasic[c] = enter, basis[r]
+    value = [0] * n
+    for i, col in enumerate(basis):
+        if col < n:
+            value[col] = rows[i][-1]
+    s = value[s_col]
+    return FeasibilityResult(
+        True, RationalVector(tuple(Fraction(value[i] - value[p + i], s) for i in range(p)))
     )
-    return FeasibilityResult(True, witness)
+
+
+def _boundary_system(ideal: UpperIdeal, drop: int | None) -> LinearConstraintSystem | None:
+    """Boundary rows of the region in pairing coordinates.
+
+    With ``drop``, the pairing with that simple root is fixed at zero and
+    removed from the variables.  A row left with a zero normal is 0 > 1,
+    and then there is no system (None), or 0 < 1, which is skipped.
+    """
+    rs, bits = ideal.rs, ideal.bits
+    keep = [i for i in range(rs.rank) if i != drop]
+    one, zero = Fraction(1), Fraction(0)
+    rows = [
+        Constraint(tuple(Fraction(int(i == k)) for i in keep), zero, ">") for k in keep
+    ]
+    for g in ideal.generator_indices():
+        c = rs.positive_roots[g].coeffs
+        if not any(c[i] for i in keep):
+            return None
+        rows.append(Constraint(tuple(Fraction(c[i]) for i in keep), one, ">"))
+    for g in range(len(rs.positive_roots)):
+        if not (bits >> g) & 1 and all((bits >> j) & 1 for j, _ in rs.cover_up[g]):
+            c = rs.positive_roots[g].coeffs
+            if any(c[i] for i in keep):
+                rows.append(Constraint(tuple(Fraction(c[i]) for i in keep), one, "<"))
+    return LinearConstraintSystem(len(keep), tuple(rows))
 
 
 def region_witness(ideal: UpperIdeal) -> RationalVector:
-    """Exact interior point of the region of the ideal."""
-    result = feasible(region_of(ideal))
+    """Exact interior point of the region of the ideal.
+
+    Solved on the boundary rows in pairing coordinates y, and mapped back
+    as x = sum(y_i * omega_i-coweight).
+    """
+    result = feasible(_boundary_system(ideal, None))
     if not result.feasible:
         raise AssertionError(f"region of {ideal!r} is infeasible")
-    return result.witness
+    rs = ideal.rs
+    y = result.witness.coords
+    return RationalVector(
+        tuple(
+            sum(yi * w.coords[j] for yi, w in zip(y, rs.fundamental_coweights))
+            for j in range(rs.rank)
+        )
+    )
 
 
 def is_wall(ideal: UpperIdeal, simple: int) -> bool:
     """Whether the zero hyperplane of a simple root bounds the region.
 
-    Decided by exact feasibility of the region conditions with the chosen
-    simple pairing pinned to zero.
+    The pairing with that simple root is dropped from the boundary rows
+    (fixed at zero); the hyperplane is a wall iff the rest stays strictly
+    feasible.  If the simple root generates the ideal, its row becomes
+    0 > 1 and the answer is no without a solve.
     """
     rs = ideal.rs
     if not 0 <= simple < rs.rank:
         raise ValueError(f"simple root index {simple} out of range")
-    constraints = _region_constraints(rs, ideal.bits, simple)
-    return feasible(LinearConstraintSystem(rs.rank, constraints)).feasible
+    system = _boundary_system(ideal, simple)
+    return system is not None and feasible(system).feasible
 
 
 def alcove_membership(w: AffineWeylElement, ideal: UpperIdeal) -> bool:

@@ -100,9 +100,6 @@ class SymplecticIdeal:
             f"sp_{2 * self.n}",
         )
 
-    def long_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, j in self.pairs if i + j == 2 * self.n + 1)
-
     def member_pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs of the ideal, through the symmetrized picture."""
         mirror = symmetrize(self).member_pairs()

@@ -179,7 +179,12 @@ def test_criterion_4_five_way_normalizer_agreement():
     assert len(results) == len(ORACLE_TYPES)
     counted = sum(int(detail.split()[0]) for _, detail in results)
     assert counted == 410  # every ideal of the twelve systems
-    assert time.monotonic() - start < 300
+    assert time.monotonic() - start < 60
+
+
+def test_criterion_4_five_way_normalizer_agreement_on_e6():
+    results = suite_normalizer_oracles(("E6",))  # raises on any discrepancy
+    assert results == [("five-way-normalizer[E6]", "833 ideals")]
 
 
 def test_criterion_5_lattice_point_bijections_and_index_law():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -131,6 +132,17 @@ def test_count_flags_systems_without_reference_values(capsys):
     assert footer["borel_fiber_gf"] == "432"
     assert footer["strict_borel_fiber_gf"] == "244"
     assert footer["note"] == "computed output; no reference value"
+
+
+def test_count_skips_enumeration_beyond_the_limit(capsys, monkeypatch):
+    monkeypatch.setenv("ADNIL_MAX_RANK", "15")
+    start = time.monotonic()
+    code, out, err = run(capsys, "count", "A15")  # 35,357,670 ideals
+    assert time.monotonic() - start < 10
+    assert code == 0
+    assert "enumeration skipped: A15 has 35357670 ideals" in err
+    assert "borel_fiber_gf: 310572" in out
+    assert "ideals:" not in out and "enumeration" not in out
 
 
 def test_verify_identities(capsys):

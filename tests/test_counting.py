@@ -13,6 +13,7 @@ from adnil.counting import (
     extended_marks,
     gf_count,
     gf_count_from_marks,
+    ideal_count,
     lattice_count,
     motzkin,
     next_to_central_trinomial,
@@ -166,3 +167,12 @@ def test_identity_battery():
 def test_identity_battery_small_bound():
     checks = verify_identities(4)
     assert checks and all(c.passed for c in checks)
+
+
+def test_ideal_count_from_exponents():
+    known = {"G2": 8, "B3": 20, "D4": 50, "F4": 105, "E6": 833, "E7": 4160, "E8": 25080}
+    for label, n in known.items():
+        assert ideal_count(build(label)) == n, label
+    for label in ("A4", "C3", "B4", "D5"):
+        rs = build(label)
+        assert ideal_count(rs) == sum(1 for _ in enumerate_ideals(rs)), label

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from adnil.affine import alcove_barycenter, simple_reflection, w_min
-from adnil.ideals import enumerate_ideals
+from adnil.ideals import close_upward, enumerate_ideals
 from adnil.normalizers import normalizer
 from adnil.rootsys import build, inner
 from adnil.shi import (
@@ -34,6 +34,30 @@ def test_feasible_solves_strict_systems_exactly():
     assert result.feasible
     assert system.holds_at(result.witness.coords)
     assert all(isinstance(c, Fraction) for c in result.witness.coords)
+
+
+def test_feasible_scales_fractional_rows():
+    f = Fraction
+    system = LinearConstraintSystem(
+        2,
+        (
+            Constraint((f(1, 2), f(-2, 3)), f(1, 5), ">"),
+            Constraint((f(3, 4), f(1, 3)), f(7, 6), "<"),
+            Constraint((f(-5, 2), f(1, 7)), f(-1, 3), ">"),
+        ),
+    )
+    result = feasible(system)
+    assert result.feasible
+    assert system.holds_at(result.witness.coords)
+    # x/3 > 1/2 and x/2 < 3/4 meet only in the boundary point x = 3/2
+    squeezed = LinearConstraintSystem(
+        1,
+        (
+            Constraint((f(1, 3),), f(1, 2), ">"),
+            Constraint((f(1, 2),), f(3, 4), "<"),
+        ),
+    )
+    assert not feasible(squeezed).feasible
 
 
 def test_feasible_detects_empty_systems():
@@ -89,6 +113,45 @@ def test_wall_test_matches_normalizer():
             levi = normalizer(c).levi
             for a in range(rs.rank):
                 assert is_wall(c, a) == (a in levi), (label, c, a)
+
+
+def test_wall_of_a_simple_root_with_a_zero_row():
+    # Dropping the pairing with alpha_a leaves a row with a zero normal when
+    # alpha_a generates the ideal (0 > 1: never a wall) or is maximal in the
+    # complement (0 < 1: the row is void).
+    rs = build("A2")
+    assert not is_wall(close_upward(rs, [(1, 0)]), 0)
+    assert is_wall(close_upward(rs, [(0, 1)]), 0)
+    for label in ("A3", "B3", "D4", "G2", "F4"):
+        rs = build(label)
+        for a, g in enumerate(rs.simple_index):
+            generated = close_upward(rs, [rs.positive_roots[g]])
+            assert not is_wall(generated, a)
+            assert a not in normalizer(generated).levi
+            covers = [rs.positive_roots[j] for j, _ in rs.cover_up[g]]
+            below = close_upward(rs, covers)
+            assert not below.contains(rs.positive_roots[g])
+            assert is_wall(below, a) == (a in normalizer(below).levi), (label, a)
+
+
+def _check_walls_and_witnesses(ideals):
+    for c in ideals:
+        assert region_of(c).holds_at(region_witness(c).coords), c
+        levi = normalizer(c).levi
+        for a in range(c.rs.rank):
+            assert is_wall(c, a) == (a in levi), (c, a)
+
+
+def test_walls_and_witnesses_on_every_e6_ideal():
+    ideals = list(enumerate_ideals(build("E6")))
+    assert len(ideals) == 833
+    _check_walls_and_witnesses(ideals)
+
+
+def test_walls_and_witnesses_on_an_e7_sample():
+    ideals = list(enumerate_ideals(build("E7")))[::13]
+    assert len(ideals) == 320
+    _check_walls_and_witnesses(ideals)
 
 
 def test_is_wall_rejects_bad_index():
