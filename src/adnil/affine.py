@@ -4,9 +4,13 @@ Vectors live in the span of (alpha_1, ..., alpha_p, delta, Lambda) where
 delta is the null root and (delta, Lambda) = 1, (delta, delta) =
 (Lambda, Lambda) = 0.  Group elements act by exact integer matrices on
 that basis; words are witnesses only, equality is equality of actions.
-The inversion set N(w), its bi-convex reconstruction, the minimal and
-maximal elements attached to an upper ideal, and the translation
-factorization w = t_z . v all live here.
+A simple reflection is one rank-1 datum (v, u), s_i(x) = x - u(x) v with
+v the affine simple root and u its coroot pairing; every element is built
+from it by one in-place O(n^2) update of the matrix and its inverse.
+The inversion set N(w), its bi-convex reconstruction (peeled against the
+original set, never reflecting it), the minimal and maximal elements
+attached to an upper ideal, and the translation factorization
+w = t_z . v all live here.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ __all__ = [
     "AffineWeylElement",
     "AffineFactorization",
     "affine_simple_root",
-    "reflect_affine_root",
     "identity_element",
     "simple_reflection",
     "from_word",
@@ -84,22 +87,42 @@ def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     return AffineRoot(0, tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
 
 
-def reflect_affine_root(rs: RootSystem, i: int, mu: AffineRoot) -> AffineRoot:
-    """Apply the i-th simple reflection to an affine root, matrix-free."""
+def _reflection(rs: RootSystem, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rank-1 datum (v, u) of s_i: s_i(x) = x - u(x) v over the full basis."""
+    if not 0 <= i <= rs.rank:
+        raise ValueError(f"affine simple index {i} out of range")
     if i == 0:
-        m = sum(f * t for f, t in zip(mu.finite, rs.theta_pairing))
-        fin = tuple(f - m * t for f, t in zip(mu.finite, rs.theta.coeffs))
-        return AffineRoot(mu.level + m, fin)
-    a = i - 1
-    pair = sum(f * rs.cartan[j][a] for j, f in enumerate(mu.finite) if f)
-    fin = tuple(
-        f - pair if j == a else f for j, f in enumerate(mu.finite)
-    )
-    return AffineRoot(mu.level, fin)
+        v = tuple(-c for c in rs.theta.coeffs) + (1, 0)
+        u = tuple(-c for c in rs.theta_pairing) + (0, 1)
+        return v, u
+    v = tuple(1 if j == i - 1 else 0 for j in range(rs.rank + 2))
+    u = tuple(rs.cartan[j][i - 1] for j in range(rs.rank)) + (0, 0)
+    return v, u
 
 
-def _identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _reflect(m: list[list[int]], minv: list[list[int]], v, u) -> None:
+    """m <- m - (m v) u^T = m s and minv <- minv - v (u^T minv) = s minv, in place."""
+    nv = [(k, c) for k, c in enumerate(v) if c]
+    nu = [(k, c) for k, c in enumerate(u) if c]
+    for row in m:
+        mv = sum(row[k] * c for k, c in nv)
+        if mv:
+            for k, c in nu:
+                row[k] -= mv * c
+    um = [sum(c * minv[k][j] for k, c in nu) for j in range(len(minv))]
+    for k, c in nv:
+        row = minv[k]
+        for j, x in enumerate(um):
+            if x:
+                row[j] -= c * x
+
+
+def _image(m, level: int, finite: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(delta-level, finite part) of m applied to level*delta + finite."""
+    p = len(finite)
+    nz = [(j, c) for j, c in enumerate(finite) if c]
+    fin = tuple(sum(m[t][j] * c for j, c in nz) for t in range(p))
+    return level + sum(m[p][j] * c for j, c in nz), fin
 
 
 def _imat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -154,14 +177,9 @@ class AffineWeylElement:
         return tuple(row[:p] for row in self.matrix[:p])
 
     def _apply(self, m: IntMatrix, mu: AffineRoot) -> AffineRoot:
-        rs = self.rs
-        p = rs.rank
-        fin = tuple(
-            sum(m[t][j] * c for j, c in enumerate(mu.finite) if c) for t in range(p)
-        )
-        lvl = mu.level + sum(m[p][j] * c for j, c in enumerate(mu.finite) if c)
+        lvl, fin = _image(m, mu.level, mu.finite)
         probe = fin if any(c > 0 for c in fin) else tuple(-c for c in fin)
-        if probe not in rs.root_index:
+        if probe not in self.rs.root_index:
             raise AssertionError("image of a root is not a root")
         return AffineRoot(lvl, fin)
 
@@ -183,57 +201,32 @@ class AffineWeylElement:
 
 
 def identity_element(rs: RootSystem) -> AffineWeylElement:
-    m = _identity_matrix(rs.rank + 2)
-    return AffineWeylElement(rs, (), m, m)
+    return from_word(rs, ())
 
 
 def simple_reflection(rs: RootSystem, i: int) -> AffineWeylElement:
     """Generator s_i of the affine Weyl group, 0 <= i <= rank."""
-    if not 0 <= i <= rs.rank:
-        raise ValueError(f"affine simple index {i} out of range")
-    p = rs.rank
-    n = p + 2
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    if i == 0:
-        theta = rs.theta.coeffs
-        for j in range(p):
-            m = rs.theta_pairing[j]
-            if m:
-                for t in range(p):
-                    rows[t][j] -= m * theta[t]
-                rows[p][j] += m
-        for t in range(p):
-            rows[t][p + 1] = theta[t]
-        rows[p][p + 1] = -1
-    else:
-        a = i - 1
-        for j in range(p):
-            rows[a][j] -= rs.cartan[j][a]
-    m = tuple(tuple(r) for r in rows)
-    return AffineWeylElement(rs, (i,), m, m)
+    return from_word(rs, (i,))
 
 
 def from_word(rs: RootSystem, word) -> AffineWeylElement:
     """Compose simple reflections; word[0] is applied last."""
-    out = identity_element(rs)
+    word = tuple(word)
+    n = rs.rank + 2
+    m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    minv = [row[:] for row in m]
     for i in word:
-        out = out * simple_reflection(rs, i)
-    return AffineWeylElement(rs, tuple(word), out.matrix, out.inverse_matrix)
+        _reflect(m, minv, *_reflection(rs, i))
+    return AffineWeylElement(rs, word, tuple(map(tuple, m)), tuple(map(tuple, minv)))
 
 
 def n_set(w: AffineWeylElement) -> frozenset[AffineRoot]:
     """Positive affine roots sent to negative ones by w."""
-    rs = w.rs
-    p = rs.rank
-    m = w.matrix
     out: set[AffineRoot] = set()
-    for root in rs.positive_roots:
+    for root in w.rs.positive_roots:
         for sign in (1, -1):
             coeffs = root.coeffs if sign == 1 else tuple(-c for c in root.coeffs)
-            shift = sum(m[p][j] * c for j, c in enumerate(coeffs) if c)
-            fin = tuple(
-                sum(m[t][j] * c for j, c in enumerate(coeffs) if c) for t in range(p)
-            )
+            shift, fin = _image(w.matrix, 0, coeffs)
             low = 0 if sign == 1 else 1
             for k in range(low, -shift):
                 out.add(AffineRoot(k, coeffs))
@@ -250,12 +243,14 @@ def length(w: AffineWeylElement) -> int:
 def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
     """Element whose inversion set is the given bi-convex set (by peeling).
 
-    Peeling removes the lowest-indexed affine simple root present and
-    reflects the remainder; a set that is not an inversion set is
-    rejected with a diagnostic.
+    Peeling removes the lowest-indexed affine simple root of the remainder
+    and reflects the rest.  The remainder is g^{-1}(left), g the product
+    peeled so far and left the unpeeled part of the set, so a step finds
+    g(alpha_i) in left and sets g <- g s_i; the result is g^{-1}.  A set
+    that is not an inversion set is rejected with a diagnostic.
     """
-    current = set(roots)
-    for mu in current:
+    left = set(roots)
+    for mu in left:
         if not mu.is_positive():
             raise ValueError(f"{mu!r} is not a positive affine root")
         probe = mu.finite if any(c > 0 for c in mu.finite) else tuple(
@@ -264,20 +259,26 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
         if probe not in rs.root_index:
             raise ValueError(f"{mu!r} has a non-root finite part")
     simples = [affine_simple_root(rs, i) for i in range(rs.rank + 1)]
+    n = rs.rank + 2
+    g = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    ginv = [row[:] for row in g]
     peeled: list[int] = []
-    while current:
+    while left:
         for i, s in enumerate(simples):
-            if s in current:
+            mu = AffineRoot(*_image(g, s.level, s.finite))
+            if mu in left:
                 break
         else:
             raise ValueError(
                 "set is not bi-convex: no affine simple root left to peel "
-                f"among {sorted((m.level, m.finite) for m in current)}"
+                f"among {sorted(_image(ginv, m.level, m.finite) for m in left)}"
             )
-        current.discard(s)
-        current = {reflect_affine_root(rs, i, mu) for mu in current}
+        left.discard(mu)
+        _reflect(g, ginv, *_reflection(rs, i))
         peeled.append(i)
-    w = from_word(rs, tuple(reversed(peeled)))
+    w = AffineWeylElement(
+        rs, tuple(reversed(peeled)), tuple(map(tuple, ginv)), tuple(map(tuple, g))
+    )
     if n_set(w) != frozenset(roots):
         raise ValueError("set is not bi-convex: reconstruction mismatch")
     return w
@@ -515,18 +516,9 @@ def first_layer(w: AffineWeylElement) -> UpperIdeal:
     if not is_dominant(w):
         raise ValueError("first layer is defined for dominant elements only")
     rs = w.rs
-    p = rs.rank
-    m = w.matrix
     bits = 0
     for g, root in enumerate(rs.positive_roots):
-        shift = sum(m[p][j] * c for j, c in enumerate(root.coeffs) if c)
-        if shift >= 2:
+        shift, fin = _image(w.matrix, 0, root.coeffs)
+        if shift >= 2 or (shift == 1 and any(c > 0 for c in fin)):
             bits |= 1 << g
-        elif shift == 1:
-            fin_positive = any(
-                sum(m[t][j] * c for j, c in enumerate(root.coeffs) if c) > 0
-                for t in range(p)
-            )
-            if fin_positive:
-                bits |= 1 << g
     return UpperIdeal(rs, bits)

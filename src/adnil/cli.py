@@ -222,10 +222,15 @@ def cmd_count(args) -> tuple[Report, int]:
     if skip:
         print(f"note: {skip}", file=sys.stderr)
     counts = count_routes(rs)
-    pairs = {(v, counts["strict_" + k]) for k, v in counts.items() if k.startswith("borel_fiber_")}
-    agree = len(pairs) == 1  # every route gave the same (all, strict) pair
+    pairs = [(v, counts["strict_" + k]) for k, v in counts.items() if k.startswith("borel_fiber_")]
+    agree = len(set(pairs)) == 1  # every route gave the same (all, strict) pair
     footer = [(k, str(v)) for k, v in counts.items()]
-    footer.append(("routes_agree", "yes" if agree else "NO"))
+    if len(pairs) < 2:
+        footer.append(("routes_agree", "n/a (one route)"))
+    else:
+        footer.append(("routes_agree", "yes" if agree else "NO"))
+    if skip:
+        footer.append(("skipped", skip))
     if args.type in ("E7", "E8"):
         footer.append(("note", "computed output; no reference value"))
     return (

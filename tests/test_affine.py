@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adnil.affine import (
     AffineRoot,
@@ -24,7 +26,6 @@ from adnil.affine import (
     is_minimax,
     length,
     n_set,
-    reflect_affine_root,
     rho_hat,
     simple_reflection,
     star,
@@ -33,8 +34,8 @@ from adnil.affine import (
     w_min,
     word_from_biconvex,
 )
-from adnil.ideals import close_upward, enumerate_ideals, is_strictly_positive
-from adnil.rootsys import RationalVector, Root, build
+from adnil.ideals import close_upward, enumerate_ideals, ideal_powers, is_strictly_positive
+from adnil.rootsys import RationalVector, Root, build, inner
 
 DUAL_COXETER = {
     "A3": 4, "A5": 6, "B3": 5, "B4": 7, "C3": 4, "C4": 5,
@@ -59,15 +60,29 @@ def test_affine_simple_roots():
 
 
 def test_simple_reflection_action_on_simple_roots():
-    for label in ("A3", "B3", "G2"):
+    for label in ("A3", "B3", "G2", "F4", "E8"):
         rs = build(label)
-        for i in range(rs.rank + 1):
+        simples = [affine_simple_root(rs, i) for i in range(rs.rank + 1)]
+        for i, a_i in enumerate(simples):
             s = simple_reflection(rs, i)
-            img = s.apply_root(affine_simple_root(rs, i))
-            assert img.level == -affine_simple_root(rs, i).level
-            assert img.finite == tuple(-c for c in affine_simple_root(rs, i).finite)
+            img = s.apply_root(a_i)
+            assert img.level == -a_i.level
+            assert img.finite == tuple(-c for c in a_i.finite)
             assert s * s == identity_element(rs)
-            assert reflect_affine_root(rs, i, affine_simple_root(rs, i)) == img
+            # s_i(a_j) = a_j - a_ij a_i, with a_ij = 2(a_j, a_i)/(a_i, a_i)
+            # from the bilinear form (delta is null, so finite parts suffice)
+            for a_j in simples:
+                a_ij = 2 * inner(rs, a_j.finite, a_i.finite) / inner(rs, a_i.finite, a_i.finite)
+                assert a_ij.denominator == 1
+                expected = AffineRoot(
+                    a_j.level - int(a_ij) * a_i.level,
+                    tuple(x - int(a_ij) * y for x, y in zip(a_j.finite, a_i.finite)),
+                )
+                assert s.apply_root(a_j) == expected, (label, i, a_j)
+        with pytest.raises(ValueError):
+            from_word(rs, (0, rs.rank + 1))
+        with pytest.raises(ValueError):
+            simple_reflection(rs, -1)
 
 
 def test_group_laws_on_random_words():
@@ -77,6 +92,8 @@ def test_group_laws_on_random_words():
         for _ in range(60):
             u = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(9))])
             v = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(9))])
+            uv = from_word(rs, u.word + v.word)
+            assert uv == u * v and uv.inverse_matrix == (u * v).inverse_matrix
             assert (u * v).inverse() == v.inverse() * u.inverse()
             assert u * u.inverse() == identity_element(rs)
             assert length(u.inverse()) == length(u)
@@ -254,3 +271,24 @@ def test_apply_vector_round_trip():
     img = w.apply_vector(x)
     back = w.apply_vector_inverse(img)
     assert tuple(back[: rs.rank]) == (1, 2)
+
+
+@st.composite
+def _e7_e8_ideals(draw):
+    """Upper closure of a few random positive roots of E7 or E8."""
+    rs = build(draw(st.sampled_from(("E7", "E8"))))
+    n = len(rs.positive_roots)
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    return close_upward(rs, [rs.positive_roots[g] for g in picks])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_e7_e8_ideals())
+def test_extremal_elements_on_random_e7_e8_ideals(ideal):
+    wmin = w_min(ideal)
+    assert first_layer(wmin) == ideal
+    assert len(wmin.word) == sum(power.size for power in ideal_powers(ideal).powers)
+    assert is_minimal_representative(wmin)
+    assert check_inversion_sum(wmin)
+    if is_strictly_positive(ideal):
+        assert first_layer(w_max(ideal)) == ideal

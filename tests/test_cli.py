@@ -142,7 +142,14 @@ def test_count_skips_enumeration_beyond_the_limit(capsys, monkeypatch):
     assert code == 0
     assert "enumeration skipped: A15 has 35357670 ideals" in err
     assert "borel_fiber_gf: 310572" in out
-    assert "ideals:" not in out and "enumeration" not in out
+    assert "ideals:" not in out and "borel_fiber_enumeration" not in out
+    assert "routes_agree: n/a (one route)" in out
+    assert "skipped: enumeration skipped: A15 has 35357670 ideals" in out
+    code, out, _ = run(capsys, "count", "A15", "--json")
+    assert code == 0
+    footer = json.loads(out)["footer"]
+    assert footer["routes_agree"] == "n/a (one route)"
+    assert footer["skipped"].startswith("enumeration skipped: A15 has 35357670 ideals")
 
 
 def test_verify_identities(capsys):
