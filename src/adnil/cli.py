@@ -146,8 +146,16 @@ def render(report: Report, fmt: str) -> str:
 # ---------- commands ----------
 
 
+def _require_enumerable(rs) -> None:
+    """Refuse a root system with too many ideals to enumerate."""
+    skip = enumeration_skip(rs)
+    if skip:
+        raise ConfigurationError(skip)
+
+
 def cmd_enumerate(args) -> tuple[Report, int]:
     rs = build(args.type)
+    _require_enumerable(rs)
     columns = ("generators", "weight", "levi", "w_min", "z")
     rows = []
     json_rows = []
@@ -241,7 +249,9 @@ def cmd_count(args) -> tuple[Report, int]:
 
 def cmd_verify(args) -> tuple[Report, int]:
     if args.type:
-        build(args.type)
+        rs = build(args.type)
+        if args.suite in ("normalizer-oracles", "affine", "shi", "all"):
+            _require_enumerable(rs)
     runners = suite_runners(args.type, args.seed, args.n_max)
     names = list(runners) if args.suite == "all" else [args.suite]
     columns = ("suite", "check", "detail", "status")
@@ -365,8 +375,12 @@ def main(argv=None) -> int:
     fmt = "json" if args.json else "tsv" if args.tsv else "human"
     text = render(report, fmt)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

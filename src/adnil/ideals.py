@@ -3,7 +3,9 @@
 An upper ideal (the root-set shape of an ad-nilpotent ideal of the Borel)
 is a subset I of the positive roots closed under moving up in the
 dominance order.  Ideals are stored as bitsets over the root index of
-their root system; all set operations are integer bit twiddling.
+their root system; all set operations are integer bit twiddling on the
+root system's per-root tables.  `_upper_sets` is the one walk over the
+upward-closed sets of a poset, shared with `adnil.normalizers`.
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ class UpperIdeal:
             n = len(self.rs.positive_roots)
             if self.bits < 0 or self.bits >> n:
                 raise ValueError("bitset out of range for this root system")
-            bits = self.bits
-            for i in _iter_bits(bits):
-                for j, _ in self.rs.cover_up[i]:
-                    if not (bits >> j) & 1:
-                        raise ValueError(
-                            f"not upward closed: {self.rs.positive_roots[i]} is in "
-                            f"but {self.rs.positive_roots[j]} is out"
-                        )
+            roots, up = self.rs.positive_roots, self.rs.up
+            for i in _iter_bits(self.bits):
+                missing = up[i] & ~self.bits
+                if missing:
+                    j = (missing & -missing).bit_length() - 1
+                    raise ValueError(
+                        f"not upward closed: {roots[i]} is in but {roots[j]} is out"
+                    )
 
     @property
     def size(self) -> int:
@@ -67,12 +69,10 @@ class UpperIdeal:
 
     def generator_indices(self) -> tuple[int, ...]:
         """Indices of the minimal elements (the generating antichain)."""
-        bits = self.bits
-        return tuple(
-            i
-            for i in _iter_bits(bits)
-            if not any((bits >> j) & 1 for j, _ in self.rs.cover_down[i])
-        )
+        covered = 0
+        for i in _iter_bits(self.bits):
+            covered |= self.rs.up[i]
+        return tuple(_iter_bits(self.bits & ~covered))
 
     def generators(self) -> tuple[Root, ...]:
         return tuple(self.rs.positive_roots[i] for i in self.generator_indices())
@@ -100,44 +100,47 @@ def _iter_bits(bits: int) -> Iterator[int]:
 def close_upward(rs: RootSystem, generators) -> UpperIdeal:
     """Smallest upper ideal containing the given positive roots."""
     bits = 0
-    stack = []
     for g in generators:
         k = rs.root_index.get(_coords(g))
         if k is None:
             raise ValueError(f"{g!r} is not a positive root of {rs.label}")
-        if not (bits >> k) & 1:
-            bits |= 1 << k
-            stack.append(k)
+        bits |= 1 << k
+    stack = list(_iter_bits(bits))
     while stack:
-        i = stack.pop()
-        for j, _ in rs.cover_up[i]:
-            if not (bits >> j) & 1:
-                bits |= 1 << j
-                stack.append(j)
+        new = rs.up[stack.pop()] & ~bits
+        bits |= new
+        stack.extend(_iter_bits(new))
     return UpperIdeal(rs, bits, _validate=False)
 
 
+def _upper_sets(above, order) -> Iterator[int]:
+    """Every subset closed under `above`, as a bitset, by depth-first search.
+
+    above[k] is the bitset of elements that must be in before k may enter;
+    `order` lists every element after all of those above it.  Each path
+    takes the exclude branch first and stacks the include branches, so the
+    empty set comes first and the full one last.
+    """
+    n = len(order)
+    stack = [(0, 0)]
+    while stack:
+        start, bits = stack.pop()
+        outside = ~bits
+        for pos in range(start, n):
+            k = order[pos]
+            if not above[k] & outside:
+                stack.append((pos + 1, bits | (1 << k)))
+        yield bits
+
+
 def enumerate_ideals(rs: RootSystem) -> Iterator[UpperIdeal]:
-    """All upper ideals, by depth-first search over roots in falling height.
+    """All upper ideals, walking the roots in falling height.
 
     A root may enter only when all its upper covers are already in, so every
-    leaf is an upper ideal and each ideal is produced exactly once.  The
-    exclude branch is taken first, so the empty ideal comes first and the
-    full one last.
+    set is an upper ideal and each ideal is produced exactly once, the empty
+    ideal first and the full one last.
     """
-    order = list(range(len(rs.positive_roots) - 1, -1, -1))
-    cover_up = rs.cover_up
-
-    def walk(pos: int, bits: int) -> Iterator[int]:
-        if pos == len(order):
-            yield bits
-            return
-        i = order[pos]
-        yield from walk(pos + 1, bits)
-        if all((bits >> j) & 1 for j, _ in cover_up[i]):
-            yield from walk(pos + 1, bits | (1 << i))
-
-    for bits in walk(0, 0):
+    for bits in _upper_sets(rs.up, range(len(rs.positive_roots) - 1, -1, -1)):
         yield UpperIdeal(rs, bits, _validate=False)
 
 
@@ -155,12 +158,9 @@ def weight(ideal: UpperIdeal) -> RationalVector:
 def _product_bits(rs: RootSystem, left: int, right: int) -> int:
     """Bitset of all root sums mu + nu with mu in left, nu in right."""
     out = 0
-    right_idx = list(_iter_bits(right))
-    sums = rs.sum_index
     for i in _iter_bits(left):
-        for j in right_idx:
-            k = sums.get((i, j))
-            if k is not None:
+        for j, k in rs.sums[i].items():
+            if (right >> j) & 1:
                 out |= 1 << k
     return out
 
@@ -229,6 +229,5 @@ def is_strictly_positive(ideal: UpperIdeal) -> bool:
 
 def is_abelian(ideal: UpperIdeal) -> bool:
     """True when no two members (with repetition) sum to a root."""
-    idx = ideal.root_indices()
-    sums = ideal.rs.sum_index
-    return all(sums.get((i, j)) is None for i in idx for j in idx)
+    bits, sums = ideal.bits, ideal.rs.sums
+    return not any((bits >> j) & 1 for i in _iter_bits(bits) for j in sums[i])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import UpperIdeal, _iter_bits, enumerate_ideals, weight
+from .ideals import UpperIdeal, _iter_bits, _upper_sets, enumerate_ideals, weight
 from .rootsys import RootSystem, inner
 
 __all__ = [
@@ -58,20 +58,12 @@ def normalizer(ideal: UpperIdeal) -> ParabolicLabel:
     gamma - alpha equal to zero or to a positive root.
     """
     rs = ideal.rs
-    gens = ideal.generator_indices()
-    levi = set(range(rs.rank))
-    for i in gens:
-        coeffs = rs.positive_roots[i].coeffs
-        for a in list(levi):
-            if i == rs.simple_index[a]:
-                levi.discard(a)
-                continue
-            down = tuple(
-                c - (1 if j == a else 0) for j, c in enumerate(coeffs)
-            )
-            if down in rs.root_index:
-                levi.discard(a)
-    return ParabolicLabel(rs.rank, frozenset(levi))
+    removed = 0
+    for g in ideal.generator_indices():
+        removed |= rs.lowers[g]
+    return ParabolicLabel(
+        rs.rank, frozenset(a for a in range(rs.rank) if not (removed >> a) & 1)
+    )
 
 
 def normalizer_by_weight(ideal: UpperIdeal) -> ParabolicLabel:
@@ -199,14 +191,4 @@ def count_upper_ideals(poset: QuotientPoset) -> int:
             if i != j:
                 above[i] |= 1 << j
     order = sorted(range(n), key=lambda k: (above[k].bit_count(), k))
-
-    def walk(pos: int, chosen: int) -> int:
-        if pos == n:
-            return 1
-        k = order[pos]
-        total = walk(pos + 1, chosen)
-        if above[k] & ~chosen == 0:
-            total += walk(pos + 1, chosen | (1 << k))
-        return total
-
-    return walk(0, 0)
+    return sum(1 for _ in _upper_sets(above, order))

@@ -158,7 +158,10 @@ class RootSystem:
     Attributes of note: positive_roots (height-sorted Root tuple), theta,
     marks (theta coefficients), f (index of connection), cartan, gram,
     fundamental_weights / fundamental_coweights, rho, rho_check, and the
-    poset tables cover_up / cover_down / sum_index over root indices.
+    root-poset tables over root indices: sums[i] (dict j -> k with
+    gamma_i + gamma_j = gamma_k), up[i] (bitset of the upper covers
+    gamma_i + alpha_a) and lowers[i] (bitset of the simple indices a with
+    gamma_i - alpha_a zero or a positive root).
     """
 
     def __init__(self, label: str, family: str, rank: int):
@@ -237,28 +240,25 @@ class RootSystem:
             tp.append(int(val))
         self.theta_pairing = tuple(tp)
 
-        n = len(self.positive_roots)
-        sums: dict[tuple[int, int], int] = {}
+        n = len(coeff_list)
+        sums: list[dict[int, int]] = [{} for _ in range(n)]
         for i in range(n):
             ci = coeff_list[i]
             for j in range(i, n):
-                s = tuple(a + b for a, b in zip(ci, coeff_list[j]))
-                k = self.root_index.get(s)
+                k = self.root_index.get(tuple(a + b for a, b in zip(ci, coeff_list[j])))
                 if k is not None:
-                    sums[(i, j)] = k
-                    sums[(j, i)] = k
-        self.sum_index = sums
-
-        up: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        down: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i in range(n):
-            for a in range(rank):
-                j = self.sum_index.get((i, self.simple_index[a]))
-                if j is not None:
-                    up[i].append((j, a))
-                    down[j].append((i, a))
-        self.cover_up = tuple(tuple(x) for x in up)
-        self.cover_down = tuple(tuple(x) for x in down)
+                    sums[i][j] = k
+                    sums[j][i] = k
+        up = [0] * n
+        lowers = [0] * n
+        for a, s in enumerate(self.simple_index):
+            lowers[s] |= 1 << a
+            for i, k in sums[s].items():
+                up[i] |= 1 << k
+                lowers[k] |= 1 << a
+        self.sums = tuple(sums)
+        self.up = tuple(up)
+        self.lowers = tuple(lowers)
 
         # Functional rows: pairing_rows[g][i] = (alpha_i, gamma_g).
         self.pairing_rows = tuple(

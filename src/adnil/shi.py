@@ -194,7 +194,7 @@ def _boundary_system(ideal: UpperIdeal, drop: int | None) -> LinearConstraintSys
             return None
         rows.append(Constraint(tuple(Fraction(c[i]) for i in keep), one, ">"))
     for g in range(len(rs.positive_roots)):
-        if not (bits >> g) & 1 and all((bits >> j) & 1 for j, _ in rs.cover_up[g]):
+        if not (bits >> g) & 1 and not rs.up[g] & ~bits:
             c = rs.positive_roots[g].coeffs
             if any(c[i] for i in keep):
                 rows.append(Constraint(tuple(Fraction(c[i]) for i in keep), one, "<"))

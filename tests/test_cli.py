@@ -152,6 +152,25 @@ def test_count_skips_enumeration_beyond_the_limit(capsys, monkeypatch):
     assert footer["skipped"].startswith("enumeration skipped: A15 has 35357670 ideals")
 
 
+def test_enumerating_commands_refuse_beyond_the_limit(capsys, monkeypatch):
+    monkeypatch.setenv("ADNIL_MAX_RANK", "15")
+    for args in (
+        ("enumerate", "A15"),
+        ("verify", "normalizer-oracles", "--type", "A15"),
+        ("verify", "affine", "--type", "A15"),
+        ("verify", "shi", "--type", "A15"),
+        ("verify", "all", "--type", "A15"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *args)  # 35,357,670 ideals
+        assert time.monotonic() - start < 10, args
+        assert code == 2 and out == "", args
+        assert err.startswith("error: ") and "A15 has 35357670 ideals" in err, args
+        assert "limit of 100000" in err, args
+    code, out, _ = run(capsys, "verify", "counting", "--type", "A15")
+    assert code == 0 and "three-route[A15]" in out
+
+
 def test_verify_identities(capsys):
     code, out, _ = run(capsys, "verify", "identities")
     assert code == 0
@@ -219,3 +238,10 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
 
+
+def test_out_to_a_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "table7", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert not target.exists()

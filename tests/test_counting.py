@@ -173,6 +173,6 @@ def test_ideal_count_from_exponents():
     known = {"G2": 8, "B3": 20, "D4": 50, "F4": 105, "E6": 833, "E7": 4160, "E8": 25080}
     for label, n in known.items():
         assert ideal_count(build(label)) == n, label
-    for label in ("A4", "C3", "B4", "D5"):
+    for label in ("A4", "C3", "B4", "D5", "E6", "E7", "E8"):
         rs = build(label)
         assert ideal_count(rs) == sum(1 for _ in enumerate_ideals(rs)), label

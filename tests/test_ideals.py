@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adnil.ideals import (
     UpperIdeal,
@@ -16,6 +18,7 @@ from adnil.ideals import (
     meet,
     weight,
 )
+from adnil.normalizers import normalizer
 from adnil.rootsys import Root, build
 
 # cross-checked against the degree-product closed form for the ideal count
@@ -84,19 +87,19 @@ def test_generators_form_an_antichain_of_minimal_elements():
     rs = build("B3")
     for c in enumerate_ideals(rs):
         gen = set(c.generator_indices())
+        members = c.root_indices()
         for i in gen:
-            for j, _ in rs.cover_down[i]:
-                assert not (c.bits >> j) & 1
+            assert not any((rs.up[j] >> i) & 1 for j in members)
         # every member lies above some generator
-        for k in c.root_indices():
+        for k in members:
             stack, seen, hit = [k], {k}, False
             while stack and not hit:
                 t = stack.pop()
                 if t in gen:
                     hit = True
                     break
-                for j, _ in rs.cover_down[t]:
-                    if (c.bits >> j) & 1 and j not in seen:
+                for j in members:
+                    if (rs.up[j] >> t) & 1 and j not in seen:
                         seen.add(j)
                         stack.append(j)
             assert hit
@@ -215,3 +218,76 @@ def test_weight_is_root_sum_and_injective():
             seen.add(w)
             for j in range(rs.rank):
                 assert rs.coroot_pairing(w, j) >= 0, "weights are dominant"
+
+
+def _sums(rs, left, right):
+    """Coefficient vectors mu + nu that are roots, mu in left, nu in right."""
+    out = set()
+    for mu in left:
+        for nu in right:
+            s = tuple(a + b for a, b in zip(mu, nu))
+            if s in rs.root_index:
+                out.add(s)
+    return out
+
+
+@st.composite
+def _e7_e8_closures(draw):
+    """Upper closure of a few random positive roots of E7 or E8."""
+    rs = build(draw(st.sampled_from(("E7", "E8"))))
+    n = len(rs.positive_roots)
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    return close_upward(rs, [rs.positive_roots[g] for g in picks])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_e7_e8_closures())
+def test_mask_tables_match_coefficient_arithmetic_on_e7_e8(ideal):
+    rs = ideal.rs
+    members = {r.coeffs for r in ideal.roots()}
+    everything = {r.coeffs for r in rs.positive_roots}
+
+    def as_set(c):
+        return {r.coeffs for r in c.roots()}
+
+    expected, term = [members], members
+    while term:
+        term = _sums(rs, term, members)
+        expected.append(term)
+    assert [as_set(p) for p in ideal_powers(ideal).powers] == expected
+
+    m = everything - members
+    expected, used, power, stalled = [members], set(m), set(m), False
+    while expected[-1]:
+        power = _sums(rs, power, m)
+        used |= power
+        if everything - used == expected[-1]:
+            stalled = True
+            break
+        expected.append(everything - used)
+    chain = complement_chain(ideal)
+    assert [as_set(p) for p in chain.powers] == expected
+    assert chain.stalled == stalled
+
+    gens = {
+        g for g in members
+        if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in members)
+    }
+    assert {r.coeffs for r in ideal.generators()} == gens
+
+    levi = set()
+    for a in range(rs.rank):
+        drops = (tuple(c - (j == a) for j, c in enumerate(g)) for g in gens)
+        if not any(not any(d) or d in rs.root_index for d in drops):
+            levi.add(a)
+    assert normalizer(ideal).levi == levi
+
+    assert is_abelian(ideal) == (not _sums(rs, members, members))
+
+    for g in gens:
+        for a in range(rs.rank):
+            cover = tuple(c + (j == a) for j, c in enumerate(g))
+            if cover in rs.root_index:
+                with pytest.raises(ValueError, match="not upward closed"):
+                    UpperIdeal(rs, ideal.bits & ~(1 << rs.root_index[cover]))
+                break

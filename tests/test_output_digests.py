@@ -2,7 +2,7 @@
 
 Each digest is the SHA-256 of the command's stdout at commit f3edb7a
 (``enumerate E6 --tsv``, which pins all 833 E6 w_min words and
-z-coordinates, at f36d8e3).  A refactor that keeps these passing changed
+z-coordinates, at f36d8e3; ``enumerate E7 --minimax --tsv`` at adba8b9).  A refactor that keeps these passing changed
 no byte of any covered report.
 """
 
@@ -34,6 +34,7 @@ DIGESTS = (
     ("enumerate F4 --tsv", "cd8d62de81298f451e43c1e9627a12d230be95f1349273581026b367aeae2fa9"),
     ("enumerate F4 --json", "e7ef731db9b825cabedaf972a160b57d980c35dddb92c58c6b858a353812b18c"),
     ("enumerate E6 --tsv", "4851ab6f5c8a78494e9b6a37cdecd7292c0180e63f8590214f80668718c5b8ca"),
+    ("enumerate E7 --minimax --tsv", "7d8e0f0a350df0dc395245f645220430c70b3df3fb092072ddac9c68cdd44bb6"),
     ("verify identities", "5d840fd41d03ecc718c4b27fc2da7435ef32be3f15baf8473cf87af3cf5c9ab8"),
     ("verify counting", "662d3d28af664a3dc5a521f82313910ae002c69063469dc5b5371753b32050bc"),
     ("verify typeAC", "29d29bdc63429de1319e23862bd3781c137ae4c87537749bd5f88a9bd15b77e8"),

@@ -189,33 +189,37 @@ def test_pairing_rows_match_coroot_pairing():
 
 
 def test_cover_relations():
-    for label in ("A4", "B3", "D4", "F4", "G2"):
+    for label in ("A4", "B3", "D4", "F4", "G2", "E7"):
         rs = build(label)
         for k, root in enumerate(rs.positive_roots):
-            for j, i in rs.cover_up[k]:
-                up = rs.positive_roots[j]
-                assert rs.heights[j] == rs.heights[k] + 1
-                assert tuple(
-                    u - c for u, c in zip(up.coeffs, root.coeffs)
-                ) == rs.positive_roots[rs.simple_index[i]].coeffs
-            if rs.heights[k] > 1:
-                assert rs.cover_down[k], "non-simple root must cover something"
+            up = lowers = 0
+            for a in range(rs.rank):
+                plus = tuple(c + (j == a) for j, c in enumerate(root.coeffs))
+                minus = tuple(c - (j == a) for j, c in enumerate(root.coeffs))
+                if plus in rs.root_index:
+                    up |= 1 << rs.root_index[plus]
+                    assert rs.heights[rs.root_index[plus]] == rs.heights[k] + 1
+                if not any(minus) or minus in rs.root_index:
+                    lowers |= 1 << a
+            assert rs.up[k] == up
+            assert rs.lowers[k] == lowers
+            if rs.heights[k] == 1:
+                assert k in rs.simple_index and lowers.bit_count() == 1
             else:
-                assert not rs.cover_down[k]
+                assert lowers, "non-simple root must cover something"
 
 
 def test_sum_index_is_exact():
-    for label in ("A3", "B3", "G2", "F4"):
+    for label in ("A3", "B3", "G2", "F4", "E6"):
         rs = build(label)
         roots = rs.positive_roots
         for i, a in enumerate(roots):
             for j, b in enumerate(roots):
                 s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-                k = rs.sum_index.get((i, j))
                 if s in rs.root_index:
-                    assert k == rs.root_index[s]
+                    assert rs.sums[i][j] == rs.root_index[s]
                 else:
-                    assert k is None
+                    assert j not in rs.sums[i]
 
 
 def test_root_sum_and_leq():

@@ -128,7 +128,7 @@ def test_wall_of_a_simple_root_with_a_zero_row():
             generated = close_upward(rs, [rs.positive_roots[g]])
             assert not is_wall(generated, a)
             assert a not in normalizer(generated).levi
-            covers = [rs.positive_roots[j] for j, _ in rs.cover_up[g]]
+            covers = [r for j, r in enumerate(rs.positive_roots) if (rs.up[g] >> j) & 1]
             below = close_upward(rs, covers)
             assert not below.contains(rs.positive_roots[g])
             assert is_wall(below, a) == (a in normalizer(below).levi), (label, a)
