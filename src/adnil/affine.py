@@ -5,12 +5,11 @@ delta is the null root and (delta, Lambda) = 1, (delta, delta) =
 (Lambda, Lambda) = 0.  Group elements act by exact integer matrices on
 that basis; words are witnesses only, equality is equality of actions.
 A simple reflection is one rank-1 datum (v, u), s_i(x) = x - u(x) v with
-v the affine simple root and u its coroot pairing; every element is built
-from it by one in-place O(n^2) update of the matrix and its inverse.
-The inversion set N(w), its bi-convex reconstruction (peeled against the
-original set, never reflecting it), the minimal and maximal elements
-attached to an upper ideal, and the translation factorization
-w = t_z . v all live here.
+v the affine simple root and u its coroot pairing; `from_word` alone turns
+words into matrices, by one in-place O(n^2) update per letter.  The
+inversion set N(w), its bi-convex reconstruction (peeled on the images of
+the affine simple roots), the minimal and maximal elements attached to an
+upper ideal, and the translation factorization w = t_z . v all live here.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .ideals import (
     ideal_powers,
     is_strictly_positive,
 )
-from .linalg import mat_vec, solve
+from .linalg import mat_vec
 from .normalizers import ParabolicLabel
 from .rootsys import RationalVector, RootSystem, _coords, in_coroot_lattice, inner
 
@@ -243,10 +242,11 @@ def length(w: AffineWeylElement) -> int:
 def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
     """Element whose inversion set is the given bi-convex set (by peeling).
 
-    Peeling removes the lowest-indexed affine simple root of the remainder
-    and reflects the rest.  The remainder is g^{-1}(left), g the product
-    peeled so far and left the unpeeled part of the set, so a step finds
-    g(alpha_i) in left and sets g <- g s_i; the result is g^{-1}.  A set
+    With g the product peeled so far and left the unpeeled part of the set,
+    a step finds the lowest i with g(alpha_i) in left and sets g <- g s_i.
+    Only the p+1 images g(alpha_j) are kept, updated by
+    g s_i(alpha_j) = g(alpha_j) - <alpha_j, alpha_i^vee> g(alpha_i); the
+    result g^{-1} is built once by `from_word` from the reversed word.  A set
     that is not an inversion set is rejected with a diagnostic.
     """
     left = set(roots)
@@ -258,27 +258,28 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
         )
         if probe not in rs.root_index:
             raise ValueError(f"{mu!r} has a non-root finite part")
-    simples = [affine_simple_root(rs, i) for i in range(rs.rank + 1)]
-    n = rs.rank + 2
-    g = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    ginv = [row[:] for row in g]
+    images = [affine_simple_root(rs, i) for i in range(rs.rank + 1)]
+    refl = [_reflection(rs, i) for i in range(rs.rank + 1)]
+    pairing = [[sum(a * b for a, b in zip(u, v)) for v, _ in refl] for _, u in refl]
     peeled: list[int] = []
     while left:
-        for i, s in enumerate(simples):
-            mu = AffineRoot(*_image(g, s.level, s.finite))
+        for i, mu in enumerate(images):
             if mu in left:
                 break
         else:
+            ginv = from_word(rs, peeled[::-1]).matrix
             raise ValueError(
                 "set is not bi-convex: no affine simple root left to peel "
                 f"among {sorted(_image(ginv, m.level, m.finite) for m in left)}"
             )
         left.discard(mu)
-        _reflect(g, ginv, *_reflection(rs, i))
         peeled.append(i)
-    w = AffineWeylElement(
-        rs, tuple(reversed(peeled)), tuple(map(tuple, ginv)), tuple(map(tuple, g))
-    )
+        for j, c in enumerate(pairing[i]):  # c = <alpha_j, alpha_i^vee>
+            if c:
+                nu = images[j]
+                fin = tuple(a - c * b for a, b in zip(nu.finite, mu.finite))
+                images[j] = AffineRoot(nu.level - c * mu.level, fin)
+    w = from_word(rs, peeled[::-1])
     if n_set(w) != frozenset(roots):
         raise ValueError("set is not bi-convex: reconstruction mismatch")
     return w
@@ -373,11 +374,13 @@ def translation_element(rs: RootSystem, z) -> AffineWeylElement:
 
 
 def factorize(w: AffineWeylElement) -> AffineFactorization:
-    """Split w = t_z . v; z solves (alpha_i, z) = delta-level of w^{-1}(alpha_i)."""
+    """Split w = t_z . v; v fixes Lambda, so w(Lambda) = Lambda + z - |z|^2/2 delta.
+
+    z is read off the Lambda column; recomposing checks it against the delta-row.
+    """
     rs = w.rs
     p = rs.rank
-    rhs = tuple(Fraction(w.inverse_matrix[p][i]) for i in range(p))
-    z = tuple(solve(rs.gram, rhs))
+    z = tuple(Fraction(w.matrix[t][p + 1]) for t in range(p))
     v = w.finite_part_matrix()
     n = p + 2
     embedded = tuple(
@@ -393,16 +396,10 @@ def factorize(w: AffineWeylElement) -> AffineFactorization:
 
 def star(w: AffineWeylElement, x) -> RationalVector:
     """Affine action on the finite space: x maps to v(x) + z."""
-    rs = w.rs
     fac = factorize(w)
     coords = tuple(Fraction(c) for c in _coords(x))
-    vx = tuple(
-        sum(Fraction(fac.finite_part[t][j]) * coords[j] for j in range(rs.rank))
-        for t in range(rs.rank)
-    )
-    return RationalVector(
-        tuple(a + b for a, b in zip(vx, fac.translation.coords))
-    )
+    vx = mat_vec(fac.finite_part, coords)
+    return RationalVector(tuple(a + b for a, b in zip(vx, fac.translation.coords)))
 
 
 def alcove_barycenter(rs: RootSystem) -> RationalVector:
@@ -431,15 +428,15 @@ def in_max_simplex(rs: RootSystem, x) -> bool:
     ) and inner(rs, x, rs.theta) >= 0
 
 
-def normalizer_by_zwall(ideal: UpperIdeal) -> ParabolicLabel:
-    """Parabolic label read off the walls through the z-coordinate.
+def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:
+    """Parabolic label read off the walls through z, for w = w_min(ideal).
 
     Each affine wall containing z (a vanishing simple pairing, or pairing
-    one with theta) pulls back through the minimal element to a finite
-    simple root of the Levi.
+    one with theta) pulls back through w to a finite simple root of the Levi.
     """
-    rs = ideal.rs
-    w = w_min(ideal)
+    if not is_minimal_representative(w):
+        raise ValueError("z-walls are read off a minimal element only")
+    rs = w.rs
     z = factorize(w).translation
     walls = [
         i + 1

@@ -239,7 +239,7 @@ def cmd_count(args) -> tuple[Report, int]:
         footer.append(("routes_agree", "yes" if agree else "NO"))
     if skip:
         footer.append(("skipped", skip))
-    if args.type in ("E7", "E8"):
+    if rs.label in ("E7", "E8"):
         footer.append(("note", "computed output; no reference value"))
     return (
         Report("count", args.type, (), (), (), tuple(footer)),
@@ -248,6 +248,8 @@ def cmd_count(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
+    if args.type and args.suite in ("typeAC", "identities"):
+        raise ConfigurationError(f"verify {args.suite} does not take --type")
     if args.type:
         rs = build(args.type)
         if args.suite in ("normalizer-oracles", "affine", "shi", "all"):

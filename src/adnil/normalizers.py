@@ -4,7 +4,8 @@ The normalizer of an upper ideal is determined by the set of simple roots
 whose root subalgebras (in both signs) normalize it; that set is the Levi
 part of the parabolic label.  Two independent membership tests live here
 (generator inspection and weight orthogonality); further equivalent tests
-live in the affine and shi modules.
+live in the affine and shi modules.  `stable_count` counts the ideals a
+parabolic normalizes without enumerating the ideals.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ __all__ = [
     "nilradical",
     "fiber",
     "fiber_extrema",
-    "QuotientPoset",
-    "quotient_poset",
-    "count_upper_ideals",
+    "stable_count",
 ]
 
 
@@ -112,83 +111,24 @@ def fiber_extrema(
     return top, minimals
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
-    """Positive roots mod Z alpha for one simple root alpha, with induced order.
+def stable_count(rs: RootSystem, label: ParabolicLabel) -> int:
+    """Number of ideals whose normalizer Levi contains the Levi of `label`.
 
-    classes[k] is a tuple of root indices; below[k] is the bitset of classes
-    less-or-equal to class k.  Construction verifies the partial-order axioms.
+    Such an ideal lies off the Levi span and is a union of classes, the
+    roots sharing their coefficients off the Levi, closed upward in the
+    class order.  Class covers are read from `rs.up`; the classes are walked
+    in falling off-Levi height.
     """
-
-    rs: RootSystem
-    simple: int
-    classes: tuple[tuple[int, ...], ...]
-    below: tuple[int, ...]
-
-    def size(self) -> int:
-        return len(self.classes)
-
-
-def quotient_poset(rs: RootSystem, simple: int) -> QuotientPoset:
-    """Quotient of the positive roots minus alpha by shifts along alpha.
-
-    Class order: X <= Y iff some representatives satisfy x <= y in the root
-    poset; reflexive-transitive closure is taken and antisymmetry verified.
-    """
-    if not 0 <= simple < rs.rank:
-        raise ValueError(f"simple root index {simple} out of range")
-    a_idx = rs.simple_index[simple]
-    keys: dict[tuple[int, ...], list[int]] = {}
-    for k, root in enumerate(rs.positive_roots):
-        if k == a_idx:
-            continue
-        key = tuple(c for j, c in enumerate(root.coeffs) if j != simple)
-        keys.setdefault(key, []).append(k)
-    classes = tuple(tuple(sorted(v)) for _, v in sorted(keys.items()))
-    n = len(classes)
-
-    def pair_leq(i: int, j: int) -> bool:
-        return any(
-            all(
-                rs.positive_roots[y].coeffs[t] >= rs.positive_roots[x].coeffs[t]
-                for t in range(rs.rank)
-            )
-            for x in classes[i]
-            for y in classes[j]
-        )
-
-    rel = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i == j or pair_leq(i, j):
-                rel[j] |= 1 << i  # class i is below class j
-    # Transitive closure (bitset Warshall).
-    changed = True
-    while changed:
-        changed = False
-        for j in range(n):
-            acc = rel[j]
-            for i in list(_iter_bits(rel[j])):
-                acc |= rel[i]
-            if acc != rel[j]:
-                rel[j] = acc
-                changed = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (rel[j] >> i) & 1 and (rel[i] >> j) & 1:
-                raise AssertionError(
-                    f"quotient relation is not antisymmetric for alpha_{simple + 1}"
-                )
-    return QuotientPoset(rs, simple, classes, tuple(rel))
-
-
-def count_upper_ideals(poset: QuotientPoset) -> int:
-    """Number of upward-closed subsets of a quotient poset."""
-    n = len(poset.classes)
-    above: list[int] = [0] * n
-    for j in range(n):
-        for i in _iter_bits(poset.below[j]):
-            if i != j:
-                above[i] |= 1 << j
-    order = sorted(range(n), key=lambda k: (above[k].bit_count(), k))
-    return sum(1 for _ in _upper_sets(above, order))
+    if label.rank != rs.rank:
+        raise ValueError("label rank does not match root system")
+    off = [a for a in range(rs.rank) if a not in label.levi]
+    keys = [tuple(root.coeffs[a] for a in off) for root in rs.positive_roots]
+    classes = sorted({k for k in keys if any(k)}, key=lambda k: (-sum(k), k))
+    index = {k: c for c, k in enumerate(classes)}
+    above = [0] * len(classes)
+    for g, k in enumerate(keys):
+        if any(k):
+            for h in _iter_bits(rs.up[g]):
+                if keys[h] != k:
+                    above[index[k]] |= 1 << index[keys[h]]
+    return sum(1 for _ in _upper_sets(above, range(len(classes))))

@@ -62,6 +62,7 @@ __all__ = [
     "VerificationFailure",
     "run_table7",
     "suite_runners",
+    "normalizer_routes",
     "suite_normalizer_oracles",
     "suite_affine",
     "suite_shi",
@@ -85,6 +86,7 @@ TABLE_ROWS = (
     ("F4", "F4", 17, 19),
     ("G2", "G2", 3, 2),
 )
+RANDOM_WORDS = 1000  # random words per type in the affine suite
 SUITES = ("normalizer-oracles", "affine", "shi", "counting", "typeAC", "identities", "all")
 
 
@@ -123,6 +125,17 @@ def _wall_levi(ideal: UpperIdeal) -> ParabolicLabel:
     return ParabolicLabel(
         rs.rank, frozenset(a for a in range(rs.rank) if is_wall(ideal, a))
     )
+
+
+def normalizer_routes(ideal: UpperIdeal, w) -> dict[str, ParabolicLabel]:
+    """The normalizer of an ideal by five independent routes; w = w_min(ideal)."""
+    return {
+        "generators": normalizer(ideal),
+        "weight": normalizer_by_weight(ideal),
+        "minimal-element": _simple_image_levi(w),
+        "shi-walls": _wall_levi(ideal),
+        "z-walls": normalizer_by_zwall(w),
+    }
 
 
 # ---------- reference table ----------
@@ -164,13 +177,7 @@ def suite_normalizer_oracles(types) -> list[tuple[str, str]]:
         count = 0
         for ideal in enumerate_ideals(rs):
             count += 1
-            got = {
-                "generators": normalizer(ideal),
-                "weight": normalizer_by_weight(ideal),
-                "minimal-element": _simple_image_levi(w_min(ideal)),
-                "shi-walls": _wall_levi(ideal),
-                "z-walls": normalizer_by_zwall(ideal),
-            }
+            got = normalizer_routes(ideal, w_min(ideal))
             values = set(got.values())
             if len(values) != 1:
                 _fail("five-way-normalizer", type=label, ideal=ideal, labels=got)
@@ -183,7 +190,7 @@ def _random_word(rng: random.Random, rank: int) -> tuple[int, ...]:
     return tuple(rng.randrange(0, rank + 1) for _ in range(n))
 
 
-def suite_affine(types, seed: int, words_per_type: int = 1000) -> list[tuple[str, str]]:
+def suite_affine(types, seed: int) -> list[tuple[str, str]]:
     """Weights, extremal elements, lattice bijections, and random-word laws."""
     results = []
     for label in types:
@@ -274,7 +281,7 @@ def suite_affine(types, seed: int, words_per_type: int = 1000) -> list[tuple[str
         results.append((f"index-factor[{label}]", f"f={rs.f}"))
 
         rng = random.Random(f"{seed}:{label}")
-        for _ in range(words_per_type):
+        for _ in range(RANDOM_WORDS):
             word = _random_word(rng, rs.rank)
             w = from_word(rs, word)
             _require(
@@ -290,7 +297,7 @@ def suite_affine(types, seed: int, words_per_type: int = 1000) -> list[tuple[str
                 type=label,
                 word=list(word),
             )
-        results.append((f"random-words[{label}]", f"{words_per_type} words"))
+        results.append((f"random-words[{label}]", f"{RANDOM_WORDS} words"))
     return results
 
 

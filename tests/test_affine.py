@@ -26,6 +26,7 @@ from adnil.affine import (
     is_minimax,
     length,
     n_set,
+    normalizer_by_zwall,
     rho_hat,
     simple_reflection,
     star,
@@ -35,7 +36,8 @@ from adnil.affine import (
     word_from_biconvex,
 )
 from adnil.ideals import close_upward, enumerate_ideals, ideal_powers, is_strictly_positive
-from adnil.rootsys import RationalVector, Root, build, inner
+from adnil.rootsys import RationalVector, Root, build, in_coroot_lattice, inner
+from adnil.verify import normalizer_routes
 
 DUAL_COXETER = {
     "A3": 4, "A5": 6, "B3": 5, "B4": 7, "C3": 4, "C4": 5,
@@ -118,8 +120,15 @@ def test_n_set_size_is_length_and_biconvex_round_trip():
 def test_word_from_biconvex_rejects_non_biconvex_sets():
     rs = build("A2")
     theta = AffineRoot(0, (1, 1))
-    with pytest.raises(ValueError):
+    prefix = "set is not bi-convex: no affine simple root left to peel among "
+    with pytest.raises(ValueError) as exc:
         word_from_biconvex(rs, {theta})  # sum of two missing positives
+    assert str(exc.value) == prefix + "[(0, (1, 1))]"
+    # one peel (s_0) first, so the message maps the rest back through g^{-1}
+    stuck = {AffineRoot(1, (-1, -1)), AffineRoot(0, (0, 1)), AffineRoot(1, (0, -1))}
+    with pytest.raises(ValueError) as exc:
+        word_from_biconvex(rs, stuck)
+    assert str(exc.value) == prefix + "[(1, (1, 0))]"
 
 
 def test_rho_hat_level_is_dual_coxeter_number():
@@ -244,6 +253,31 @@ def test_factorization_reconstructs_the_element():
             assert t * finite == w
 
 
+def test_factorize_z_pairs_to_the_delta_row():
+    # (alpha_i, z) is the delta-level of w^{-1}(alpha_i), z in the coroot lattice
+    rng = random.Random(17)
+    for label in ("G2", "F4", "E7", "E8"):
+        rs = build(label)
+        p = rs.rank
+        for _ in range(25):
+            w = from_word(rs, [rng.randrange(p + 1) for _ in range(rng.randrange(30))])
+            z = factorize(w).translation
+            assert in_coroot_lattice(rs, z.coords), (label, w.word)
+            for i in range(p):
+                e_i = tuple(1 if t == i else 0 for t in range(p))
+                assert inner(rs, z, e_i) == w.inverse_matrix[p][i], (label, w.word, i)
+
+
+def test_normalizer_by_zwall_needs_a_minimal_element():
+    rs = build("B3")
+    with pytest.raises(ValueError):
+        normalizer_by_zwall(simple_reflection(rs, 1))  # not dominant
+    far = translation_element(rs, RationalVector((-2, -2, -2)))  # levels below -1
+    assert is_dominant(far) and not is_minimal_representative(far)
+    with pytest.raises(ValueError):
+        normalizer_by_zwall(far)
+
+
 def test_coordinates_live_in_their_simplices():
     for label in ("A3", "B2", "G2"):
         rs = build(label)
@@ -290,5 +324,6 @@ def test_extremal_elements_on_random_e7_e8_ideals(ideal):
     assert len(wmin.word) == sum(power.size for power in ideal_powers(ideal).powers)
     assert is_minimal_representative(wmin)
     assert check_inversion_sum(wmin)
+    assert len(set(normalizer_routes(ideal, wmin).values())) == 1
     if is_strictly_positive(ideal):
         assert first_layer(w_max(ideal)) == ideal

@@ -134,6 +134,12 @@ def test_count_flags_systems_without_reference_values(capsys):
     assert footer["note"] == "computed output; no reference value"
 
 
+def test_count_note_does_not_depend_on_the_label_case(capsys):
+    code, out, _ = run(capsys, "count", "e7")
+    assert code == 0
+    assert "note: computed output; no reference value" in out
+
+
 def test_count_skips_enumeration_beyond_the_limit(capsys, monkeypatch):
     monkeypatch.setenv("ADNIL_MAX_RANK", "15")
     start = time.monotonic()
@@ -195,6 +201,15 @@ def test_verify_reports_first_counterexample(capsys, monkeypatch):
     assert payload["rows"][-1]["status"] == "FAIL"
     example = payload["rows"][-1]["counterexample"]
     assert example["name"] == "fake" and example["argument"] == 3
+
+
+def test_verify_refuses_type_for_suites_without_one(capsys):
+    for args in (("typeAC", "--type", "E8"), ("identities", "--type", "G2")):
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 2 and out == "", args
+        assert err.startswith("error: ") and "--type" in err, args
+    code, out, _ = run(capsys, "verify", "all", "--type", "G2")
+    assert code == 0 and "status: ok" in out and "226 checks" in out
 
 
 def test_verify_seed_changes_nothing_structural(capsys):

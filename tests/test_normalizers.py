@@ -1,4 +1,4 @@
-"""Normalizer labels, nilradicals, fibers, and quotient-poset counts."""
+"""Normalizer labels, nilradicals, fibers, and stable-ideal counts."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ import pytest
 from adnil.ideals import close_upward, enumerate_ideals, is_abelian, join, meet
 from adnil.normalizers import (
     ParabolicLabel,
-    count_upper_ideals,
     fiber,
     fiber_extrema,
     nilradical,
     normalizer,
     normalizer_by_weight,
-    quotient_poset,
+    stable_count,
 )
 from adnil.rootsys import Root, build
 
@@ -146,27 +145,32 @@ def test_type_a_fibers_have_unique_minimum():
         assert len(minimals) == 1
 
 
-def test_quotient_count_equals_ideals_normalized_by_that_simple():
-    for label in ("A3", "A4", "B3", "C3", "G2"):
+def test_stable_count_equals_enumeration_for_every_levi():
+    for label in ("A3", "A4", "B3", "C3", "G2", "D4"):
         rs = build(label)
-        for a in range(rs.rank):
-            lhs = count_upper_ideals(quotient_poset(rs, a))
-            rhs = sum(1 for c in enumerate_ideals(rs) if a in normalizer(c).levi)
-            assert lhs == rhs, (label, a)
+        levis = [normalizer(c).levi for c in enumerate_ideals(rs)]
+        for mask in range(1 << rs.rank):
+            s = frozenset(a for a in range(rs.rank) if mask >> a & 1)
+            want = sum(1 for levi in levis if s <= levi)
+            assert stable_count(rs, ParabolicLabel(rs.rank, s)) == want, (label, s)
 
 
-def test_quotient_pinned_values():
+def test_stable_count_pinned_values():
     # simple-root symmetry in type A; asymmetry elsewhere
-    rs = build("A4")
-    assert [count_upper_ideals(quotient_poset(rs, a)) for a in range(4)] == [14] * 4
-    rs = build("G2")
-    assert [count_upper_ideals(quotient_poset(rs, a)) for a in range(2)] == [3, 4]
-    rs = build("B3")
-    assert [count_upper_ideals(quotient_poset(rs, a)) for a in range(3)] == [7, 9, 6]
-    rs = build("C3")
-    assert [count_upper_ideals(quotient_poset(rs, a)) for a in range(3)] == [6, 6, 10]
+    def singletons(label):
+        rs = build(label)
+        return [stable_count(rs, ParabolicLabel(rs.rank, frozenset({a}))) for a in range(rs.rank)]
+
+    assert singletons("A4") == [14] * 4
+    assert singletons("G2") == [3, 4]
+    assert singletons("B3") == [7, 9, 6]
+    assert singletons("C3") == [6, 6, 10]
+    rs = build("E6")
+    assert stable_count(rs, ParabolicLabel(6, frozenset())) == 833
 
 
-def test_quotient_poset_rejects_bad_index():
+def test_stable_count_rejects_rank_mismatch():
     with pytest.raises(ValueError):
-        quotient_poset(build("A3"), 3)
+        stable_count(build("A3"), ParabolicLabel(4, frozenset({3})))
+    with pytest.raises(ValueError):
+        ParabolicLabel(3, frozenset({3}))
