@@ -346,15 +346,15 @@ def _translation_matrix(rs: RootSystem, z) -> IntMatrix:
     coords = tuple(Fraction(c) for c in _coords(z))
     if not in_coroot_lattice(rs, coords):
         raise ValueError("translation vector is not in the coroot lattice")
-    norm = inner(rs, coords, coords)
+    pairs = rs.pairings(coords)
+    norm = sum(c * q for c, q in zip(coords, pairs))
     if any(c.denominator != 1 for c in coords) or (norm / 2).denominator != 1:
         raise AssertionError("coroot-lattice vector with non-integral data")
+    if any(q.denominator != 1 for q in pairs):
+        raise AssertionError("non-integral pairing with a simple root")
     rows = [[1 if r == c else 0 for c in range(p + 2)] for r in range(p + 2)]
     for j in range(p):
-        pair = inner(rs, coords, tuple(1 if t == j else 0 for t in range(p)))
-        if pair.denominator != 1:
-            raise AssertionError("non-integral pairing with a simple root")
-        rows[p][j] = -int(pair)
+        rows[p][j] = -int(pairs[j])
     for t in range(p):
         rows[t][p + 1] = int(coords[t])
     rows[p][p + 1] = -int(norm / 2)
@@ -414,18 +414,14 @@ def alcove_barycenter(rs: RootSystem) -> RationalVector:
 
 def in_min_simplex(rs: RootSystem, x) -> bool:
     """(x, alpha) >= -1 on all simples and (x, theta) <= 2."""
-    return all(
-        inner(rs, x, rs.positive_roots[rs.simple_index[a]]) >= -1
-        for a in range(rs.rank)
-    ) and inner(rs, x, rs.theta) <= 2
+    y = rs.pairings(x)
+    return min(y) >= -1 and sum(c * v for c, v in zip(rs.marks, y)) <= 2
 
 
 def in_max_simplex(rs: RootSystem, x) -> bool:
     """(x, alpha) <= 1 on all simples and (x, theta) >= 0."""
-    return all(
-        inner(rs, x, rs.positive_roots[rs.simple_index[a]]) <= 1
-        for a in range(rs.rank)
-    ) and inner(rs, x, rs.theta) >= 0
+    y = rs.pairings(x)
+    return max(y) <= 1 and sum(c * v for c, v in zip(rs.marks, y)) >= 0
 
 
 def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:

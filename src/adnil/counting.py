@@ -9,12 +9,11 @@ of lattice points in two bounded simplices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .ideals import enumerate_ideals, is_strictly_positive
 from .normalizers import normalizer
-from .rootsys import RationalVector, RootSystem, in_coroot_lattice
+from .rootsys import RootSystem
 
 __all__ = [
     "LaurentPoly",
@@ -221,7 +220,7 @@ class LatticeCount:
     """Result of a simplex lattice-point enumeration."""
 
     count: int
-    points: tuple[RationalVector, ...]
+    points: tuple[tuple[int, ...], ...]
 
 
 def lattice_count(
@@ -234,57 +233,44 @@ def lattice_count(
     off_walls drops points with any y_i = 0 or with sum c_i y_i = 1.
     lattice="coroot" keeps only points in the integer coroot span;
     lattice="coweight" keeps every integer y vector.
+    Points are the pairing vectors y as int tuples (x = sum y_i omega_i-coweight).
+    One walk serves both: y' = +-y with y'_i >= -1, sum c_i y'_i <= 2 or 0.
+    y = C n has an integral n exactly when adj y = 0 mod f, adj = f C^-1
+    (integral, as det C = f).
     """
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
     if lattice not in ("coroot", "coweight"):
         raise ValueError("lattice must be 'coroot' or 'coweight'")
+    top, sign = (2, 1) if which == "min" else (0, -1)
     marks = rs.marks
     rank = rs.rank
+    f = rs.f
+    adj = [[int(f * a) for a in row] for row in rs.cartan_inverse]
+    check = lattice == "coroot" and f > 1
     # suffix[k] = sum of marks from position k on.
     suffix = [0] * (rank + 1)
     for k in range(rank - 1, -1, -1):
         suffix[k] = suffix[k + 1] + marks[k]
-    accepted: list[tuple[int, ...]] = []
+    points: list[tuple[int, ...]] = []
 
     def walk(k: int, partial: int, ys: list[int]) -> None:
         if k == rank:
-            accepted.append(tuple(ys))
+            if off_walls and partial == top - 1:
+                return
+            if check and any(sum(a * y for a, y in zip(row, ys)) % f for row in adj):
+                return
+            points.append(tuple(sign * y for y in ys))
             return
-        if which == "min":
-            y = -1
-            while partial + marks[k] * y <= 2 + suffix[k + 1]:
+        y = -1
+        while partial + marks[k] * y <= top + suffix[k + 1]:
+            if not (off_walls and y == 0):
                 ys.append(y)
                 walk(k + 1, partial + marks[k] * y, ys)
                 ys.pop()
-                y += 1
-        else:
-            y = 1
-            while partial + marks[k] * y >= -suffix[k + 1]:
-                ys.append(y)
-                walk(k + 1, partial + marks[k] * y, ys)
-                ys.pop()
-                y -= 1
+            y += 1
 
     walk(0, 0, [])
-    points = []
-    coweights = rs.gram_inverse
-    for ys in accepted:
-        level = sum(c * y for c, y in zip(marks, ys))
-        if which == "min" and level > 2:
-            continue
-        if which == "max" and level < 0:
-            continue
-        if off_walls and (0 in ys or level == 1):
-            continue
-        coords = tuple(
-            sum(Fraction(ys[i]) * coweights[i][j] for i in range(rank))
-            for j in range(rank)
-        )
-        point = RationalVector(coords)
-        if lattice == "coroot" and not in_coroot_lattice(rs, point):
-            continue
-        points.append(point)
     return LatticeCount(len(points), tuple(points))
 
 

@@ -277,6 +277,12 @@ class RootSystem:
         c = _coords(x)
         return sum(c[k] * self.cartan[k][j] for k in range(self.rank))
 
+    def pairings(self, x) -> tuple[Fraction, ...]:
+        """The pairing vector ((x, alpha_1), ..., (x, alpha_p))."""
+        return tuple(
+            self.symmetrizer[j] * self.coroot_pairing(x, j) for j in range(self.rank)
+        )
+
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"
 

@@ -212,20 +212,23 @@ def suite_affine(types, seed: int) -> list[tuple[str, str]]:
         results.append((f"weights[{label}]", f"{len(ideals)} ideals"))
 
         z_points = set()
+        minimal = []
         for ideal in ideals:
             w = w_min(ideal)
+            n = length(w)
             ok = (
                 is_dominant(w)
                 and is_minimal_representative(w)
                 and first_layer(w).bits == ideal.bits
-                and len(w.word) == length(w)
-                and length(w) == sum(p.size for p in ideal_powers(ideal).powers)
+                and len(w.word) == n
+                and n == sum(p.size for p in ideal_powers(ideal).powers)
             )
             _require(ok, "minimal-element-flags", type=label, ideal=ideal)
-            z_points.add(factorize(w).translation.coords)
+            z_points.add(rs.pairings(factorize(w).translation))
+            minimal.append(w)
         lattice_min = lattice_count(rs, "min")
         _require(
-            z_points == {p.coords for p in lattice_min.points}
+            z_points == set(lattice_min.points)
             and lattice_min.count == len(ideals),
             "z-lattice-bijection",
             type=label,
@@ -234,11 +237,10 @@ def suite_affine(types, seed: int) -> list[tuple[str, str]]:
         )
         results.append((f"z-lattice-bijection[{label}]", f"{len(ideals)} points"))
 
-        strict = [ideal for ideal in ideals if is_strictly_positive(ideal)]
+        strict = [(c, w) for c, w in zip(ideals, minimal) if is_strictly_positive(c)]
         y_points = set()
-        for ideal in strict:
+        for ideal, wmin in strict:
             w = w_max(ideal)
-            wmin = w_min(ideal)
             ok = (
                 is_dominant(w)
                 and is_maximal_representative(w)
@@ -258,10 +260,10 @@ def suite_affine(types, seed: int) -> list[tuple[str, str]]:
                 type=label,
                 ideal=ideal,
             )
-            y_points.add(factorize(w).translation.coords)
+            y_points.add(rs.pairings(factorize(w).translation))
         lattice_max = lattice_count(rs, "max")
         _require(
-            y_points == {p.coords for p in lattice_max.points}
+            y_points == set(lattice_max.points)
             and lattice_max.count == len(strict),
             "y-lattice-bijection",
             type=label,
@@ -270,10 +272,10 @@ def suite_affine(types, seed: int) -> list[tuple[str, str]]:
         )
         results.append((f"y-lattice-bijection[{label}]", f"{len(strict)} points"))
 
-        for which in ("min", "max"):
+        for which, coroot in (("min", lattice_min), ("max", lattice_max)):
             _require(
                 lattice_count(rs, which, lattice="coweight").count
-                == rs.f * lattice_count(rs, which).count,
+                == rs.f * coroot.count,
                 "index-factor",
                 type=label,
                 simplex=which,
@@ -290,9 +292,10 @@ def suite_affine(types, seed: int) -> list[tuple[str, str]]:
                 type=label,
                 word=list(word),
             )
-            rebuilt = word_from_biconvex(rs, n_set(w))
+            inv = n_set(w)
+            rebuilt = word_from_biconvex(rs, inv)
             _require(
-                rebuilt == w and len(rebuilt.word) == length(w) <= len(word),
+                rebuilt == w and len(rebuilt.word) == len(inv) <= len(word),
                 "biconvex-roundtrip",
                 type=label,
                 word=list(word),

@@ -22,7 +22,8 @@ from adnil.counting import (
 )
 from adnil.ideals import enumerate_ideals, is_strictly_positive
 from adnil.normalizers import ParabolicLabel, fiber
-from adnil.rootsys import build, inner
+from adnil.affine import in_max_simplex, in_min_simplex
+from adnil.rootsys import _FIXED_RANKS, _RANK_RANGE, build, in_coroot_lattice
 
 SEQUENCES = {
     catalan: (1, 1, 2, 5, 14, 42, 132, 429),
@@ -115,15 +116,17 @@ def test_gf_equals_borel_fiber_enumeration():
 
 
 def test_lattice_counts_match_ideal_counts():
-    for label in ("A3", "B3", "C3", "D4", "G2", "F4"):
+    # every type under the default rank caps, E7 and E8 included
+    labels = [f"{fam}{n}" for fam, (lo, hi) in _RANK_RANGE.items() for n in range(lo, hi + 1)]
+    labels += [f"{fam}{n}" for fam, ranks in _FIXED_RANKS.items() for n in ranks]
+    assert len(labels) == 34
+    for label in labels:
         rs = build(label)
-        ideals = list(enumerate_ideals(rs))
-        assert lattice_count(rs, "min").count == len(ideals), label
-        assert lattice_count(rs, "max").count == sum(
-            1 for c in ideals if is_strictly_positive(c)
-        ), label
-        assert lattice_count(rs, "min", off_walls=True).count == gf_count(rs, 1)
-        assert lattice_count(rs, "max", off_walls=True).count == gf_count(rs, -1)
+        strict = sum(1 for c in enumerate_ideals(rs) if is_strictly_positive(c))
+        assert lattice_count(rs, "min").count == ideal_count(rs), label
+        assert lattice_count(rs, "max").count == strict, label
+        assert lattice_count(rs, "min", off_walls=True).count == gf_count(rs, 1), label
+        assert lattice_count(rs, "max", off_walls=True).count == gf_count(rs, -1), label
 
 
 def test_index_connectedness_factor():
@@ -135,15 +138,30 @@ def test_index_connectedness_factor():
             assert coweight == rs.f * coroot, (label, which)
 
 
+def test_integer_coroot_test_matches_the_fraction_definition():
+    # index of connection 4, 4, 3, 2; x = sum y_i omega_i-coweight
+    for label, f in (("A3", 4), ("D4", 4), ("E6", 3), ("E7", 2)):
+        rs = build(label)
+        assert rs.f == f
+        coweights = [w.coords for w in rs.fundamental_coweights]
+        for which, inside in (("min", in_min_simplex), ("max", in_max_simplex)):
+            result = lattice_count(rs, which)
+            for y in result.points:
+                x = tuple(
+                    sum(yi * cw[j] for yi, cw in zip(y, coweights) if yi)
+                    for j in range(rs.rank)
+                )
+                assert in_coroot_lattice(rs, x) and inside(rs, x), (label, which, y)
+            coweight = lattice_count(rs, which, lattice="coweight")
+            assert coweight.count == f * result.count, (label, which)
+
+
 def test_a2_lattice_points_pinned():
     rs = build("A2")
     result = lattice_count(rs, "min")
-    simples = [rs.positive_roots[i] for i in rs.simple_index]
-    pairings = {
-        tuple(inner(rs, p.coords, s.coeffs) for s in simples) for p in result.points
-    }
-    assert pairings == {(-1, -1), (-1, 2), (2, -1), (0, 0), (1, 1)}
-    assert result.count == len(result.points) == 5
+    assert result.points == ((-1, -1), (-1, 2), (0, 0), (1, 1), (2, -1))
+    assert result.count == 5
+    assert lattice_count(rs, "max").points == ((1, 1), (0, 0))
 
 
 def test_lattice_count_rejects_bad_arguments():
