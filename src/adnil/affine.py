@@ -5,11 +5,14 @@ delta is the null root and (delta, Lambda) = 1, (delta, delta) =
 (Lambda, Lambda) = 0.  Group elements act by exact integer matrices on
 that basis; words are witnesses only, equality is equality of actions.
 A simple reflection is one rank-1 datum (v, u), s_i(x) = x - u(x) v with
-v the affine simple root and u its coroot pairing; `from_word` alone turns
-words into matrices, by one in-place O(n^2) update per letter.  The
-inversion set N(w), its bi-convex reconstruction (peeled on the images of
-the affine simple roots), the minimal and maximal elements attached to an
-upper ideal, and the translation factorization w = t_z . v all live here.
+v the affine simple root and u its coroot pairing, stored once per root
+system.  `_word_matrix` turns a word into a matrix by one in-place O(n^2)
+update per letter; `from_word` runs it on the word and on the reversed
+word, and bi-convex peeling runs it once and reads the inverse off the
+peeled images of the affine simple roots.  The inversion set N(w) takes
+one vector add per positive root, the translation factorization
+w = t_z . v recomposes in O(p^2), and the minimal and maximal elements
+attached to an upper ideal live here too.
 """
 
 from __future__ import annotations
@@ -86,34 +89,19 @@ def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     return AffineRoot(0, tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
 
 
-def _reflection(rs: RootSystem, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Rank-1 datum (v, u) of s_i: s_i(x) = x - u(x) v over the full basis."""
-    if not 0 <= i <= rs.rank:
-        raise ValueError(f"affine simple index {i} out of range")
-    if i == 0:
-        v = tuple(-c for c in rs.theta.coeffs) + (1, 0)
-        u = tuple(-c for c in rs.theta_pairing) + (0, 1)
-        return v, u
-    v = tuple(1 if j == i - 1 else 0 for j in range(rs.rank + 2))
-    u = tuple(rs.cartan[j][i - 1] for j in range(rs.rank)) + (0, 0)
-    return v, u
-
-
-def _reflect(m: list[list[int]], minv: list[list[int]], v, u) -> None:
-    """m <- m - (m v) u^T = m s and minv <- minv - v (u^T minv) = s minv, in place."""
-    nv = [(k, c) for k, c in enumerate(v) if c]
-    nu = [(k, c) for k, c in enumerate(u) if c]
-    for row in m:
-        mv = sum(row[k] * c for k, c in nv)
-        if mv:
-            for k, c in nu:
-                row[k] -= mv * c
-    um = [sum(c * minv[k][j] for k, c in nu) for j in range(len(minv))]
-    for k, c in nv:
-        row = minv[k]
-        for j, x in enumerate(um):
-            if x:
-                row[j] -= c * x
+def _word_matrix(rs: RootSystem, word) -> IntMatrix:
+    """Matrix of s_{word[0]} ... s_{word[-1]}: m <- m - (m v) u^T per letter."""
+    n = rs.rank + 2
+    m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    refl = rs.affine_reflections
+    for i in word:
+        nv, nu = refl[i]
+        for row in m:
+            mv = sum(row[k] * c for k, c in nv)
+            if mv:
+                for k, c in nu:
+                    row[k] -= mv * c
+    return tuple(map(tuple, m))
 
 
 def _image(m, level: int, finite: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -211,26 +199,40 @@ def simple_reflection(rs: RootSystem, i: int) -> AffineWeylElement:
 def from_word(rs: RootSystem, word) -> AffineWeylElement:
     """Compose simple reflections; word[0] is applied last."""
     word = tuple(word)
-    n = rs.rank + 2
-    m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    minv = [row[:] for row in m]
     for i in word:
-        _reflect(m, minv, *_reflection(rs, i))
-    return AffineWeylElement(rs, word, tuple(map(tuple, m)), tuple(map(tuple, minv)))
+        if not 0 <= i <= rs.rank:
+            raise ValueError(f"affine simple index {i} out of range")
+    return AffineWeylElement(rs, word, _word_matrix(rs, word), _word_matrix(rs, word[::-1]))
 
 
 def n_set(w: AffineWeylElement) -> frozenset[AffineRoot]:
-    """Positive affine roots sent to negative ones by w."""
+    """Positive affine roots sent to negative ones by w.
+
+    The image of each positive root gamma_k = gamma_i + alpha_a (rs.split) is
+    image(gamma_i) + image(alpha_a), from the simple-root columns of w; with
+    w(gamma) = s delta + fin, w(k delta +- gamma) = (k +- s) delta +- fin.
+    """
+    rs = w.rs
+    p = rs.rank
+    cols = tuple(zip(*w.matrix[: p + 1]))  # cols[a] = (finite..., level) of w(alpha_a)
+    images: list = [None] * len(rs.positive_roots)
+    for a, g in enumerate(rs.simple_index):
+        images[g] = cols[a]
     out: set[AffineRoot] = set()
-    for root in w.rs.positive_roots:
-        for sign in (1, -1):
-            coeffs = root.coeffs if sign == 1 else tuple(-c for c in root.coeffs)
-            shift, fin = _image(w.matrix, 0, coeffs)
-            low = 0 if sign == 1 else 1
-            for k in range(low, -shift):
-                out.add(AffineRoot(k, coeffs))
-            if -shift >= low and not any(c > 0 for c in fin):
-                out.add(AffineRoot(-shift, coeffs))
+    for g, root in enumerate(rs.positive_roots):
+        img = images[g]
+        if img is None:
+            i, a = rs.split[g]
+            img = images[g] = tuple(x + y for x, y in zip(images[i], cols[a]))
+        shift = img[p]
+        if any(c > 0 for c in img[:p]):  # w(gamma) - shift delta is positive
+            plus, minus = -shift, shift + 1
+        else:
+            plus, minus = 1 - shift, shift
+        out.update(AffineRoot(k, root.coeffs) for k in range(plus))
+        if minus > 1:
+            neg = tuple(-c for c in root.coeffs)
+            out.update(AffineRoot(k, neg) for k in range(1, minus))
     return frozenset(out)
 
 
@@ -244,13 +246,15 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
 
     With g the product peeled so far and left the unpeeled part of the set,
     a step finds the lowest i with g(alpha_i) in left and sets g <- g s_i.
-    Only the p+1 images g(alpha_j) are kept, updated by
-    g s_i(alpha_j) = g(alpha_j) - <alpha_j, alpha_i^vee> g(alpha_i); the
-    result g^{-1} is built once by `from_word` from the reversed word.  A set
-    that is not an inversion set is rejected with a diagnostic.
+    Only the p+1 images g(alpha_j) and g(Lambda) are kept, updated by
+    g s_i(alpha_j) = g(alpha_j) - <alpha_j, alpha_i^vee> g(alpha_i) and
+    g s_0(Lambda) = g(Lambda) - g(alpha_0); they are the columns of the
+    result's inverse g, and its matrix is built from the reversed word.  A
+    set that is not an inversion set is rejected with a diagnostic.
     """
-    left = set(roots)
-    for mu in left:
+    p = rs.rank
+    left = set()
+    for mu in set(roots):
         if not mu.is_positive():
             raise ValueError(f"{mu!r} is not a positive affine root")
         probe = mu.finite if any(c > 0 for c in mu.finite) else tuple(
@@ -258,28 +262,34 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
         )
         if probe not in rs.root_index:
             raise ValueError(f"{mu!r} has a non-root finite part")
-    images = [affine_simple_root(rs, i) for i in range(rs.rank + 1)]
-    refl = [_reflection(rs, i) for i in range(rs.rank + 1)]
-    pairing = [[sum(a * b for a, b in zip(u, v)) for v, _ in refl] for _, u in refl]
+        left.add(mu.finite + (mu.level,))
+    # images[j] = g(alpha_j) as (finite..., level); lam = g(Lambda) likewise.
+    images = [affine_simple_root(rs, j) for j in range(p + 1)]
+    images = [a.finite + (a.level,) for a in images]
+    lam = (0,) * (p + 1)
     peeled: list[int] = []
     while left:
         for i, mu in enumerate(images):
             if mu in left:
                 break
         else:
-            ginv = from_word(rs, peeled[::-1]).matrix
+            ginv = _word_matrix(rs, peeled[::-1])
             raise ValueError(
                 "set is not bi-convex: no affine simple root left to peel "
-                f"among {sorted(_image(ginv, m.level, m.finite) for m in left)}"
+                f"among {sorted(_image(ginv, m[p], m[:p]) for m in left)}"
             )
         left.discard(mu)
         peeled.append(i)
-        for j, c in enumerate(pairing[i]):  # c = <alpha_j, alpha_i^vee>
+        for j, row in enumerate(rs.affine_cartan):
+            c = row[i]  # <alpha_j, alpha_i^vee>
             if c:
-                nu = images[j]
-                fin = tuple(a - c * b for a, b in zip(nu.finite, mu.finite))
-                images[j] = AffineRoot(nu.level - c * mu.level, fin)
-    w = from_word(rs, peeled[::-1])
+                images[j] = tuple(a - c * b for a, b in zip(images[j], mu))
+        if i == 0:
+            lam = tuple(a - b for a, b in zip(lam, mu))
+    word = tuple(peeled[::-1])
+    cols = [images[j] + (0,) for j in range(1, p + 1)]
+    cols += [(0,) * p + (1, 0), lam + (1,)]
+    w = AffineWeylElement(rs, word, _word_matrix(rs, word), tuple(zip(*cols)))
     if n_set(w) != frozenset(roots):
         raise ValueError("set is not bi-convex: reconstruction mismatch")
     return w
@@ -340,24 +350,38 @@ class AffineFactorization:
     translation: RationalVector
 
 
+def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Integer z, its pairings ((z, alpha_j))_j and |z|^2/2, for z in the coroot lattice."""
+    coords = _coords(z)
+    if not in_coroot_lattice(rs, coords):
+        raise ValueError("translation vector is not in the coroot lattice")
+    if any(Fraction(c).denominator != 1 for c in coords):
+        raise AssertionError("coroot-lattice vector with non-integral data")
+    z = tuple(int(c) for c in coords)
+    pairs = []
+    for j, d in enumerate(rs.symmetrizer):  # (z, alpha_j) = d_j <z, alpha_j^vee>
+        q, r = divmod(
+            d.numerator * sum(c * row[j] for c, row in zip(z, rs.cartan) if c), d.denominator
+        )
+        if r:
+            raise AssertionError("non-integral pairing with a simple root")
+        pairs.append(q)
+    half_norm, odd = divmod(sum(c * q for c, q in zip(z, pairs)), 2)
+    if odd:
+        raise AssertionError("coroot-lattice vector with non-integral data")
+    return z, tuple(pairs), half_norm
+
+
 def _translation_matrix(rs: RootSystem, z) -> IntMatrix:
     """Action matrix of t_z for z in the coroot lattice."""
     p = rs.rank
-    coords = tuple(Fraction(c) for c in _coords(z))
-    if not in_coroot_lattice(rs, coords):
-        raise ValueError("translation vector is not in the coroot lattice")
-    pairs = rs.pairings(coords)
-    norm = sum(c * q for c, q in zip(coords, pairs))
-    if any(c.denominator != 1 for c in coords) or (norm / 2).denominator != 1:
-        raise AssertionError("coroot-lattice vector with non-integral data")
-    if any(q.denominator != 1 for q in pairs):
-        raise AssertionError("non-integral pairing with a simple root")
+    z, pairs, half_norm = _translation_data(rs, z)
     rows = [[1 if r == c else 0 for c in range(p + 2)] for r in range(p + 2)]
     for j in range(p):
-        rows[p][j] = -int(pairs[j])
+        rows[p][j] = -pairs[j]
     for t in range(p):
-        rows[t][p + 1] = int(coords[t])
-    rows[p][p + 1] = -int(norm / 2)
+        rows[t][p + 1] = z[t]
+    rows[p][p + 1] = -half_norm
     return tuple(tuple(r) for r in rows)
 
 
@@ -376,22 +400,25 @@ def translation_element(rs: RootSystem, z) -> AffineWeylElement:
 def factorize(w: AffineWeylElement) -> AffineFactorization:
     """Split w = t_z . v; v fixes Lambda, so w(Lambda) = Lambda + z - |z|^2/2 delta.
 
-    z is read off the Lambda column; recomposing checks it against the delta-row.
+    z is read off the Lambda column.  Recomposing t_z . v entry by entry, the
+    delta-row must be -(z, alpha) . v, the delta-column and the Lambda-row
+    those of the identity, and the (delta, Lambda) entry -|z|^2/2.
     """
     rs = w.rs
     p = rs.rank
-    z = tuple(Fraction(w.matrix[t][p + 1]) for t in range(p))
+    m = w.matrix
+    z, pairs, half_norm = _translation_data(rs, (m[t][p + 1] for t in range(p)))
     v = w.finite_part_matrix()
-    n = p + 2
-    embedded = tuple(
-        tuple(
-            v[r][c] if r < p and c < p else (1 if r == c else 0) for c in range(n)
-        )
-        for r in range(n)
-    )
-    if _imat_mul(_translation_matrix(rs, z), embedded) != w.matrix:
+    nz = [(j, q) for j, q in enumerate(pairs) if q]
+    delta_row = tuple(-sum(q * v[j][c] for j, q in nz) for c in range(p))
+    if (
+        m[p][:p] != delta_row
+        or m[p][p:] != (1, -half_norm)
+        or any(m[t][p] for t in range(p))
+        or m[p + 1] != (0,) * (p + 1) + (1,)
+    ):
         raise AssertionError("translation factorization does not recompose")
-    return AffineFactorization(v, RationalVector(z))
+    return AffineFactorization(v, RationalVector(tuple(Fraction(c) for c in z)))
 
 
 def star(w: AffineWeylElement, x) -> RationalVector:
@@ -452,23 +479,23 @@ def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:
 
 def rho_hat(rs: RootSystem) -> tuple[Fraction, ...]:
     """Affine weight pairing to one with every affine simple coroot."""
-    lam = 1 + inner(rs, rs.rho, rs.theta)
-    return tuple(rs.rho.coords) + (Fraction(0), Fraction(lam))
+    return tuple(Fraction(c, 2) for c in rs.two_rho_hat)
 
 
 def check_inversion_sum(w: AffineWeylElement) -> bool:
-    """Whether rho_hat - w^{-1}(rho_hat) equals the sum over N(w)."""
-    rs = w.rs
-    p = rs.rank
-    r = rho_hat(rs)
-    image = w.apply_vector_inverse(r)
-    diff = tuple(a - b for a, b in zip(r, image))
-    total = [Fraction(0)] * (p + 2)
+    """Whether rho_hat - w^{-1}(rho_hat) equals the sum over N(w).
+
+    Compared doubled, in integers: 2 rho_hat - w^{-1}(2 rho_hat) = 2 sum N(w).
+    """
+    p = w.rs.rank
+    r = w.rs.two_rho_hat
+    diff = tuple(a - sum(x * y for x, y in zip(row, r)) for a, row in zip(r, w.inverse_matrix))
+    total = [0] * (p + 2)
     for mu in n_set(w):
         for j, c in enumerate(mu.finite):
             total[j] += c
         total[p] += mu.level
-    return diff == tuple(total)
+    return diff == tuple(2 * t for t in total)
 
 
 def inverse_simple_levels(w: AffineWeylElement) -> tuple[int, ...]:

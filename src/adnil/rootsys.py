@@ -160,8 +160,11 @@ class RootSystem:
     fundamental_weights / fundamental_coweights, rho, rho_check, and the
     root-poset tables over root indices: sums[i] (dict j -> k with
     gamma_i + gamma_j = gamma_k), up[i] (bitset of the upper covers
-    gamma_i + alpha_a) and lowers[i] (bitset of the simple indices a with
-    gamma_i - alpha_a zero or a positive root).
+    gamma_i + alpha_a), lowers[i] (bitset of the simple indices a with
+    gamma_i - alpha_a zero or a positive root) and split[k] (one pair (i, a)
+    with gamma_k = gamma_i + alpha_a, None for a simple root); for the affine
+    layer, affine_reflections[i] (rank-1 datum of s_i, i = 0..p),
+    affine_cartan and two_rho_hat (2 rho_hat as integers).
     """
 
     def __init__(self, label: str, family: str, rank: int):
@@ -216,11 +219,8 @@ class RootSystem:
         rho = tuple(
             sum(w.coords[j] for w in self.fundamental_weights) for j in range(rank)
         )
-        half_sum = tuple(
-            Fraction(sum(r.coeffs[j] for r in self.positive_roots), 2)
-            for j in range(rank)
-        )
-        if rho != half_sum:
+        two_rho = tuple(sum(r.coeffs[j] for r in self.positive_roots) for j in range(rank))
+        if rho != tuple(Fraction(c, 2) for c in two_rho):
             raise AssertionError("sum of fundamental weights != half sum of roots")
         self.rho = RationalVector(rho)
         self.rho_check = RationalVector(
@@ -251,14 +251,37 @@ class RootSystem:
                     sums[j][i] = k
         up = [0] * n
         lowers = [0] * n
+        split: list[tuple[int, int] | None] = [None] * n
         for a, s in enumerate(self.simple_index):
             lowers[s] |= 1 << a
             for i, k in sums[s].items():
                 up[i] |= 1 << k
                 lowers[k] |= 1 << a
+                if split[k] is None:
+                    split[k] = (i, a)
         self.sums = tuple(sums)
         self.up = tuple(up)
         self.lowers = tuple(lowers)
+        self.split = tuple(split)
+
+        # Affine simple reflections over (alpha_1..alpha_p, delta, Lambda):
+        # s_i(x) = x - u(x) v, v the affine simple root and u its coroot
+        # pairing, kept as the nonzero (index, coefficient) pairs of v and u;
+        # affine_cartan[i][j] = <alpha_i, alpha_j^vee> = u_j(v_i), i, j = 0..p.
+        vs = [tuple(-c for c in self.marks) + (1, 0)]
+        us = [tuple(-c for c in self.theta_pairing) + (0, 1)]
+        for a in range(rank):
+            vs.append(tuple(int(j == a) for j in range(rank + 2)))
+            us.append(tuple(self.cartan[j][a] for j in range(rank)) + (0, 0))
+        self.affine_reflections = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(x) if c) for x in vu) for vu in zip(vs, us)
+        )
+        self.affine_cartan = tuple(
+            tuple(sum(a * b for a, b in zip(v, u)) for u in us) for v in vs
+        )
+        # 2 rho_hat = 2 rho + 2 h^vee Lambda, h^vee = 1 + (rho, theta).
+        two_h_check = 2 + sum(c * q for c, q in zip(two_rho, self.theta_pairing))
+        self.two_rho_hat = two_rho + (0, two_h_check)
 
         # Functional rows: pairing_rows[g][i] = (alpha_i, gamma_g).
         self.pairing_rows = tuple(

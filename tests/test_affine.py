@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from adnil.affine import (
     AffineRoot,
+    AffineWeylElement,
     affine_simple_root,
     alcove_barycenter,
     check_inversion_sum,
@@ -115,6 +116,63 @@ def test_n_set_size_is_length_and_biconvex_round_trip():
             assert rebuilt == w
             assert len(rebuilt.word) == length(w)
             assert check_inversion_sum(w)
+
+
+def _slow_n_set(w):
+    """Reference inversion set: w applied to +gamma and -gamma, one root at a time."""
+    p = w.rs.rank
+    out = set()
+    for root in w.rs.positive_roots:
+        for sign, low in ((1, 0), (-1, 1)):
+            coeffs = tuple(sign * c for c in root.coeffs)
+            shift = sum(w.matrix[p][j] * c for j, c in enumerate(coeffs))
+            fin = [sum(w.matrix[t][j] * c for j, c in enumerate(coeffs)) for t in range(p)]
+            for k in range(low, -shift):
+                out.add(AffineRoot(k, coeffs))
+            if -shift >= low and not any(c > 0 for c in fin):
+                out.add(AffineRoot(-shift, coeffs))
+    return frozenset(out)
+
+
+def test_n_set_matches_the_per_root_reference():
+    rng = random.Random(23)
+    for label in ("G2", "A4", "B3", "C4", "D5", "F4", "E6", "E7", "E8"):
+        rs = build(label)
+        assert n_set(identity_element(rs)) == _slow_n_set(identity_element(rs)) == frozenset()
+        for _ in range(30):
+            w = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(40))])
+            assert n_set(w) == _slow_n_set(w), (label, w.word)
+
+
+def test_peeled_inverse_matrix_matches_the_word():
+    elements = [w_min(c) for c in enumerate_ideals(build("E6"))]
+    elements += [w_max(c) for c in enumerate_ideals(build("F4")) if is_strictly_positive(c)]
+    for w in elements:
+        n = w.rs.rank + 2
+        assert w.inverse_matrix == from_word(w.rs, w.word).inverse_matrix, w
+        product = tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*w.inverse_matrix))
+            for row in w.matrix
+        )
+        assert product == tuple(tuple(int(r == c) for c in range(n)) for r in range(n)), w
+
+
+def test_factorize_rejects_a_tampered_matrix():
+    # every entry of the delta-row (incl. -|z|^2/2), the delta-column and the Lambda-row
+    for label, generators in (("F4", [(0, 2, 2, 1), (2, 2, 1, 0)]), ("G2", [(2, 1)])):
+        rs = build(label)
+        p = rs.rank
+        w = w_min(close_upward(rs, [Root(g) for g in generators]))
+        assert any(factorize(w).translation.coords)
+        cells = {(p, c) for c in range(p + 2)} | {(p + 1, c) for c in range(p + 2)}
+        cells |= {(t, p) for t in range(p + 2)}
+        for t, c in sorted(cells):
+            rows = [list(row) for row in w.matrix]
+            rows[t][c] += 1
+            bad = AffineWeylElement(rs, w.word, tuple(map(tuple, rows)), w.inverse_matrix)
+            with pytest.raises(AssertionError) as exc:
+                factorize(bad)
+            assert str(exc.value) == "translation factorization does not recompose", (t, c)
 
 
 def test_word_from_biconvex_rejects_non_biconvex_sets():

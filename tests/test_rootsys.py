@@ -222,6 +222,27 @@ def test_sum_index_is_exact():
                     assert j not in rs.sums[i]
 
 
+def test_split_and_affine_tables():
+    for label in ALL_LABELS:
+        rs = build(label)
+        for k, root in enumerate(rs.positive_roots):
+            if k in rs.simple_index:
+                assert rs.split[k] is None
+                continue
+            i, a = rs.split[k]
+            assert i < k and rs.positive_roots[i].coeffs[a] + 1 == root.coeffs[a]
+            assert rs.sums[i][rs.simple_index[a]] == k
+        # the finite block is the Cartan matrix, and delta = alpha_0 + theta
+        # pairs to zero with every affine simple coroot
+        ac = rs.affine_cartan
+        assert tuple(row[1:] for row in ac[1:]) == rs.cartan
+        marks = (1,) + rs.marks
+        assert all(sum(m * ac[i][j] for i, m in enumerate(marks)) == 0 for j in range(rs.rank + 1))
+        assert ac[0][0] == 2
+        h_check = 1 + inner(rs, rs.rho, rs.theta)
+        assert rs.two_rho_hat == tuple(2 * c for c in rs.rho.coords) + (0, 2 * h_check)
+
+
 def test_root_sum_and_leq():
     rs = build("A3")
     a1 = Root((1, 0, 0))
