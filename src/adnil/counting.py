@@ -1,9 +1,9 @@
 """Integer sequences and exact counts of ideals whose normalizer is the Borel.
 
 Three independent routes produce the same counts: closed-form sequence
-formulas, coefficient extraction from a truncated Laurent product built
-from the node marks of the extended diagram, and brute-force enumeration
-of lattice points in two bounded simplices.
+formulas, coefficient extraction from a product of one factor per node
+mark of the extended diagram (an exact integer sum over partial degrees),
+and brute-force enumeration of lattice points in two bounded simplices.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .normalizers import normalizer
 from .rootsys import RootSystem
 
 __all__ = [
-    "LaurentPoly",
     "catalan",
     "motzkin",
     "riordan",
@@ -36,36 +35,6 @@ __all__ = [
     "IdentityCheck",
     "verify_identities",
 ]
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """A Laurent polynomial on a bounded degree window, coefficients from lo up."""
-
-    lo: int
-    coeffs: tuple[int, ...]
-
-    def coefficient(self, degree: int) -> int:
-        k = degree - self.lo
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def multiply(self, other: LaurentPoly, hi: int) -> LaurentPoly:
-        """Product truncated above degree hi; lower degrees are kept exactly."""
-        lo = self.lo + other.lo
-        out = [0] * max(hi - lo + 1, 0)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            base = self.lo + i + other.lo
-            if base > hi:
-                continue
-            for j in range(min(hi - base, len(other.coeffs) - 1) + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[base + j - lo] += a * b
-        return LaurentPoly(lo, tuple(out))
 
 
 def _guarded_binom(a: int, b: int) -> int:
@@ -136,48 +105,48 @@ def extended_marks(family: str, rank: int) -> tuple[int, ...]:
     raise ValueError(f"no closed-form marks for family {family!r} rank {rank}")
 
 
-def _mark_factor(c: int, hi: int) -> LaurentPoly:
-    """x^-c + x^c + x^2c + ... up to degree hi; no constant term."""
-    coeffs = [0] * (hi + c + 1)
-    coeffs[0] = 1
-    for d in range(c, hi + 1, c):
-        coeffs[d + c] = 1
-    return LaurentPoly(-c, tuple(coeffs))
+def gf_count_from_marks(marks, target: int) -> int:
+    """Coefficient of x^target in prod_c (x^-c + x^c + x^2c + ...), over the 1-count.
 
-
-def gf_count_from_marks(marks, target: int, padding: int = 0) -> int:
-    """Coefficient of x^target in the product of mark factors, over the 1-count.
-
-    marks must list every node of the extended diagram, so it contains at
-    least one 1 and the divisor (the number of 1s) is positive.  padding
-    widens the truncation window; the result must not depend on it.
+    The coefficient counts exponent vectors e with every e_i in
+    {-1, 1, 2, ...} and sum c_i e_i = target; it is summed mark by mark over
+    the partial sums d.  marks must list every node of the extended diagram,
+    so it contains at least one 1 and the divisor (the number of 1s) is
+    positive.
     """
     marks = tuple(marks)
     if target not in (1, -1):
         raise ValueError("target degree must be +1 or -1")
     if not marks or any(c < 1 for c in marks):
         raise ValueError("marks must be positive integers")
-    ones = sum(1 for c in marks if c == 1)
+    ones = marks.count(1)
     if ones == 0:
         raise ValueError("marks must include the extra node's mark 1")
-    # A later factor lowers a partial degree by at most its mark, so degrees
-    # above (sum of all marks) + 2 can never return to a target of +-1.
-    hi = sum(marks) + 2 + padding
-    product = LaurentPoly(0, (1,))
+    # Each later factor lowers d by at most its mark, so d above target plus
+    # the marks still to come can never return to target.
+    rest = sum(marks)
+    counts = {0: 1}
     for c in marks:
-        product = product.multiply(_mark_factor(c, hi), hi)
-    value = product.coefficient(target)
+        rest -= c
+        top = target + rest
+        step: dict[int, int] = {}
+        for d, n in counts.items():
+            step[d - c] = step.get(d - c, 0) + n
+            for v in range(d + c, top + 1, c):
+                step[v] = step.get(v, 0) + n
+        counts = step
+    value = counts.get(target, 0)
     if value % ones:
         raise AssertionError(f"coefficient {value} is not divisible by {ones}")
     return value // ones
 
 
-def gf_count(rs: RootSystem, target: int, padding: int = 0) -> int:
-    """Laurent-product count for a built root system (+1 full, -1 no-simple-roots)."""
+def gf_count(rs: RootSystem, target: int) -> int:
+    """Generating-function count for a built root system (+1 full, -1 no-simple-roots)."""
     marks = (1,) + rs.marks
-    if sum(1 for c in marks if c == 1) != rs.f:
+    if marks.count(1) != rs.f:
         raise AssertionError("1-count of extended marks differs from the lattice index")
-    return gf_count_from_marks(marks, target, padding)
+    return gf_count_from_marks(marks, target)
 
 
 def count_sp2n_borel(n: int, target: int) -> int:

@@ -283,18 +283,21 @@ def normalizer_C(c: SymplecticIdeal) -> ParabolicLabel:
 
 
 def _signed_words(s: int, with_zero: bool):
-    """All words of length s with nonnegative partial sums, lexicographic."""
-    alphabet = (-1, 0, 1) if with_zero else (-1, 1)
+    """All words of length s with nonnegative partial sums, lexicographic.
 
-    def walk(prefix: tuple[int, ...], total: int):
+    Depth-first on a stack of (prefix, partial sum): each prefix stacks its
+    letters largest first, so the smallest is popped first.
+    """
+    alphabet = (1, 0, -1) if with_zero else (1, -1)
+    stack = [((), 0)]
+    while stack:
+        prefix, total = stack.pop()
         if len(prefix) == s:
             yield prefix
-            return
+            continue
         for v in alphabet:
             if total + v >= 0:
-                yield from walk(prefix + (v,), total + v)
-
-    yield from walk((), 0)
+                stack.append((prefix + (v,), total + v))
 
 
 def _ideal_from_halves(n: int, a_part, b_part) -> SymplecticIdeal:

@@ -627,12 +627,8 @@ def suite_typeac() -> list[tuple[str, str]]:
         results.append((f"symplectic[C{n}]", f"{len(ideals)} ideals"))
 
     for s in range(21):
-        _require(
-            typeac.ballot(s) == comb(s, s // 2),
-            "ballot-closed-form",
-            s=s,
-            count=typeac.ballot(s),
-        )
+        b = typeac.ballot(s)
+        _require(b == comb(s, s // 2), "ballot-closed-form", s=s, count=b)
     results.append(("ballot[s<=20]", "21 values"))
     return results
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from adnil.counting import (
@@ -67,11 +69,26 @@ def test_gf_counts():
         assert gf_count(rs, -1) == b0, label
 
 
-def test_gf_padding_is_irrelevant():
-    for label in ("A4", "C3", "G2"):
-        rs = build(label)
-        for target in (1, -1):
-            assert gf_count(rs, target, padding=7) == gf_count(rs, target)
+def test_gf_count_from_marks_matches_brute_force():
+    # the coefficient counts e with e_i in {-1, 1, 2, ...} and sum c_i e_i = t;
+    # c_i e_i <= t + (sum of the other marks), which bounds each e_i
+    for label in ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D3", "D4", "G2"):
+        marks = (1,) + build(label).marks
+        for t in (1, -1):
+            ranges = [[-1, *range(1, (t + sum(marks)) // c + 1)] for c in marks]
+            direct = sum(
+                1 for e in product(*ranges) if sum(c * x for c, x in zip(marks, e)) == t
+            )
+            assert gf_count_from_marks(marks, t) * marks.count(1) == direct, (label, t)
+
+
+def test_gf_count_from_marks_rejects_bad_input():
+    for marks, target in (((1, 1), 0), ((1, 0), 1), ((), 1), ((2, 2), 1)):
+        with pytest.raises(ValueError):
+            gf_count_from_marks(marks, target)
+    # (1, 1, 3) is no extended diagram: the coefficient 3 is not a multiple of 2
+    with pytest.raises(AssertionError, match="not divisible by 2"):
+        gf_count_from_marks((1, 1, 3), -1)
 
 
 def test_gf_count_from_marks_matches_build():

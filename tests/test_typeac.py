@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import accumulate, product
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from adnil.typeac import (
     FerrersIdeal,
     SignedWord,
     SymplecticIdeal,
+    _signed_words,
     ballot,
     decode_word,
     desymmetrize,
@@ -277,6 +279,16 @@ def test_ballot_and_minimax_fiber_count():
         assert minimax_fiber_count_C(s) == comb(s, s // 2)
     with pytest.raises(ValueError):
         ballot(-1)
+
+
+def test_signed_words_are_the_ballot_products_in_order():
+    # fiber_minimax_C lists its members in this order
+    for alphabet in ((-1, 1), (-1, 0, 1)):
+        for s in range(9):
+            want = [
+                w for w in product(alphabet, repeat=s) if all(t >= 0 for t in accumulate(w))
+            ]
+            assert list(_signed_words(s, with_zero=0 in alphabet)) == want, (alphabet, s)
 
 
 def test_desymmetrize_rejects_asymmetric_shapes():
