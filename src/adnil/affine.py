@@ -29,7 +29,7 @@ from .ideals import (
 )
 from .linalg import mat_vec
 from .normalizers import ParabolicLabel
-from .rootsys import RationalVector, RootSystem, _coords, in_coroot_lattice, inner
+from .rootsys import RationalVector, RootSystem, _coords, in_coroot_lattice
 
 __all__ = [
     "AffineRoot",
@@ -460,13 +460,9 @@ def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:
     if not is_minimal_representative(w):
         raise ValueError("z-walls are read off a minimal element only")
     rs = w.rs
-    z = factorize(w).translation
-    walls = [
-        i + 1
-        for i in range(rs.rank)
-        if inner(rs, z, rs.positive_roots[rs.simple_index[i]]) == 0
-    ]
-    if inner(rs, z, rs.theta) == 1:
+    y = rs.pairings(factorize(w).translation)
+    walls = [i + 1 for i, v in enumerate(y) if v == 0]
+    if sum(c * v for c, v in zip(rs.marks, y)) == 1:
         walls.append(0)
     levi = set()
     for i in walls:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import UpperIdeal, _iter_bits, _upper_sets, enumerate_ideals, weight
-from .rootsys import RootSystem, inner
+from .rootsys import RootSystem
 
 __all__ = [
     "ParabolicLabel",
@@ -68,13 +68,8 @@ def normalizer(ideal: UpperIdeal) -> ParabolicLabel:
 def normalizer_by_weight(ideal: UpperIdeal) -> ParabolicLabel:
     """Parabolic label by orthogonality of the ideal weight to simple roots."""
     rs = ideal.rs
-    w = weight(ideal)
-    levi = frozenset(
-        a
-        for a in range(rs.rank)
-        if inner(rs, w, rs.positive_roots[rs.simple_index[a]]) == 0
-    )
-    return ParabolicLabel(rs.rank, levi)
+    y = rs.pairings(weight(ideal))
+    return ParabolicLabel(rs.rank, frozenset(a for a, v in enumerate(y) if v == 0))
 
 
 def nilradical(rs: RootSystem, label: ParabolicLabel) -> UpperIdeal:
@@ -90,6 +85,8 @@ def nilradical(rs: RootSystem, label: ParabolicLabel) -> UpperIdeal:
 
 def fiber(rs: RootSystem, label: ParabolicLabel) -> list[UpperIdeal]:
     """All ideals whose normalizer is exactly the given parabolic."""
+    if label.rank != rs.rank:
+        raise ValueError("label rank does not match root system")
     return [i for i in enumerate_ideals(rs) if normalizer(i) == label]
 
 

@@ -70,6 +70,14 @@ def _coords(x) -> tuple:
     return tuple(x)
 
 
+def _vector(rs: RootSystem, x) -> tuple:
+    """Coefficient tuple of x, which must have one entry per simple root."""
+    c = _coords(x)
+    if len(c) != rs.rank:
+        raise ValueError(f"vector of length {len(c)} in a rank-{rs.rank} root system")
+    return c
+
+
 def _cartan_entries(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with entry [i][j] = <alpha_i, alpha_j-coroot>."""
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -283,27 +291,21 @@ class RootSystem:
         two_h_check = 2 + sum(c * q for c, q in zip(two_rho, self.theta_pairing))
         self.two_rho_hat = two_rho + (0, two_h_check)
 
-        # Functional rows: pairing_rows[g][i] = (alpha_i, gamma_g).
-        self.pairing_rows = tuple(
-            tuple(
-                sum(self.gram[i][j] * c[j] for j in range(rank)) for i in range(rank)
-            )
-            for c in coeff_list
-        )
-
     def index_of(self, root) -> int:
         """Index of a positive root in positive_roots; KeyError if absent."""
         return self.root_index[_coords(root)]
 
     def coroot_pairing(self, x, j: int):
         """<x, alpha_j-coroot> = 2 (x, alpha_j) / (alpha_j, alpha_j)."""
-        c = _coords(x)
+        c = _vector(self, x)
         return sum(c[k] * self.cartan[k][j] for k in range(self.rank))
 
     def pairings(self, x) -> tuple[Fraction, ...]:
         """The pairing vector ((x, alpha_1), ..., (x, alpha_p))."""
+        c = _vector(self, x)
         return tuple(
-            self.symmetrizer[j] * self.coroot_pairing(x, j) for j in range(self.rank)
+            d * sum(ck * row[j] for ck, row in zip(c, self.cartan))
+            for j, d in enumerate(self.symmetrizer)
         )
 
     def __repr__(self) -> str:
@@ -354,7 +356,7 @@ def build(label: str) -> RootSystem:
 
 def inner(rs: RootSystem, x, y) -> Fraction:
     """Invariant bilinear form, (theta, theta) = 2 normalization."""
-    cx, cy = _coords(x), _coords(y)
+    cx, cy = _vector(rs, x), _vector(rs, y)
     gram = rs.gram
     total = Fraction(0)
     for i, xi in enumerate(cx):
@@ -379,5 +381,5 @@ def root_sum(rs: RootSystem, mu, nu) -> Root | None:
 
 def in_coroot_lattice(rs: RootSystem, x) -> bool:
     """Whether x lies in the integer span of the simple coroots."""
-    c = _coords(x)
+    c = _vector(rs, x)
     return all((Fraction(v) * d).denominator == 1 for v, d in zip(c, rs.symmetrizer))

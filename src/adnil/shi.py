@@ -2,15 +2,17 @@
 
 Each upper ideal corresponds to the open region where the pairing with a
 root exceeds one exactly for roots in the ideal (inside the dominant
-chamber).  Feasibility is decided by a one-phase simplex on an integer
-tableau: the system is homogenised so that the origin is a feasible
-basis, and pivots are fraction-free, so every sign decision is exact.
+chamber).  Membership and the solves work in pairing coordinates
+y_i = (x, alpha_i), where the pairing of x with a root gamma is c.y for
+the coefficient vector c of gamma.  Feasibility is decided by a one-phase
+simplex on an integer tableau: the system is homogenised so that the
+origin is a feasible basis, and pivots are fraction-free, so every sign
+decision is exact.
 
-The region and wall solves use only the boundary rows of the region, in
-pairing coordinates y_i = (x, alpha_i): y_i > 0, c.y > 1 for the
-generators of the ideal and c.y < 1 for the maximal roots of its
-complement, where c is the coefficient vector of the root.  Pairings rise
-along the root poset when y >= 0, so every other row is implied.
+The region and wall solves use only the boundary rows of the region:
+y_i > 0, c.y > 1 for the generators of the ideal and c.y < 1 for the
+maximal roots of its complement.  Pairings rise along the root poset when
+y >= 0, so every other row is implied.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = [
     "Constraint",
     "LinearConstraintSystem",
     "FeasibilityResult",
-    "region_of",
+    "in_region",
     "feasible",
     "region_witness",
     "is_wall",
@@ -68,19 +70,20 @@ class LinearConstraintSystem:
         return all(c.holds_at(pt) for c in self.constraints)
 
 
-def region_of(ideal: UpperIdeal) -> LinearConstraintSystem:
-    """Open region attached to the ideal by the Shi correspondence.
+def in_region(ideal: UpperIdeal, x) -> bool:
+    """Whether x lies in the open region attached to the ideal.
 
-    Pairings with simple roots are positive, with ideal roots exceed one,
-    with all other positive roots stay below one.  Every positive root
-    gives a row; the solves in this module use the boundary rows only.
+    Every row is tested, not only the boundary rows: pairings with simple
+    roots are positive, with ideal roots exceed one, with others below one.
     """
     rs = ideal.rs
-    one, zero = Fraction(1), Fraction(0)
-    rows = [Constraint(rs.pairing_rows[g], zero, ">") for g in rs.simple_index]
-    for g, normal in enumerate(rs.pairing_rows):
-        rows.append(Constraint(normal, one, ">" if (ideal.bits >> g) & 1 else "<"))
-    return LinearConstraintSystem(rs.rank, tuple(rows))
+    y = rs.pairings(x)
+    d = lcm(*(v.denominator for v in y))  # compare c.(d y) with d in integers
+    y = [v.numerator * (d // v.denominator) for v in y]
+    values = (sum(c * v for c, v in zip(root.coeffs, y)) for root in rs.positive_roots)
+    return min(y) > 0 and all(
+        value > d if (ideal.bits >> g) & 1 else value < d for g, value in enumerate(values)
+    )
 
 
 @dataclass(frozen=True)
@@ -242,7 +245,8 @@ def alcove_membership(w: AffineWeylElement, ideal: UpperIdeal) -> bool:
     under the inverse of w; true exactly when the first layer of w is the
     given ideal.
     """
+    if w.rs is not ideal.rs:
+        raise ValueError("elements belong to different root systems")
     if not is_dominant(w):
         raise ValueError("alcove membership is defined for dominant elements")
-    point = star(w.inverse(), alcove_barycenter(w.rs))
-    return region_of(ideal).holds_at(point.coords)
+    return in_region(ideal, star(w.inverse(), alcove_barycenter(w.rs)))

@@ -56,7 +56,7 @@ from .ideals import (
 )
 from .normalizers import ParabolicLabel, nilradical, normalizer, normalizer_by_weight
 from .rootsys import RationalVector, build, in_coroot_lattice
-from .shi import alcove_membership, is_wall, region_of, region_witness
+from .shi import alcove_membership, in_region, is_wall, region_witness
 
 __all__ = [
     "VerificationFailure",
@@ -313,7 +313,7 @@ def suite_shi(types, seed: int) -> list[tuple[str, str]]:
         for ideal in ideals:
             witness = region_witness(ideal)
             _require(
-                region_of(ideal).holds_at(witness.coords),
+                in_region(ideal, witness),
                 "region-witness",
                 type=label,
                 ideal=ideal,

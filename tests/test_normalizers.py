@@ -98,6 +98,14 @@ def test_nilradical_rejects_rank_mismatch():
         nilradical(build("A3"), ParabolicLabel(4, frozenset()))
 
 
+def test_fiber_rejects_rank_mismatch():
+    for label in (ParabolicLabel(2, frozenset()), ParabolicLabel(4, frozenset({3}))):
+        with pytest.raises(ValueError, match="label rank"):
+            fiber(build("A3"), label)
+        with pytest.raises(ValueError, match="label rank"):
+            fiber_extrema(build("A3"), label)
+
+
 def test_fibers_partition_the_ideals():
     for label in ("A4", "C3", "G2", "D4"):
         rs = build(label)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from adnil.affine import alcove_barycenter, simple_reflection, w_min
+from adnil.affine import alcove_barycenter, identity_element, simple_reflection, w_min
 from adnil.ideals import close_upward, enumerate_ideals
 from adnil.normalizers import normalizer
 from adnil.rootsys import build, inner
@@ -15,8 +16,8 @@ from adnil.shi import (
     LinearConstraintSystem,
     alcove_membership,
     feasible,
+    in_region,
     is_wall,
-    region_of,
     region_witness,
 )
 
@@ -72,18 +73,18 @@ def test_feasible_detects_empty_systems():
 
 
 def test_every_region_is_nonempty_and_separated():
-    for label in ("A2", "B2", "G2"):
+    for label in ("A2", "B2", "B3", "C3", "G2", "F4"):
         rs = build(label)
         ideals = list(enumerate_ideals(rs))
         witnesses = []
         for c in ideals:
             x = region_witness(c)
-            assert region_of(c).holds_at(x.coords)
+            assert in_region(c, x)
             witnesses.append(x)
         # a witness for one region violates every other region
         for i, c in enumerate(ideals):
             for j, x in enumerate(witnesses):
-                assert region_of(c).holds_at(x.coords) == (i == j)
+                assert in_region(c, x) == (i == j), (label, c, j)
 
 
 def test_region_constraints_split_by_height_one():
@@ -103,7 +104,63 @@ def test_barycenter_lies_in_the_empty_region():
         rs = build(label)
         empty = next(iter(enumerate_ideals(rs)))
         assert empty.bits == 0
-        assert region_of(empty).holds_at(alcove_barycenter(rs).coords)
+        assert in_region(empty, alcove_barycenter(rs))
+
+
+BOUNDARY_TYPES = ("A2", "B3", "C3", "G2", "F4")
+
+
+def _point(rs, y):
+    """The point x with (x, alpha_i) = y_i, as sum(y_i * omega_i-coweight)."""
+    return tuple(
+        sum(yi * w.coords[j] for yi, w in zip(y, rs.fundamental_coweights))
+        for j in range(rs.rank)
+    )
+
+
+def test_points_on_a_wall_lie_in_no_region():
+    # Move each witness onto (x, gamma) = 1 for every positive root gamma, or
+    # onto (x, alpha_i) = 0 for every simple root.  The regions that could
+    # contain such a point if a comparison were not strict are those of the
+    # ideals between {gamma : (x, gamma) > 1} and {gamma : (x, gamma) >= 1}.
+    # The pairings are read off y here; the grid test checks them against inner.
+    for label in BOUNDARY_TYPES:
+        rs = build(label)
+        ideals = list(enumerate_ideals(rs))
+        for c in ideals:
+            y = rs.pairings(region_witness(c))
+            points = []
+            for root in rs.positive_roots:
+                value = sum(k * v for k, v in zip(root.coeffs, y))
+                points.append(tuple(v / value for v in y))
+            for i in range(rs.rank):
+                points.append(tuple(0 if j == i else v for j, v in enumerate(y)))
+            for yp in points:
+                x = _point(rs, yp)
+                values = [sum(k * v for k, v in zip(r.coeffs, yp)) for r in rs.positive_roots]
+                assert 1 in values or 0 in yp
+                above = sum(1 << g for g, v in enumerate(values) if v > 1)
+                on_or_above = sum(1 << g for g, v in enumerate(values) if v >= 1)
+                near = [d for d in ideals if above & ~d.bits == 0 and d.bits & ~on_or_above == 0]
+                assert near, (label, c, yp)
+                for d in near:
+                    assert not in_region(d, x), (label, c, yp, d)
+
+
+def test_membership_matches_direct_evaluation_on_a_grid():
+    steps = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+    for label in BOUNDARY_TYPES:
+        rs = build(label)
+        ideals = list(enumerate_ideals(rs))
+        for y in product(steps, repeat=rs.rank):
+            x = _point(rs, y)
+            positive = all(inner(rs, x, rs.positive_roots[g]) > 0 for g in rs.simple_index)
+            values = [inner(rs, x, root) for root in rs.positive_roots]
+            for c in ideals:
+                expected = positive and all(
+                    v > 1 if (c.bits >> g) & 1 else v < 1 for g, v in enumerate(values)
+                )
+                assert in_region(c, x) == expected, (label, y, c)
 
 
 def test_wall_test_matches_normalizer():
@@ -136,7 +193,7 @@ def test_wall_of_a_simple_root_with_a_zero_row():
 
 def _check_walls_and_witnesses(ideals):
     for c in ideals:
-        assert region_of(c).holds_at(region_witness(c).coords), c
+        assert in_region(c, region_witness(c)), c
         levi = normalizer(c).levi
         for a in range(c.rs.rank):
             assert is_wall(c, a) == (a in levi), (c, a)
@@ -181,3 +238,11 @@ def test_alcove_membership_requires_dominance():
     c = next(iter(enumerate_ideals(rs)))
     with pytest.raises(ValueError):
         alcove_membership(simple_reflection(rs, 1), c)
+
+
+def test_alcove_membership_rejects_mismatched_root_systems():
+    identity = identity_element(build("A2"))
+    assert alcove_membership(identity, next(iter(enumerate_ideals(build("A2")))))
+    empty_g2 = next(iter(enumerate_ideals(build("G2"))))
+    with pytest.raises(ValueError, match="different root systems"):
+        alcove_membership(identity, empty_g2)
