@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .linalg import determinant, invert, to_matrix
 
@@ -303,8 +304,10 @@ class RootSystem:
     def pairings(self, x) -> tuple[Fraction, ...]:
         """The pairing vector ((x, alpha_1), ..., (x, alpha_p))."""
         c = _vector(self, x)
+        den = lcm(*(v.denominator for v in c))  # sum den * x in integers
+        c = [v.numerator * (den // v.denominator) for v in c]
         return tuple(
-            d * sum(ck * row[j] for ck, row in zip(c, self.cartan))
+            d * Fraction(sum(ck * row[j] for ck, row in zip(c, self.cartan)), den)
             for j, d in enumerate(self.symmetrizer)
         )
 

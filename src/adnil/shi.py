@@ -17,57 +17,20 @@ y >= 0, so every other row is implied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .affine import AffineWeylElement, alcove_barycenter, is_dominant, star
 from .ideals import UpperIdeal
-from .rootsys import RationalVector, _coords
+from .rootsys import RationalVector
 
 __all__ = [
-    "Constraint",
-    "LinearConstraintSystem",
-    "FeasibilityResult",
     "in_region",
     "feasible",
     "region_witness",
     "is_wall",
     "alcove_membership",
 ]
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """One strict linear condition sum(normal[i] * x[i]) relation bound."""
-
-    normal: tuple[Fraction, ...]
-    bound: Fraction
-    relation: str
-
-    def __post_init__(self):
-        if self.relation not in (">", "<"):
-            raise ValueError(f"unknown relation {self.relation!r}")
-        if not any(self.normal):
-            raise ValueError("inequality with zero normal")
-
-    def holds_at(self, x) -> bool:
-        value = sum(n * Fraction(c) for n, c in zip(self.normal, x))
-        if self.relation == ">":
-            return value > self.bound
-        return value < self.bound
-
-
-@dataclass(frozen=True)
-class LinearConstraintSystem:
-    """A conjunction of exact linear conditions on a rational point."""
-
-    dimension: int
-    constraints: tuple[Constraint, ...]
-
-    def holds_at(self, x) -> bool:
-        pt = tuple(Fraction(c) for c in _coords(x))
-        return all(c.holds_at(pt) for c in self.constraints)
 
 
 def in_region(ideal: UpperIdeal, x) -> bool:
@@ -86,12 +49,6 @@ def in_region(ideal: UpperIdeal, x) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: RationalVector | None
-
-
 def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> None:
     """Fraction-free exchange of the basic variable of row r with column c.
 
@@ -108,100 +65,102 @@ def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> None:
     pivot_row[c] = det
 
 
-def feasible(system: LinearConstraintSystem) -> FeasibilityResult:
+def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
     """Exact strict-feasibility test with an interior rational witness.
 
-    Each row is scaled to integers and homogenised with x = (u - v) / s
-    over u, v, s >= 0.  A margin t must satisfy s >= t and clear every row
-    (a.(u - v) - b s >= t for a.x > b, and the negation for <), and
-    sum(u) + sum(v) + s <= 1 bounds the problem.  Only that last row has a
-    nonzero right-hand side, so the origin is a feasible basis and a single
-    phase maximizes t on an integer tableau with fraction-free pivots and
-    Bland's rule.  The system is feasible iff t can be made positive; the
-    search stops at the first basis where it is.
+    Each row is a triple (normal, bound, relation) of an int tuple of length
+    ``dimension``, an int and ">" or "<", for the strict condition
+    normal.x > bound or normal.x < bound.  Returns a point satisfying every
+    row, or None when there is none.
+
+    The rows are homogenised with x = (u - v) / s over u, v, s >= 0.  A
+    margin t must satisfy s >= t and clear every row (a.(u - v) - b s >= t
+    for a.x > b, and the negation for <), and sum(u) + sum(v) + s <= 1
+    bounds the problem.  Only that last row has a nonzero right-hand side,
+    so the origin is a feasible basis and a single phase maximizes t on an
+    integer tableau with fraction-free pivots and Bland's rule.  The system
+    is feasible iff t can be made positive; the search stops at the first
+    basis where it is.
     """
-    p = system.dimension
+    p = dimension
     s_col, t_col = 2 * p, 2 * p + 1
     n = 2 * p + 2
-    rows = []
-    for con in system.constraints:
-        scale = lcm(con.bound.denominator, *(a.denominator for a in con.normal))
-        sign = -1 if con.relation == ">" else 1
-        row = [0] * (n + 1)
-        for i, a in enumerate(con.normal):
-            row[i] = sign * a.numerator * (scale // a.denominator)
-            row[p + i] = -row[i]
-        row[s_col] = -sign * con.bound.numerator * (scale // con.bound.denominator)
-        row[t_col] = 1
-        rows.append(row)
+    tableau = []
+    for normal, bound, relation in rows:
+        if relation not in (">", "<"):
+            raise ValueError(f"unknown relation {relation!r}")
+        if len(normal) != p:
+            raise ValueError(f"normal of length {len(normal)} in dimension {p}")
+        if any(type(a) is not int for a in (*normal, bound)):
+            raise ValueError(f"row {normal!r} {relation} {bound!r} has a non-int entry")
+        if not any(normal):
+            raise ValueError("inequality with zero normal")
+        sign = -1 if relation == ">" else 1
+        a = [sign * v for v in normal]
+        tableau.append(a + [-v for v in a] + [-sign * bound, 1, 0])
     margin = [0] * (n + 1)
     margin[s_col], margin[t_col] = -1, 1
     norm = [1] * (2 * p + 1) + [0, 1]
     objective = [0] * (n + 1)
     objective[t_col] = -1
-    rows += [margin, norm, objective]
-    m = len(rows) - 1
+    tableau += [margin, norm, objective]
+    m = len(tableau) - 1
     basis = list(range(n, n + m))
     nonbasic = list(range(n))
     det = 1
-    while t_col not in basis or rows[basis.index(t_col)][-1] <= 0:
+    while t_col not in basis or tableau[basis.index(t_col)][-1] <= 0:
         enter = min(
             (nonbasic[j] for j in range(n) if objective[j] < 0), default=None
         )
         if enter is None:
-            return FeasibilityResult(False, None)
+            return None
         c = nonbasic.index(enter)
         r = None
         for i in range(m):
-            a = rows[i][c]
+            a = tableau[i][c]
             if a > 0:
                 if r is None:
                     r = i
                     continue
-                lhs, rhs = rows[i][-1] * rows[r][c], rows[r][-1] * a
+                lhs, rhs = tableau[i][-1] * tableau[r][c], tableau[r][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
                     r = i
         if r is None:
             raise AssertionError("unbounded margin objective")
-        new_det = rows[r][c]
-        _pivot(rows, r, c, det)
-        objective = rows[-1]
+        new_det = tableau[r][c]
+        _pivot(tableau, r, c, det)
+        objective = tableau[-1]
         det = new_det
         basis[r], nonbasic[c] = enter, basis[r]
     value = [0] * n
     for i, col in enumerate(basis):
         if col < n:
-            value[col] = rows[i][-1]
+            value[col] = tableau[i][-1]
     s = value[s_col]
-    return FeasibilityResult(
-        True, RationalVector(tuple(Fraction(value[i] - value[p + i], s) for i in range(p)))
-    )
+    return tuple(Fraction(value[i] - value[p + i], s) for i in range(p))
 
 
-def _boundary_system(ideal: UpperIdeal, drop: int | None) -> LinearConstraintSystem | None:
-    """Boundary rows of the region in pairing coordinates.
+def _boundary_rows(ideal: UpperIdeal, drop: int | None) -> list | None:
+    """Boundary rows of the region in pairing coordinates, as feasible takes them.
 
     With ``drop``, the pairing with that simple root is fixed at zero and
     removed from the variables.  A row left with a zero normal is 0 > 1,
-    and then there is no system (None), or 0 < 1, which is skipped.
+    and then there are no rows (None), or 0 < 1, which is skipped.
     """
     rs, bits = ideal.rs, ideal.bits
     keep = [i for i in range(rs.rank) if i != drop]
-    one, zero = Fraction(1), Fraction(0)
-    rows = [
-        Constraint(tuple(Fraction(int(i == k)) for i in keep), zero, ">") for k in keep
-    ]
+    rows = [(tuple(int(i == k) for i in keep), 0, ">") for k in keep]
     for g in ideal.generator_indices():
-        c = rs.positive_roots[g].coeffs
-        if not any(c[i] for i in keep):
+        normal = tuple(rs.positive_roots[g].coeffs[i] for i in keep)
+        if not any(normal):
             return None
-        rows.append(Constraint(tuple(Fraction(c[i]) for i in keep), one, ">"))
+        rows.append((normal, 1, ">"))
     for g in range(len(rs.positive_roots)):
         if not (bits >> g) & 1 and not rs.up[g] & ~bits:
-            c = rs.positive_roots[g].coeffs
-            if any(c[i] for i in keep):
-                rows.append(Constraint(tuple(Fraction(c[i]) for i in keep), one, "<"))
-    return LinearConstraintSystem(len(keep), tuple(rows))
+            normal = tuple(rs.positive_roots[g].coeffs[i] for i in keep)
+            if any(normal):
+                rows.append((normal, 1, "<"))
+    return rows
 
 
 def region_witness(ideal: UpperIdeal) -> RationalVector:
@@ -210,11 +169,10 @@ def region_witness(ideal: UpperIdeal) -> RationalVector:
     Solved on the boundary rows in pairing coordinates y, and mapped back
     as x = sum(y_i * omega_i-coweight).
     """
-    result = feasible(_boundary_system(ideal, None))
-    if not result.feasible:
-        raise AssertionError(f"region of {ideal!r} is infeasible")
     rs = ideal.rs
-    y = result.witness.coords
+    y = feasible(rs.rank, _boundary_rows(ideal, None))
+    if y is None:
+        raise AssertionError(f"region of {ideal!r} is infeasible")
     return RationalVector(
         tuple(
             sum(yi * w.coords[j] for yi, w in zip(y, rs.fundamental_coweights))
@@ -234,8 +192,8 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
     rs = ideal.rs
     if not 0 <= simple < rs.rank:
         raise ValueError(f"simple root index {simple} out of range")
-    system = _boundary_system(ideal, simple)
-    return system is not None and feasible(system).feasible
+    rows = _boundary_rows(ideal, simple)
+    return rows is not None and feasible(rs.rank - 1, rows) is not None
 
 
 def alcove_membership(w: AffineWeylElement, ideal: UpperIdeal) -> bool:

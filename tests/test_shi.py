@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -12,8 +13,6 @@ from adnil.ideals import close_upward, enumerate_ideals
 from adnil.normalizers import normalizer
 from adnil.rootsys import build, inner
 from adnil.shi import (
-    Constraint,
-    LinearConstraintSystem,
     alcove_membership,
     feasible,
     in_region,
@@ -22,54 +21,73 @@ from adnil.shi import (
 )
 
 
+def _holds(rows, y):
+    """Whether y satisfies every strict row (normal, bound, relation)."""
+    for normal, bound, relation in rows:
+        value = sum(a * v for a, v in zip(normal, y))
+        if not (value > bound if relation == ">" else value < bound):
+            return False
+    return True
+
+
 def test_feasible_solves_strict_systems_exactly():
-    system = LinearConstraintSystem(
-        2,
-        (
-            Constraint((Fraction(1), Fraction(0)), Fraction(1), ">"),
-            Constraint((Fraction(0), Fraction(1)), Fraction(1), "<"),
-            Constraint((Fraction(1), Fraction(1)), Fraction(3), "<"),
-        ),
-    )
-    result = feasible(system)
-    assert result.feasible
-    assert system.holds_at(result.witness.coords)
-    assert all(isinstance(c, Fraction) for c in result.witness.coords)
+    rows = [((1, 0), 1, ">"), ((0, 1), 1, "<"), ((1, 1), 3, "<")]
+    witness = feasible(2, rows)
+    assert witness is not None
+    assert _holds(rows, witness)
+    assert all(isinstance(c, Fraction) for c in witness)
 
 
 def test_feasible_scales_fractional_rows():
-    f = Fraction
-    system = LinearConstraintSystem(
-        2,
-        (
-            Constraint((f(1, 2), f(-2, 3)), f(1, 5), ">"),
-            Constraint((f(3, 4), f(1, 3)), f(7, 6), "<"),
-            Constraint((f(-5, 2), f(1, 7)), f(-1, 3), ">"),
-        ),
-    )
-    result = feasible(system)
-    assert result.feasible
-    assert system.holds_at(result.witness.coords)
+    # x/2 - 2y/3 > 1/5, 3x/4 + y/3 < 7/6 and -5x/2 + y/7 > -1/3, each row
+    # multiplied by the lcm of its denominators
+    rows = [((15, -20), 6, ">"), ((9, 4), 14, "<"), ((-105, 6), -14, ">")]
+    witness = feasible(2, rows)
+    assert witness is not None
+    assert _holds(rows, witness)
     # x/3 > 1/2 and x/2 < 3/4 meet only in the boundary point x = 3/2
-    squeezed = LinearConstraintSystem(
-        1,
-        (
-            Constraint((f(1, 3),), f(1, 2), ">"),
-            Constraint((f(1, 2),), f(3, 4), "<"),
-        ),
-    )
-    assert not feasible(squeezed).feasible
+    assert feasible(1, [((2,), 3, ">"), ((2,), 3, "<")]) is None
 
 
 def test_feasible_detects_empty_systems():
-    system = LinearConstraintSystem(
-        1,
-        (
-            Constraint((Fraction(1),), Fraction(0), ">"),
-            Constraint((Fraction(1),), Fraction(0), "<"),
-        ),
+    assert feasible(1, [((1,), 0, ">"), ((1,), 0, "<")]) is None
+
+
+def test_feasible_rejects_malformed_rows():
+    bad = (
+        ([((1, 0), 1, ">=")], "relation"),
+        ([((0, 0), 1, ">")], "zero normal"),
+        ([((1,), 1, ">")], "length"),
+        ([((1, 0, 0), 1, ">")], "length"),
+        ([((Fraction(1, 2), 0), 1, ">")], "non-int"),
+        ([((Fraction(2), 0), 1, ">")], "non-int"),
+        ([((1, 0), Fraction(1, 2), ">")], "non-int"),
+        ([((True, 0), 1, ">")], "non-int"),
+        ([((1, 0), False, "<")], "non-int"),
     )
-    assert not feasible(system).feasible
+    for rows, message in bad:
+        with pytest.raises(ValueError, match=message):
+            feasible(2, rows)
+
+
+# SHA-256 of the region witnesses of every ideal, one "c1,...,cp" line each
+# in enumerate_ideals order; the Shi LP is deterministic down to the byte.
+WITNESS_DIGESTS = {
+    "G2": "10b02b3f2cab18adcaa641910407ad5f347eb44af3e3700ed8988271b3a73d8f",
+    "B3": "b11e605d301bce78edf6b90dd8381f01a468728712f2d52d02f6e945084dffab",
+    "C3": "b6edbc8c38a5a8565be7cdbf4d304ac710e24fe3cc3965a717def1bf4871c781",
+    "D4": "db3de2422c60b611c27f2b9141d164a26268f64b138161f4297b0b19bb3087cf",
+    "F4": "61b4992c30a57b149c0e8c76d1ab987101eb84bdea6cdbef2638ebddb8f77614",
+}
+
+
+def test_region_witnesses_are_pinned():
+    for label, expected in WITNESS_DIGESTS.items():
+        digest = hashlib.sha256()
+        for c in enumerate_ideals(build(label)):
+            line = ",".join(str(v) for v in region_witness(c).coords) + "\n"
+            digest.update(line.encode())
+        assert digest.hexdigest() == expected, label
 
 
 def test_every_region_is_nonempty_and_separated():
