@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .affine import factorize, is_minimax, w_min
-from .counting import count_routes, enumeration_skip
+from .counting import count_routes, enumeration_skip, route_pairs
 from .ideals import (
     UpperIdeal,
     close_upward,
@@ -191,7 +191,7 @@ def cmd_enumerate(args) -> tuple[Report, int]:
         )
     footer = (("count", str(len(rows))),)
     return (
-        Report("enumerate", args.type, columns, tuple(rows), tuple(json_rows), footer),
+        Report("enumerate", rs.label, columns, tuple(rows), tuple(json_rows), footer),
         0,
     )
 
@@ -199,27 +199,13 @@ def cmd_enumerate(args) -> tuple[Report, int]:
 def cmd_table7(args) -> tuple[Report, int]:
     rows, failures = run_table7()
     columns = ("algebra", "system", "minimax", "borel_fiber", "expected", "status")
-    out_rows = []
-    json_rows = []
-    for algebra, label, n_mm, n_b, expected in rows:
-        bad = [f for f in failures if f.startswith(label)]
-        status = "MISMATCH" if bad else "ok"
-        out_rows.append((algebra, label, str(n_mm), str(n_b), expected, status))
-        json_rows.append(
-            {
-                "algebra": algebra,
-                "system": label,
-                "minimax": n_mm,
-                "borel_fiber": n_b,
-                "expected": expected,
-                "status": status,
-            }
-        )
+    out_rows = tuple(tuple(str(cell) for cell in row) for row in rows)
+    json_rows = tuple(dict(zip(columns, row)) for row in rows)
     footer = [("status", "mismatch" if failures else "ok")]
     if failures:
         footer.append(("mismatch", tuple(failures)))
     return (
-        Report("table7", None, columns, tuple(out_rows), tuple(json_rows), tuple(footer)),
+        Report("table7", None, columns, out_rows, json_rows, tuple(footer)),
         3 if failures else 0,
     )
 
@@ -230,10 +216,10 @@ def cmd_count(args) -> tuple[Report, int]:
     if skip:
         print(f"note: {skip}", file=sys.stderr)
     counts = count_routes(rs)
-    pairs = [(v, counts["strict_" + k]) for k, v in counts.items() if k.startswith("borel_fiber_")]
-    agree = len(set(pairs)) == 1  # every route gave the same (all, strict) pair
+    routes = route_pairs(counts)
+    agree = all(ok for _, ok in routes.values())
     footer = [(k, str(v)) for k, v in counts.items()]
-    if len(pairs) < 2:
+    if len(routes) < 2:
         footer.append(("routes_agree", "n/a (one route)"))
     else:
         footer.append(("routes_agree", "yes" if agree else "NO"))
@@ -242,7 +228,7 @@ def cmd_count(args) -> tuple[Report, int]:
     if rs.label in ("E7", "E8"):
         footer.append(("note", "computed output; no reference value"))
     return (
-        Report("count", args.type, (), (), (), tuple(footer)),
+        Report("count", rs.label, (), (), (), tuple(footer)),
         0 if agree else 1,
     )
 
@@ -250,11 +236,13 @@ def cmd_count(args) -> tuple[Report, int]:
 def cmd_verify(args) -> tuple[Report, int]:
     if args.type and args.suite in ("typeAC", "identities"):
         raise ConfigurationError(f"verify {args.suite} does not take --type")
+    label = None
     if args.type:
         rs = build(args.type)
+        label = rs.label
         if args.suite in ("normalizer-oracles", "affine", "shi", "all"):
             _require_enumerable(rs)
-    runners = suite_runners(args.type, args.seed, args.n_max)
+    runners = suite_runners(label, args.seed, args.n_max)
     names = list(runners) if args.suite == "all" else [args.suite]
     columns = ("suite", "check", "detail", "status")
     rows: list[tuple[str, str, str, str]] = []
@@ -278,7 +266,7 @@ def cmd_verify(args) -> tuple[Report, int]:
                 ("counterexample", json.dumps(payload, sort_keys=True)),
             )
             return (
-                Report("verify", args.type, columns, tuple(rows), tuple(json_rows), footer),
+                Report("verify", label, columns, tuple(rows), tuple(json_rows), footer),
                 1,
             )
         for check, detail in outcome:
@@ -288,7 +276,7 @@ def cmd_verify(args) -> tuple[Report, int]:
             )
     footer = (("status", "ok"), ("checks", str(len(rows))))
     return (
-        Report("verify", args.type, columns, tuple(rows), tuple(json_rows), footer),
+        Report("verify", label, columns, tuple(rows), tuple(json_rows), footer),
         0,
     )
 

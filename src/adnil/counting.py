@@ -32,6 +32,7 @@ __all__ = [
     "ideal_count",
     "enumeration_skip",
     "count_routes",
+    "route_pairs",
     "IdentityCheck",
     "verify_identities",
 ]
@@ -304,6 +305,22 @@ def count_routes(rs: RootSystem) -> dict[str, int]:
         counts["ideals"] = n_all
         counts["strict_ideals"] = n_strict
     return counts
+
+
+def route_pairs(counts: dict[str, int]) -> dict[str, tuple[tuple[int, int], bool]]:
+    """Each route's (all, strict) Borel-fiber counts from `count_routes`, in
+    report order, and whether they equal the generating function's.
+
+    The routes agree when every flag is true; this is the one place that
+    compares them.
+    """
+    gf = (counts["borel_fiber_gf"], counts["strict_borel_fiber_gf"])
+    routes = {}
+    for key, n in counts.items():
+        if key.startswith("borel_fiber_"):
+            pair = (n, counts["strict_" + key])
+            routes[key.removeprefix("borel_fiber_")] = (pair, pair == gf)
+    return routes
 
 
 @dataclass(frozen=True)

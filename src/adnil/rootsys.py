@@ -10,6 +10,7 @@ A, B, C, D, E; F4 is numbered with the two short simple roots first
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -316,13 +317,11 @@ class RootSystem:
 
 
 def _parse_label(label: str) -> tuple[str, int]:
-    if not label or not label[0].isalpha():
+    match = re.fullmatch(r"([A-Za-z])([1-9][0-9]*)", label)
+    if match is None:
         raise ConfigurationError(f"malformed type label {label!r}")
-    family = label[0].upper()
-    try:
-        rank = int(label[1:])
-    except ValueError:
-        raise ConfigurationError(f"malformed type label {label!r}") from None
+    family = match[1].upper()
+    rank = int(match[2])
     if family in _FIXED_RANKS:
         if rank not in _FIXED_RANKS[family]:
             raise ConfigurationError(f"unsupported type {family}{rank}")
@@ -351,7 +350,10 @@ def _build_cached(family: str, rank: int) -> RootSystem:
 def build(label: str) -> RootSystem:
     """Root system for a type label such as A4, D5, E8, F4, G2.
 
-    Instances are cached: repeated calls with one label return one object.
+    A label is a family letter in either case followed by the rank in ASCII
+    digits without a leading zero; `RootSystem.label` is its canonical
+    spelling.  Instances are cached: repeated calls with one label return
+    one object.
     """
     family, rank = _parse_label(label)
     return _build_cached(family, rank)

@@ -39,11 +39,11 @@ from .counting import (
     count_sp2n_borel,
     directed_animals,
     extended_marks,
-    gf_count,
     gf_count_from_marks,
     lattice_count,
     motzkin,
     riordan,
+    route_pairs,
     verify_identities,
 )
 from .ideals import (
@@ -141,28 +141,31 @@ def normalizer_routes(ideal: UpperIdeal, w) -> dict[str, ParabolicLabel]:
 # ---------- reference table ----------
 
 
-def run_table7() -> tuple[list[tuple[str, str, int, int, str]], list[str]]:
-    """Recompute the minimax/borel-fiber table; return rows and mismatched cells."""
+def run_table7() -> tuple[list[tuple[str, str, int, int, str, str]], list[str]]:
+    """Recompute the minimax/borel-fiber table; return rows and mismatched cells.
+
+    The borel-fiber cell is the enumeration count of `count_routes`; a row
+    whose counting routes disagree is a mismatch too.
+    """
     rows = []
     failures = []
     for algebra, label, want_mm, want_b in TABLE_ROWS:
         rs = build(label)
-        n_mm = 0
-        n_b = 0
-        for ideal in enumerate_ideals(rs):
-            if is_minimax(ideal):
-                n_mm += 1
-            if not normalizer(ideal).levi:
-                n_b += 1
+        n_mm = sum(1 for ideal in enumerate_ideals(rs) if is_minimax(ideal))
+        counts = count_routes(rs)
+        n_b = counts["borel_fiber_enumeration"]
+        bad = []
         if n_mm != want_mm:
-            failures.append(f"{label} minimax: computed {n_mm}, expected {want_mm}")
+            bad.append(f"{label} minimax: computed {n_mm}, expected {want_mm}")
         if n_b != want_b:
-            failures.append(f"{label} borel-fiber: computed {n_b}, expected {want_b}")
-        if label == "E6":
-            g = gf_count(rs, 1)
-            if g != want_b:
-                failures.append(f"E6 borel-fiber gf: computed {g}, expected {want_b}")
-        rows.append((algebra, label, n_mm, n_b, f"{want_mm}/{want_b}"))
+            bad.append(f"{label} borel-fiber: computed {n_b}, expected {want_b}")
+        routes = route_pairs(counts)
+        if not all(ok for _, ok in routes.values()):
+            pairs = ", ".join(f"{r} {a}/{s}" for r, ((a, s), _) in routes.items())
+            bad.append(f"{label} borel-fiber routes disagree (all/strict): {pairs}")
+        failures += bad
+        status = "MISMATCH" if bad else "ok"
+        rows.append((algebra, label, n_mm, n_b, f"{want_mm}/{want_b}", status))
     return rows, failures
 
 
@@ -310,7 +313,8 @@ def suite_shi(types, seed: int) -> list[tuple[str, str]]:
     for label in types:
         rs = build(label)
         ideals = list(enumerate_ideals(rs))
-        for ideal in ideals:
+        minimal = [w_min(ideal) for ideal in ideals]
+        for ideal, w in zip(ideals, minimal):
             witness = region_witness(ideal)
             _require(
                 in_region(ideal, witness),
@@ -319,7 +323,7 @@ def suite_shi(types, seed: int) -> list[tuple[str, str]]:
                 ideal=ideal,
             )
             _require(
-                alcove_membership(w_min(ideal), ideal),
+                alcove_membership(w, ideal),
                 "minimal-alcove-membership",
                 type=label,
                 ideal=ideal,
@@ -335,7 +339,7 @@ def suite_shi(types, seed: int) -> list[tuple[str, str]]:
                 continue
             pairs += 1
             _require(
-                not alcove_membership(w_min(ideals[a]), ideals[b]),
+                not alcove_membership(minimal[a], ideals[b]),
                 "region-exclusivity",
                 type=label,
                 ideal=ideals[a],
@@ -386,36 +390,23 @@ def suite_counting(types) -> list[tuple[str, str]]:
     for label in types:
         rs = build(label)
         counts = count_routes(rs)
-        gf = [counts["borel_fiber_gf"], counts["strict_borel_fiber_gf"]]
-        routes = [f"gf={gf[0]}/{gf[1]}"]
-        if "borel_fiber_lattice" in counts:
-            lattice = [counts["borel_fiber_lattice"], counts["strict_borel_fiber_lattice"]]
-            _require(lattice == gf, "lattice-vs-gf", type=label, gf=gf, lattice=lattice)
-            routes.append("lattice ok")
-        if "ideals" in counts:
-            enumeration = [
-                counts["borel_fiber_enumeration"],
-                counts["strict_borel_fiber_enumeration"],
-            ]
+        routes = route_pairs(counts)
+        gf = routes.pop("gf")[0]
+        details = [f"gf={gf[0]}/{gf[1]}"]
+        for route, (pair, ok) in routes.items():
+            _require(ok, f"{route}-vs-gf", type=label, gf=gf, **{route: pair})
+            details.append(f"{route} ok")
+        if "lattice" in routes and "enumeration" in routes:
+            totals = [lattice_count(rs, "min").count, lattice_count(rs, "max").count]
+            enumerated = [counts["ideals"], counts["strict_ideals"]]
             _require(
-                enumeration == gf,
-                "enumeration-vs-gf",
+                totals == enumerated,
+                "lattice-totals",
                 type=label,
-                gf=gf,
-                enumeration=enumeration,
+                lattice=totals,
+                enumeration=enumerated,
             )
-            if "borel_fiber_lattice" in counts:
-                totals = [lattice_count(rs, "min").count, lattice_count(rs, "max").count]
-                enumerated = [counts["ideals"], counts["strict_ideals"]]
-                _require(
-                    totals == enumerated,
-                    "lattice-totals",
-                    type=label,
-                    lattice=totals,
-                    enumeration=enumerated,
-                )
-            routes.append("enumeration ok")
-        results.append((f"three-route[{label}]", "; ".join(routes)))
+        results.append((f"three-route[{label}]", "; ".join(details)))
 
     for n in range(2, 9):
         for target in (1, -1):
@@ -652,7 +643,7 @@ def suite_runners(
     label: str | None, seed: int, n_max: int
 ) -> dict[str, Callable[[], list[tuple[str, str]]]]:
     """Every suite by name, in run order; `label` restricts the per-type suites."""
-    types = (label,) if label else None
+    types = (build(label).label,) if label else None
     return {
         "normalizer-oracles": lambda: suite_normalizer_oracles(types or ORACLE_TYPES),
         "affine": lambda: suite_affine(types or ORACLE_TYPES, seed),

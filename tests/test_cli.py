@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from adnil import verify
+from adnil import counting, verify
 from adnil.cli import main, parse_ideal, serialize_ideal
 from adnil.ideals import enumerate_ideals
 from adnil.rootsys import build
@@ -106,6 +106,26 @@ def test_table7_reports_every_mismatch(capsys, monkeypatch):
     ]
 
 
+def test_table7_checks_every_counting_route(capsys, monkeypatch):
+    real = counting.gf_count
+
+    def off_by_one_on_d4(rs, target):
+        return real(rs, target) + (rs.label == "D4" and target == 1)
+
+    monkeypatch.setattr(counting, "gf_count", off_by_one_on_d4)
+    code, out, _ = run(capsys, "table7", "--json")
+    report = json.loads(out)
+    assert code == 3
+    assert [r["status"] for r in report["rows"]] == ["MISMATCH", "ok", "ok", "ok", "ok"]
+    assert report["footer"] == {
+        "status": "mismatch",
+        "mismatch": [
+            "D4 borel-fiber routes disagree (all/strict): "
+            "gf 12/4, lattice 11/4, enumeration 11/4"
+        ],
+    }
+
+
 def test_count_e6(capsys):
     code, out, _ = run(capsys, "count", "E6", "--json")
     assert code == 0
@@ -116,6 +136,16 @@ def test_count_e6(capsys):
     assert footer["borel_fiber_enumeration"] == "111"
     assert footer["routes_agree"] == "yes"
     assert "note" not in footer
+
+
+def test_count_reports_disagreeing_routes(capsys, monkeypatch):
+    real = counting.gf_count
+    monkeypatch.setattr(counting, "gf_count", lambda rs, target: real(rs, target) + 1)
+    code, out, _ = run(capsys, "count", "D4", "--json")
+    footer = json.loads(out)["footer"]
+    assert code == 1
+    assert footer["borel_fiber_gf"] == "12" and footer["borel_fiber_lattice"] == "11"
+    assert footer["routes_agree"] == "NO"
 
 
 def test_count_b5_equals_c5(capsys):
@@ -203,6 +233,50 @@ def test_verify_reports_first_counterexample(capsys, monkeypatch):
     assert example["name"] == "fake" and example["argument"] == 3
 
 
+def _routes_with(monkeypatch, key, value):
+    """Make `verify.count_routes` report `value` under `key`."""
+    real = verify.count_routes
+
+    def fake(rs):
+        counts = real(rs)
+        counts[key] = value
+        return counts
+
+    monkeypatch.setattr(verify, "count_routes", fake)
+
+
+@pytest.mark.parametrize(
+    "key, check, payload",
+    [
+        (
+            "strict_borel_fiber_lattice",
+            "lattice-vs-gf",
+            {"type": "G2", "gf": [2, 1], "lattice": [2, 7]},
+        ),
+        (
+            "borel_fiber_enumeration",
+            "enumeration-vs-gf",
+            {"type": "G2", "gf": [2, 1], "enumeration": [7, 1]},
+        ),
+    ],
+)
+def test_verify_counting_reports_a_disagreeing_route(capsys, monkeypatch, key, check, payload):
+    _routes_with(monkeypatch, key, 7)
+    code, out, _ = run(capsys, "verify", "counting", "--type", "G2")
+    assert code == 1
+    assert out.splitlines()[2].split() == ["counting", check, "counterexample", "found", "FAIL"]
+    code, out, _ = run(capsys, "verify", "counting", "--type", "G2", "--json")
+    report = json.loads(out)
+    assert code == 1
+    assert report["rows"] == [
+        {"suite": "counting", "check": check, "status": "FAIL", "counterexample": payload}
+    ]
+    assert report["footer"] == {
+        "status": "fail",
+        "counterexample": json.dumps(payload, sort_keys=True),
+    }
+
+
 def test_verify_refuses_type_for_suites_without_one(capsys):
     for args in (("typeAC", "--type", "E8"), ("identities", "--type", "G2")):
         code, out, err = run(capsys, "verify", *args)
@@ -233,6 +307,16 @@ def test_usage_errors_exit_two(capsys):
         main(["enumerate", "A3", "--json", "--tsv"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_label_spelling_does_not_change_the_report(capsys):
+    _, canonical, _ = run(capsys, "verify", "shi", "--type", "B2", "--seed", "0")
+    code, lowercase, _ = run(capsys, "verify", "shi", "--type", "b2", "--seed", "0")
+    assert code == 0 and lowercase == canonical
+    for command in ("enumerate", "count"):
+        _, canonical, _ = run(capsys, command, "G2", "--json")
+        _, lowercase, _ = run(capsys, command, "g2", "--json")
+        assert lowercase == canonical, command
 
 
 def test_bad_labels_exit_two(capsys):

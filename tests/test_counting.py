@@ -20,6 +20,7 @@ from adnil.counting import (
     motzkin,
     next_to_central_trinomial,
     riordan,
+    route_pairs,
     verify_identities,
 )
 from adnil.ideals import enumerate_ideals, is_strictly_positive
@@ -211,3 +212,24 @@ def test_ideal_count_from_exponents():
     for label in ("A4", "C3", "B4", "D5", "E6", "E7", "E8"):
         rs = build(label)
         assert ideal_count(rs) == sum(1 for _ in enumerate_ideals(rs)), label
+
+
+def test_route_pairs_compare_every_route_with_the_generating_function():
+    counts = {
+        "borel_fiber_gf": 11,
+        "strict_borel_fiber_gf": 4,
+        "borel_fiber_lattice": 11,
+        "strict_borel_fiber_lattice": 5,
+        "borel_fiber_enumeration": 11,
+        "strict_borel_fiber_enumeration": 4,
+        "ideals": 50,
+        "strict_ideals": 20,
+    }
+    assert route_pairs(counts) == {
+        "gf": ((11, 4), True),
+        "lattice": ((11, 5), False),
+        "enumeration": ((11, 4), True),
+    }
+    assert route_pairs({"borel_fiber_gf": 2, "strict_borel_fiber_gf": 1}) == {
+        "gf": ((2, 1), True)
+    }

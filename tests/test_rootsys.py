@@ -295,7 +295,10 @@ def test_vectors_of_the_wrong_length_are_rejected():
 
 
 def test_bad_labels_raise():
-    for label in ("A0", "B1", "C1", "D2", "E5", "E9", "F5", "G3", "H3", "Z9", "A", "4", ""):
+    for label in (
+        "A0", "B1", "C1", "D2", "E5", "E9", "F5", "G3", "H3", "Z9", "A", "4", "",
+        "A+4", "A 4", "A04", "A\u0664",  # the rank is ASCII digits, no sign, space or leading zero
+    ):
         with pytest.raises(ConfigurationError):
             build(label)
 
