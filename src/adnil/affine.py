@@ -23,6 +23,8 @@ from fractions import Fraction
 from .ideals import (
     IdealChain,
     UpperIdeal,
+    _complement_terms,
+    _product_bits,
     complement_chain,
     ideal_powers,
     is_strictly_positive,
@@ -331,15 +333,24 @@ def is_minimax(ideal: UpperIdeal) -> bool:
     """Whether the minimal and maximal elements of the ideal coincide.
 
     Equivalent to equality of the power chain and the complement chain,
-    which is how it is decided (no words are built).
+    which is how it is decided (no words are built): the two chains are
+    advanced in lockstep, term k of `ideal_powers` beside term k of
+    `complement_chain`, and the first term that differs answers False.
+    A stall of the complement chain is tested before each comparison.
     """
     if not is_strictly_positive(ideal):
         return False
-    lower = ideal_powers(ideal)
-    upper = complement_chain(ideal)
-    if upper.stalled:
-        raise AssertionError("complement chain stalled on a strictly positive ideal")
-    return tuple(t.bits for t in lower.powers) == tuple(t.bits for t in upper.powers)
+    rs, bits = ideal.rs, ideal.bits
+    lower, previous = bits, None
+    for upper in _complement_terms(rs, bits):
+        if upper == previous:
+            raise AssertionError("complement chain stalled on a strictly positive ideal")
+        if lower != upper:
+            return False
+        if not upper:
+            return True
+        previous = upper
+        lower = _product_bits(rs, lower, bits)
 
 
 @dataclass(frozen=True)

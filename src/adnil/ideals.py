@@ -5,7 +5,10 @@ is a subset I of the positive roots closed under moving up in the
 dominance order.  Ideals are stored as bitsets over the root index of
 their root system; all set operations are integer bit twiddling on the
 root system's per-root tables.  `_upper_sets` is the one walk over the
-upward-closed sets of a poset, shared with `adnil.normalizers`.
+upward-closed sets of a poset, shared with `adnil.normalizers`; it carries
+the generating antichain of each set along, updated on each include of k
+as gens' = (gens & ~above[k]) | 1 << k, so `enumerate_ideals` hands every
+ideal its generators without a scan.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ class UpperIdeal:
     rs: RootSystem
     bits: int
     _validate: bool = field(default=True, repr=False, compare=False)
+    # Bitset of the generators, when the enumeration walk carried them.
+    _gens: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self._validate:
@@ -68,7 +73,13 @@ class UpperIdeal:
         return k is not None and bool((self.bits >> k) & 1)
 
     def generator_indices(self) -> tuple[int, ...]:
-        """Indices of the minimal elements (the generating antichain)."""
+        """Indices of the minimal elements (the generating antichain).
+
+        Carried from the enumeration walk when the ideal came from it,
+        otherwise found by a scan of the ideal's upper covers.
+        """
+        if self._gens is not None:
+            return tuple(_iter_bits(self._gens))
         covered = 0
         for i in _iter_bits(self.bits):
             covered |= self.rs.up[i]
@@ -113,24 +124,30 @@ def close_upward(rs: RootSystem, generators) -> UpperIdeal:
     return UpperIdeal(rs, bits, _validate=False)
 
 
-def _upper_sets(above, order) -> Iterator[int]:
-    """Every subset closed under `above`, as a bitset, by depth-first search.
+def _upper_sets(above, order) -> Iterator[tuple[int, int]]:
+    """Every subset closed under `above`, with its minimal elements, as bitsets.
 
     above[k] is the bitset of elements that must be in before k may enter;
     `order` lists every element after all of those above it.  Each path
     takes the exclude branch first and stacks the include branches, so the
-    empty set comes first and the full one last.
+    empty set comes first and the full one last.  The walk yields
+    (bits, gens), gens the minimal elements of bits, and on each include
+    of k updates them as gens' = (gens & ~above[k]) | 1 << k.  When above[k]
+    holds the upper covers of k this is exact: a minimal element above k
+    lies above some cover of k, which is in the set, so it is that cover.
     """
     n = len(order)
-    stack = [(0, 0)]
+    stack = [(0, 0, 0)]
     while stack:
-        start, bits = stack.pop()
+        start, bits, gens = stack.pop()
         outside = ~bits
         for pos in range(start, n):
             k = order[pos]
-            if not above[k] & outside:
-                stack.append((pos + 1, bits | (1 << k)))
-        yield bits
+            a = above[k]
+            if not a & outside:
+                b = 1 << k
+                stack.append((pos + 1, bits | b, (gens & ~a) | b))
+        yield bits, gens
 
 
 def enumerate_ideals(rs: RootSystem) -> Iterator[UpperIdeal]:
@@ -138,10 +155,11 @@ def enumerate_ideals(rs: RootSystem) -> Iterator[UpperIdeal]:
 
     A root may enter only when all its upper covers are already in, so every
     set is an upper ideal and each ideal is produced exactly once, the empty
-    ideal first and the full one last.
+    ideal first and the full one last.  Each ideal carries its generators
+    from the walk.
     """
-    for bits in _upper_sets(rs.up, range(len(rs.positive_roots) - 1, -1, -1)):
-        yield UpperIdeal(rs, bits, _validate=False)
+    for bits, gens in _upper_sets(rs.up, range(len(rs.positive_roots) - 1, -1, -1)):
+        yield UpperIdeal(rs, bits, _validate=False, _gens=gens)
 
 
 def weight(ideal: UpperIdeal) -> RationalVector:
@@ -157,12 +175,34 @@ def weight(ideal: UpperIdeal) -> RationalVector:
 
 def _product_bits(rs: RootSystem, left: int, right: int) -> int:
     """Bitset of all root sums mu + nu with mu in left, nu in right."""
+    sums, partners = rs.sums, rs.partners
     out = 0
-    for i in _iter_bits(left):
-        for j, k in rs.sums[i].items():
-            if (right >> j) & 1:
-                out |= 1 << k
+    while left:  # inline bit loops: this is the hot path
+        i = left.bit_length() - 1
+        left ^= 1 << i
+        hit = partners[i] & right  # the nu in right with mu + nu a root
+        if hit:
+            s = sums[i]
+            while hit:
+                j = hit.bit_length() - 1
+                hit ^= 1 << j
+                out |= 1 << s[j]
     return out
+
+
+def _complement_terms(rs: RootSystem, bits: int) -> Iterator[int]:
+    """Terms of the complement chain of I as bitsets, without end.
+
+    With m the complement of I, term k is the complement of m union ... union
+    m^k; the first term is I itself, and a stalled chain repeats its last term.
+    """
+    full = (1 << len(rs.positive_roots)) - 1
+    m = full & ~bits
+    used = power = m
+    while True:
+        yield full & ~used
+        power = _product_bits(rs, power, m)
+        used |= power
 
 
 def ideal_powers(ideal: UpperIdeal) -> IdealChain:
@@ -190,19 +230,13 @@ def complement_chain(ideal: UpperIdeal) -> IdealChain:
     the ideal is not strictly positive.
     """
     rs = ideal.rs
-    full = (1 << len(rs.positive_roots)) - 1
-    m = full & ~ideal.bits
-    used = m
-    chain = [UpperIdeal(rs, full & ~used, _validate=False)]
-    power = m
-    while chain[-1].bits:
-        power = _product_bits(rs, power, m)
-        used |= power
-        nxt = full & ~used
-        if nxt == chain[-1].bits:
+    chain: list[UpperIdeal] = []
+    for term in _complement_terms(rs, ideal.bits):
+        if chain and term == chain[-1].bits:
             return IdealChain(tuple(chain), stalled=True)
-        chain.append(UpperIdeal(rs, nxt, _validate=False))
-    return IdealChain(tuple(chain))
+        chain.append(UpperIdeal(rs, term, _validate=False))
+        if not term:
+            return IdealChain(tuple(chain))
 
 
 def _require_same(a: UpperIdeal, b: UpperIdeal) -> None:
@@ -224,10 +258,10 @@ def join(a: UpperIdeal, b: UpperIdeal) -> UpperIdeal:
 
 def is_strictly_positive(ideal: UpperIdeal) -> bool:
     """True when the ideal contains no simple root."""
-    return all(not (ideal.bits >> k) & 1 for k in ideal.rs.simple_index)
+    return not ideal.bits & ideal.rs.simple_bits
 
 
 def is_abelian(ideal: UpperIdeal) -> bool:
     """True when no two members (with repetition) sum to a root."""
-    bits, sums = ideal.bits, ideal.rs.sums
-    return not any((bits >> j) & 1 for i in _iter_bits(bits) for j in sums[i])
+    bits, partners = ideal.bits, ideal.rs.partners
+    return not any(partners[i] & bits for i in _iter_bits(bits))

@@ -60,9 +60,7 @@ def normalizer(ideal: UpperIdeal) -> ParabolicLabel:
     removed = 0
     for g in ideal.generator_indices():
         removed |= rs.lowers[g]
-    return ParabolicLabel(
-        rs.rank, frozenset(a for a in range(rs.rank) if not (removed >> a) & 1)
-    )
+    return ParabolicLabel(rs.rank, frozenset(_iter_bits(~removed & ((1 << rs.rank) - 1))))
 
 
 def normalizer_by_weight(ideal: UpperIdeal) -> ParabolicLabel:

@@ -169,10 +169,12 @@ class RootSystem:
     marks (theta coefficients), f (index of connection), cartan, gram,
     fundamental_weights / fundamental_coweights, rho, rho_check, and the
     root-poset tables over root indices: sums[i] (dict j -> k with
-    gamma_i + gamma_j = gamma_k), up[i] (bitset of the upper covers
-    gamma_i + alpha_a), lowers[i] (bitset of the simple indices a with
-    gamma_i - alpha_a zero or a positive root) and split[k] (one pair (i, a)
-    with gamma_k = gamma_i + alpha_a, None for a simple root); for the affine
+    gamma_i + gamma_j = gamma_k), partners[i] (bitset of the j with
+    gamma_i + gamma_j a root, the keys of sums[i]), simple_bits (bitset of
+    the simple roots), up[i] (bitset of the upper covers gamma_i + alpha_a),
+    lowers[i] (bitset of the simple indices a with gamma_i - alpha_a zero or
+    a positive root) and split[k] (one pair (i, a) with
+    gamma_k = gamma_i + alpha_a, None for a simple root); for the affine
     layer, affine_reflections[i] (rank-1 datum of s_i, i = 0..p),
     affine_cartan and two_rho_hat (2 rho_hat as integers).
     """
@@ -203,6 +205,7 @@ class RootSystem:
             self.root_index[tuple(1 if j == i else 0 for j in range(rank))]
             for i in range(rank)
         )
+        self.simple_bits = sum(1 << k for k in self.simple_index)
 
         self.theta = self.positive_roots[-1]
         top = self.heights[-1]
@@ -270,6 +273,7 @@ class RootSystem:
                 if split[k] is None:
                     split[k] = (i, a)
         self.sums = tuple(sums)
+        self.partners = tuple(sum(1 << j for j in s) for s in sums)
         self.up = tuple(up)
         self.lowers = tuple(lowers)
         self.split = tuple(split)
@@ -331,10 +335,10 @@ def _parse_label(label: str) -> tuple[str, int]:
     lo, hi = _RANK_RANGE[family]
     env = os.environ.get("ADNIL_MAX_RANK")
     if env is not None:
-        try:
-            hi = max(hi, int(env))
-        except ValueError:
-            raise ConfigurationError(f"bad ADNIL_MAX_RANK value {env!r}") from None
+        # The label's rank rule: ASCII digits, no sign, space or leading zero.
+        if re.fullmatch(r"[1-9][0-9]*", env) is None:
+            raise ConfigurationError(f"bad ADNIL_MAX_RANK value {env!r}")
+        hi = max(hi, int(env))
     if not lo <= rank <= hi:
         raise ConfigurationError(
             f"unsupported rank {rank} for family {family} (allowed {lo}..{hi})"

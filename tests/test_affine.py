@@ -36,7 +36,13 @@ from adnil.affine import (
     w_min,
     word_from_biconvex,
 )
-from adnil.ideals import close_upward, enumerate_ideals, ideal_powers, is_strictly_positive
+from adnil.ideals import (
+    close_upward,
+    complement_chain,
+    enumerate_ideals,
+    ideal_powers,
+    is_strictly_positive,
+)
 from adnil.rootsys import RationalVector, Root, build, in_coroot_lattice, inner
 from adnil.verify import normalizer_routes
 
@@ -256,6 +262,34 @@ def test_extremal_element_flags_exhaustive():
             else:
                 with pytest.raises(ValueError):
                     w_max(c)
+
+
+def test_lockstep_minimax_matches_the_full_chains():
+    for label in ("G2", "B4", "C4", "D5", "F4", "E6", "E7"):
+        rs = build(label)
+        for c in enumerate_ideals(rs):
+            if not is_strictly_positive(c):
+                assert not is_minimax(c)
+                continue
+            powers = ideal_powers(c)
+            chain = complement_chain(c)
+            assert not chain.stalled
+            want = [t.bits for t in powers.powers] == [t.bits for t in chain.powers]
+            assert is_minimax(c) == want, (label, c)
+
+
+def test_minimax_raises_when_the_complement_chain_stalls(monkeypatch):
+    # with every root sum removed, m^2 is empty and the complement chain
+    # stops at the ideal itself
+    rs = build("B3")
+    c = close_upward(rs, [rs.theta])
+    assert is_strictly_positive(c)
+    n = len(rs.positive_roots)
+    monkeypatch.setattr(rs, "partners", (0,) * n)
+    monkeypatch.setattr(rs, "sums", ({},) * n)
+    assert complement_chain(c).stalled
+    with pytest.raises(AssertionError, match="complement chain stalled"):
+        is_minimax(c)
 
 
 def test_identity_and_simple_reflection_representative_flags():

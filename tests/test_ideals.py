@@ -159,6 +159,17 @@ def test_powers_match_pairwise_sums():
     assert {r.coeffs for r in sq.roots()} == expected
 
 
+def test_walk_carried_generators_match_the_scan():
+    # enumerate_ideals carries the generators; an UpperIdeal built from the
+    # bits alone finds them by scanning
+    for label in ("G2", "B4", "C4", "D5", "F4", "E6", "E7"):
+        rs = build(label)
+        for c in enumerate_ideals(rs):
+            scanned = UpperIdeal(rs, c.bits)
+            assert c.generator_indices() == scanned.generator_indices(), (label, c.bits)
+            assert c == scanned and hash(c) == hash(scanned)
+
+
 def test_complement_chain_stalls_exactly_off_the_strict_cone():
     for label in ("A3", "C3", "G2"):
         rs = build(label)

@@ -60,7 +60,8 @@ def test_sl7_example_normalizers_of_meet_and_join():
 
 
 def test_generator_and_weight_methods_agree_everywhere():
-    for label in ("A4", "B3", "C3", "D4", "G2"):
+    # enumerated ideals carry their generators, so this is the walk's path
+    for label in ("A4", "B3", "B4", "C3", "C4", "D4", "D5", "E6", "E7", "F4", "G2"):
         rs = build(label)
         for c in enumerate_ideals(rs):
             assert normalizer(c) == normalizer_by_weight(c), (label, c)

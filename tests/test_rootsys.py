@@ -214,6 +214,8 @@ def test_sum_index_is_exact():
                     assert rs.sums[i][j] == rs.root_index[s]
                 else:
                     assert j not in rs.sums[i]
+            assert rs.partners[i] == sum(1 << j for j in rs.sums[i])
+        assert rs.simple_bits == sum(1 << k for k in rs.simple_index)
 
 
 def test_split_and_affine_tables():
@@ -311,9 +313,11 @@ def test_rank_caps_and_env_override(monkeypatch):
     monkeypatch.setenv("ADNIL_MAX_RANK", "10")
     assert build("A10").rank == 10
     assert build("D9").rank == 9
-    monkeypatch.setenv("ADNIL_MAX_RANK", "not-a-number")
-    with pytest.raises(ConfigurationError):
-        build("A10")
+    # only the label's rank spelling: ASCII digits, no sign, space or leading zero
+    for value in ("not-a-number", " \u0661\u0660", "+10", "010", " 10"):
+        monkeypatch.setenv("ADNIL_MAX_RANK", value)
+        with pytest.raises(ConfigurationError, match="bad ADNIL_MAX_RANK value"):
+            build("A10")
 
 
 def test_d3_matches_a3_counts():
