@@ -286,8 +286,8 @@ def cmd_verify(args) -> tuple[Report, int]:
 
 def _n_max(text: str) -> int:
     value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be an integer >= 2")
+    if not 2 <= value <= 60:
+        raise argparse.ArgumentTypeError("must be an integer from 2 to 60")
     return value
 
 

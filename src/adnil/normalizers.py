@@ -4,8 +4,10 @@ The normalizer of an upper ideal is determined by the set of simple roots
 whose root subalgebras (in both signs) normalize it; that set is the Levi
 part of the parabolic label.  Two independent membership tests live here
 (generator inspection and weight orthogonality); further equivalent tests
-live in the affine and shi modules.  `stable_count` counts the ideals a
-parabolic normalizes without enumerating the ideals.
+live in the affine and shi modules.  `fibers` groups every ideal by its
+normalizer in one walk and finds the minimal ideals of each fiber;
+`stable_count` counts the ideals a parabolic normalizes without enumerating
+the ideals.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ __all__ = [
     "normalizer",
     "normalizer_by_weight",
     "nilradical",
-    "fiber",
-    "fiber_extrema",
+    "fibers",
     "stable_count",
 ]
 
@@ -81,29 +82,28 @@ def nilradical(rs: RootSystem, label: ParabolicLabel) -> UpperIdeal:
     return UpperIdeal(rs, bits, _validate=False)
 
 
-def fiber(rs: RootSystem, label: ParabolicLabel) -> list[UpperIdeal]:
-    """All ideals whose normalizer is exactly the given parabolic."""
-    if label.rank != rs.rank:
-        raise ValueError("label rank does not match root system")
-    return [i for i in enumerate_ideals(rs) if normalizer(i) == label]
+def fibers(rs: RootSystem) -> dict[ParabolicLabel, tuple[list[UpperIdeal], list[UpperIdeal]]]:
+    """Every nonempty normalizer fiber: label -> (members, inclusion-minimal members).
 
-
-def fiber_extrema(
-    rs: RootSystem, label: ParabolicLabel
-) -> tuple[UpperIdeal, list[UpperIdeal]]:
-    """(unique maximum, inclusion-minimal members) of a normalizer fiber."""
-    members = fiber(rs, label)
-    if not members:
-        raise ValueError(f"empty fiber for {label!r} in {rs.label}")
-    top = nilradical(rs, label)
-    if top not in members:
-        raise AssertionError("nilradical is not in its own fiber")
-    minimals = [
-        i
-        for i in members
-        if not any(j is not i and j.bits & ~i.bits == 0 for j in members)
-    ]
-    return top, minimals
+    One walk over the ideals; members keep the walk order.  Members are
+    tested in increasing size (ties in walk order) against the minima found
+    so far, so a member that is not minimal always contains a smaller
+    minimum already on the list.  The nilradical must lie in each fiber.
+    """
+    members: dict[ParabolicLabel, list[UpperIdeal]] = {}
+    for ideal in enumerate_ideals(rs):
+        members.setdefault(normalizer(ideal), []).append(ideal)
+    out = {}
+    for label, group in members.items():
+        top = nilradical(rs, label).bits
+        if all(c.bits != top for c in group):
+            raise AssertionError("nilradical is not in its own fiber")
+        minima: list[UpperIdeal] = []
+        for c in sorted(group, key=lambda c: c.size):
+            if all(m.bits & ~c.bits for m in minima):
+                minima.append(c)
+        out[label] = (group, minima)
+    return out
 
 
 def stable_count(rs: RootSystem, label: ParabolicLabel) -> int:

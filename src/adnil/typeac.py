@@ -10,7 +10,6 @@ converters produce the 0-based Levi labels used elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .ideals import UpperIdeal, close_upward
@@ -197,27 +196,20 @@ def normalizer_A(c: FerrersIdeal) -> ParabolicLabel:
 def fiber_A(n: int, removed) -> list[FerrersIdeal]:
     """All ideals of sl_{n+1} whose normalizer removes exactly the given simples.
 
-    Elements come from pairs of equal-length strictly increasing sequences
-    a, b inside the removed set with a_t <= b_t and union the whole set;
-    generators are (a_t, b_t + 1).  Output is lexicographic in (a, b).
+    Each element is a signed word over the removed set whose letters sum to
+    zero, split by `_halves` into sequences a, b of equal length; a_t <= b_t
+    for every t exactly when the partial sums stay nonnegative.  Generators
+    are (a_t, b_t + 1); output is lexicographic in (a, b).
     """
     members = sorted(set(removed))
     if any(not 1 <= l <= n for l in members):
         raise ValueError("removed indices must lie in 1..n")
-    s = len(members)
-    found = []
-    for k in range((s + 1) // 2, s + 1):
-        for a_seq in combinations(members, k):
-            required = [l for l in members if l not in set(a_seq)]
-            for filler in combinations(a_seq, k - len(required)):
-                b_seq = tuple(sorted(required + list(filler)))
-                if all(x <= y for x, y in zip(a_seq, b_seq)):
-                    found.append((a_seq, b_seq))
-    found.sort()
-    return [
-        FerrersIdeal(n, tuple((x, y + 1) for x, y in zip(a_seq, b_seq)))
-        for a_seq, b_seq in found
-    ]
+    found = sorted(
+        _halves(members, letters)
+        for letters in _signed_words(len(members), with_zero=True)
+        if sum(letters) == 0
+    )
+    return [FerrersIdeal(n, tuple((x, y + 1) for x, y in zip(a, b))) for a, b in found]
 
 
 def fiber_minimum_A(n: int, removed) -> FerrersIdeal:
@@ -300,6 +292,13 @@ def _signed_words(s: int, with_zero: bool):
                 stack.append((prefix + (v,), total + v))
 
 
+def _halves(members, letters) -> tuple[list[int], list[int]]:
+    """Split sorted members by a signed word: +1 first only, -1 second only, 0 both."""
+    a_part = [l for l, v in zip(members, letters) if v >= 0]
+    b_part = [l for l, v in zip(members, letters) if v <= 0]
+    return a_part, b_part
+
+
 def _ideal_from_halves(n: int, a_part, b_part) -> SymplecticIdeal:
     """Symplectic ideal from the low halves of its two symmetric sequences.
 
@@ -317,19 +316,13 @@ def _ideal_from_halves(n: int, a_part, b_part) -> SymplecticIdeal:
 
 
 def decode_word(n: int, removed, word: SignedWord) -> SymplecticIdeal:
-    """Ideal for a sign word over removed indices below n.
-
-    Letter +1 puts the index in the first sequence only, -1 in the second
-    only, 0 in both.
-    """
+    """Ideal for a sign word over removed indices below n (letters as in `_halves`)."""
     members = sorted(set(removed))
     if any(not 1 <= l <= n - 1 for l in members):
         raise ValueError("removed indices must lie in 1..n-1")
     if len(word.letters) != len(members):
         raise ValueError("word length must equal the number of removed indices")
-    a_part = [l for l, v in zip(members, word.letters) if v >= 0]
-    b_part = [l for l, v in zip(members, word.letters) if v <= 0]
-    return _ideal_from_halves(n, a_part, b_part)
+    return _ideal_from_halves(n, *_halves(members, word.letters))
 
 
 def encode_word(c: SymplecticIdeal) -> SignedWord:
@@ -361,8 +354,7 @@ def fiber_C(n: int, removed) -> list[SymplecticIdeal]:
     core = [l for l in members if l != n]
     out = []
     for letters in _signed_words(len(core), with_zero=True):
-        a_part = [l for l, v in zip(core, letters) if v >= 0]
-        b_part = [l for l, v in zip(core, letters) if v <= 0]
+        a_part, b_part = _halves(core, letters)
         if n in members:
             a_part.append(n)
             b_part.append(n)
@@ -398,10 +390,17 @@ def is_minimax_C(c: SymplecticIdeal) -> bool:
 
 
 def ballot(s: int) -> int:
-    """Zero-free words of length s with nonnegative partial sums, by enumeration."""
-    if not 0 <= s <= 20:
-        raise ValueError("enumeration is bounded to 0 <= s <= 20")
-    return sum(1 for _ in _signed_words(s, with_zero=False))
+    """Zero-free words of length s with nonnegative partial sums, by height.
+
+    ends[h] counts the prefixes with partial sum h; each letter moves a
+    prefix one step up or, above zero, one step down.
+    """
+    if s < 0:
+        raise ValueError("length must be nonnegative")
+    ends = [1]
+    for _ in range(s):
+        ends = [low + high for low, high in zip([0] + ends, ends[1:] + [0, 0])]
+    return sum(ends)
 
 
 def minimax_fiber_count_C(s: int) -> int:

@@ -54,7 +54,7 @@ from .ideals import (
     is_strictly_positive,
     weight,
 )
-from .normalizers import ParabolicLabel, nilradical, normalizer, normalizer_by_weight
+from .normalizers import ParabolicLabel, fibers, nilradical, normalizer, normalizer_by_weight
 from .rootsys import RationalVector, build, in_coroot_lattice
 from .shi import alcove_membership, in_region, is_wall, region_witness
 
@@ -436,7 +436,7 @@ def suite_typeac() -> list[tuple[str, str]]:
     for n in range(1, 6):
         rs = build(f"A{n}")
         ideals = list(enumerate_ideals(rs))
-        by_label: dict[ParabolicLabel, set[int]] = {}
+        fibs = fibers(rs)
         n_mm = 0
         n_selfdual = 0
         for ideal in ideals:
@@ -448,7 +448,6 @@ def suite_typeac() -> list[tuple[str, str]]:
                 type=f"A{n}",
                 ideal=ideal,
             )
-            by_label.setdefault(normalizer(ideal), set()).add(ideal.bits)
             _require(
                 typeac.dual_A(typeac.dual_A(c)) == c,
                 "ferrers-duality-involution",
@@ -484,9 +483,10 @@ def suite_typeac() -> list[tuple[str, str]]:
                 n, frozenset(l - 1 for l in range(1, n + 1) if l not in removed)
             )
             fib = typeac.fiber_A(n, removed)
-            bits = {c.to_upper_ideal().bits for c in fib}
+            members, minima = fibs.get(lab, ([], []))
             _require(
-                bits == by_label.get(lab, set()) and len(fib) == motzkin(s),
+                {c.to_upper_ideal().bits for c in fib} == {c.bits for c in members}
+                and len(fib) == motzkin(s),
                 "ferrers-fiber",
                 type=f"A{n}",
                 removed=sorted(removed),
@@ -497,8 +497,7 @@ def suite_typeac() -> list[tuple[str, str]]:
             mini_u = mini.to_upper_ideal()
             power = ideal_powers(nilradical(rs, lab)).powers[s // 2]
             _require(
-                mini_u.bits in bits
-                and all(mini_u.bits & b == mini_u.bits for b in bits)
+                [m.bits for m in minima] == [mini_u.bits]
                 and is_abelian(mini_u)
                 and power.bits == mini_u.bits,
                 "ferrers-fiber-minimum",
@@ -520,7 +519,7 @@ def suite_typeac() -> list[tuple[str, str]]:
     for n in range(2, 5):
         rs = build(f"C{n}")
         ideals = list(enumerate_ideals(rs))
-        by_label = {}
+        fibs = fibers(rs)
         n_mm = 0
         mm_by_corank: dict[int, int] = {}
         for ideal in ideals:
@@ -537,7 +536,6 @@ def suite_typeac() -> list[tuple[str, str]]:
                 type=f"C{n}",
                 ideal=ideal,
             )
-            by_label.setdefault(normalizer(ideal), set()).add(ideal.bits)
             n_mm += typeac.is_minimax_C(c)
         _require(
             n_mm == directed_animals(n),
@@ -553,10 +551,10 @@ def suite_typeac() -> list[tuple[str, str]]:
                 n, frozenset(l - 1 for l in range(1, n + 1) if l not in removed)
             )
             fib = typeac.fiber_C(n, removed)
-            bits = {c.to_upper_ideal().bits for c in fib}
+            members, minima = fibs.get(lab, ([], []))
             core = len([l for l in removed if l != n])
             _require(
-                bits == by_label.get(lab, set())
+                {c.to_upper_ideal().bits for c in fib} == {c.bits for c in members}
                 and len(fib) == directed_animals(core + 1),
                 "symplectic-fiber",
                 type=f"C{n}",
@@ -564,11 +562,8 @@ def suite_typeac() -> list[tuple[str, str]]:
                 size=len(fib),
             )
             total += len(fib)
-            bit_list = sorted(bits)
-            minimal = [b for b in bit_list if all(b & o == b for o in bit_list)]
             _require(
-                len(minimal) == 1
-                and is_abelian(UpperIdeal(rs, minimal[0])),
+                len(minima) == 1 and is_abelian(minima[0]),
                 "symplectic-fiber-minimum",
                 type=f"C{n}",
                 removed=sorted(removed),

@@ -304,6 +304,9 @@ def test_usage_errors_exit_two(capsys):
         main(["verify", "identities", "--n-max", "1"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["verify", "identities", "--n-max", "61"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main(["enumerate", "A3", "--json", "--tsv"])
     assert exc.value.code == 2
     capsys.readouterr()

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from adnil.ideals import close_upward, enumerate_ideals, is_abelian, join, meet
+from adnil import normalizers
+from adnil.ideals import UpperIdeal, close_upward, enumerate_ideals, is_abelian, join, meet
 from adnil.normalizers import (
     ParabolicLabel,
-    fiber,
-    fiber_extrema,
+    fibers,
     nilradical,
     normalizer,
     normalizer_by_weight,
@@ -99,27 +99,68 @@ def test_nilradical_rejects_rank_mismatch():
         nilradical(build("A3"), ParabolicLabel(4, frozenset()))
 
 
-def test_fiber_rejects_rank_mismatch():
-    for label in (ParabolicLabel(2, frozenset()), ParabolicLabel(4, frozenset({3}))):
-        with pytest.raises(ValueError, match="label rank"):
-            fiber(build("A3"), label)
-        with pytest.raises(ValueError, match="label rank"):
-            fiber_extrema(build("A3"), label)
+def _labels(rank):
+    for mask in range(1 << rank):
+        yield ParabolicLabel(rank, frozenset(a for a in range(rank) if mask >> a & 1))
+
+
+# the exceptional types and the small classical ranks
+FIBER_TYPES = (
+    "A4", "A5", "B3", "B4", "B5", "C3", "C4", "C5", "D4", "D5", "D6",
+    "E6", "E7", "E8", "F4", "G2",
+)
 
 
 def test_fibers_partition_the_ideals():
-    for label in ("A4", "C3", "G2", "D4"):
+    # every parabolic has a nonempty fiber, and the fibers split the walk
+    for label in FIBER_TYPES:
         rs = build(label)
+        fibs = fibers(rs)
+        assert set(fibs) == set(_labels(rs.rank)), label
         total = 0
         seen = set()
-        for mask in range(1 << rs.rank):
-            levi = frozenset(a for a in range(rs.rank) if mask >> a & 1)
-            members = fiber(rs, ParabolicLabel(rs.rank, levi))
+        for lab, (members, _) in fibs.items():
             total += len(members)
             for c in members:
+                assert normalizer(c) == lab
                 assert c.bits not in seen
                 seen.add(c.bits)
         assert total == len(list(enumerate_ideals(rs))), label
+
+
+def _pairwise_minima(members):
+    # reference: members containing no other member
+    return [c for c in members if not any(o is not c and o.bits & ~c.bits == 0 for o in members)]
+
+
+def test_fiber_minima_match_pairwise_scan():
+    for label in ("B5", "D4", "D5", "D6", "E6"):
+        rs = build(label)
+        for lab, (members, minima) in fibers(rs).items():
+            want = sorted(c.bits for c in _pairwise_minima(members))
+            assert sorted(c.bits for c in minima) == want, (label, lab)
+
+
+# fibers with more than one minimal ideal; no fiber has more than four
+SEVERAL_MINIMA = {
+    "A5": 0, "B3": 0, "B4": 0, "B5": 1, "C4": 0, "C5": 0, "D4": 1, "D5": 2, "D6": 5,
+    "E6": 6, "E7": 16, "E8": 31, "F4": 0, "G2": 0,
+}
+
+
+def test_fibers_with_several_minima():
+    for label, count in SEVERAL_MINIMA.items():
+        sizes = [len(minima) for _, minima in fibers(build(label)).values()]
+        assert sum(1 for k in sizes if k > 1) == count, label
+        assert max(sizes) <= 4, label
+
+
+def test_fibers_require_the_nilradical(monkeypatch):
+    rs = build("A3")
+    # only the full Levi's fiber holds the empty ideal
+    monkeypatch.setattr(normalizers, "nilradical", lambda rs, label: UpperIdeal(rs, 0))
+    with pytest.raises(AssertionError, match="nilradical is not in its own fiber"):
+        fibers(rs)
 
 
 BOREL_FIBER_SIZES = {"A4": 9, "A5": 21, "B3": 5, "C3": 5, "D4": 11, "F4": 19, "G2": 2}
@@ -128,18 +169,18 @@ BOREL_FIBER_SIZES = {"A4": 9, "A5": 21, "B3": 5, "C3": 5, "D4": 11, "F4": 19, "G
 def test_borel_fiber_sizes():
     for label, size in BOREL_FIBER_SIZES.items():
         rs = build(label)
-        assert len(fiber(rs, ParabolicLabel(rs.rank, frozenset()))) == size, label
+        members, _ = fibers(rs)[ParabolicLabel(rs.rank, frozenset())]
+        assert len(members) == size, label
 
 
 def test_fiber_extrema():
     for label in ("A3", "C3", "G2"):
         rs = build(label)
-        for mask in range(1 << rs.rank):
-            levi = frozenset(a for a in range(rs.rank) if mask >> a & 1)
-            lab = ParabolicLabel(rs.rank, levi)
-            top, minimals = fiber_extrema(rs, lab)
-            members = fiber(rs, lab)
-            assert top.bits == nilradical(rs, lab).bits
+        fibs = fibers(rs)
+        for lab in _labels(rs.rank):
+            members, minimals = fibs[lab]
+            top = nilradical(rs, lab)
+            assert top.bits in {c.bits for c in members}
             assert minimals
             for c in members:
                 assert c.bits & ~top.bits == 0, "nilradical is the fiber maximum"
@@ -147,10 +188,9 @@ def test_fiber_extrema():
 
 
 def test_type_a_fibers_have_unique_minimum():
-    rs = build("A4")
-    for mask in range(1 << 4):
-        levi = frozenset(a for a in range(4) if mask >> a & 1)
-        _, minimals = fiber_extrema(rs, ParabolicLabel(4, levi))
+    fibs = fibers(build("A4"))
+    for lab in _labels(4):
+        _, minimals = fibs[lab]
         assert len(minimals) == 1
 
 

@@ -2,7 +2,8 @@
 
 Each digest is the SHA-256 of the command's stdout at commit f3edb7a
 (``enumerate E6 --tsv``, which pins all 833 E6 w_min words and
-z-coordinates, at f36d8e3; ``enumerate E7 --minimax --tsv`` at adba8b9).  A refactor that keeps these passing changed
+z-coordinates, at f36d8e3; ``enumerate E7 --minimax --tsv`` at adba8b9; ``verify typeAC --json`` at
+aa3907c).  A refactor that keeps these passing changed
 no byte of any covered report.
 """
 
@@ -38,6 +39,7 @@ DIGESTS = (
     ("verify identities", "5d840fd41d03ecc718c4b27fc2da7435ef32be3f15baf8473cf87af3cf5c9ab8"),
     ("verify counting", "662d3d28af664a3dc5a521f82313910ae002c69063469dc5b5371753b32050bc"),
     ("verify typeAC", "29d29bdc63429de1319e23862bd3781c137ae4c87537749bd5f88a9bd15b77e8"),
+    ("verify typeAC --json", "68a2122954d3a76b9f88e6d1f88b3072fa777e9f205f66b0ae2384e4e181a7e2"),
     ("verify normalizer-oracles --type B3", "52b5b6c32ee295d7430b615bc99b2cf5b35ec0105fe6bb95282aa010cbfc2b8a"),
     ("verify affine --type G2 --seed 0", "bd97a4d503153932933e00bb10f91b2cb8dd76a7637e7d5f7d19400dc632260b"),
     ("verify shi --type B2 --seed 0", "e929bb993a93db5d05385ae33732fd94d0136c07e505fd0c87f2dfe30415ac6c"),

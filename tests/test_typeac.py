@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 import pytest
@@ -122,6 +122,27 @@ def test_fiber_a_counts_and_contents():
             )
             total += len(members)
         assert total == catalan(n + 1)
+
+
+def _fiber_a_by_combinations(n, removed):
+    # reference: choose a, then b from the rest of the removed set plus a filler from a
+    members = sorted(set(removed))
+    found = []
+    for k in range((len(members) + 1) // 2, len(members) + 1):
+        for a_seq in combinations(members, k):
+            required = [l for l in members if l not in a_seq]
+            for filler in combinations(a_seq, k - len(required)):
+                b_seq = tuple(sorted(required + list(filler)))
+                if all(x <= y for x, y in zip(a_seq, b_seq)):
+                    found.append((a_seq, b_seq))
+    found.sort()
+    return [FerrersIdeal(n, tuple((x, y + 1) for x, y in zip(a, b))) for a, b in found]
+
+
+def test_fiber_a_matches_combination_enumeration():
+    for n in range(1, 10):
+        for removed in _subsets(range(1, n + 1)):
+            assert fiber_A(n, removed) == _fiber_a_by_combinations(n, removed), (n, removed)
 
 
 def test_fiber_a_minimum():
@@ -274,7 +295,7 @@ def test_minimax_polynomial():
 
 
 def test_ballot_and_minimax_fiber_count():
-    for s in range(21):
+    for s in range(61):
         assert ballot(s) == comb(s, s // 2)
         assert minimax_fiber_count_C(s) == comb(s, s // 2)
     with pytest.raises(ValueError):
