@@ -6,13 +6,19 @@ delta is the null root and (delta, Lambda) = 1, (delta, delta) =
 that basis; words are witnesses only, equality is equality of actions.
 A simple reflection is one rank-1 datum (v, u), s_i(x) = x - u(x) v with
 v the affine simple root and u its coroot pairing, stored once per root
-system.  `_word_matrix` turns a word into a matrix by one in-place O(n^2)
-update per letter; `from_word` runs it on the word and on the reversed
+system.  `_word_matrix` turns a word into a matrix by one rank-1 update
+per letter; `from_word` runs it on the word and on the reversed
 word, and bi-convex peeling runs it once and reads the inverse off the
-peeled images of the affine simple roots.  The inversion set N(w) takes
-one vector add per positive root, the translation factorization
-w = t_z . v recomposes in O(p^2), and the minimal and maximal elements
-attached to an upper ideal live here too.
+peeled images of the affine simple roots.
+
+Inside the module a real affine root k delta + root s is the integer
+k * 2N + s, N the number of positive roots and s a signed root index
+(s < N is gamma_s, N + g is -gamma_g).  Peeling and the inversion set
+N(w) work on these codes: adding two roots is one lookup in
+`RootSystem.signed_sums`, and `AffineRoot` objects are built only at the
+public boundary (`n_set`, `word_from_biconvex`).  The translation
+factorization w = t_z . v recomposes in O(p^2), and the minimal and
+maximal elements attached to an upper ideal live here too.
 """
 
 from __future__ import annotations
@@ -92,18 +98,22 @@ def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
 
 
 def _word_matrix(rs: RootSystem, word) -> IntMatrix:
-    """Matrix of s_{word[0]} ... s_{word[-1]}: m <- m - (m v) u^T per letter."""
+    """Matrix of s_{word[0]} ... s_{word[-1]}: m <- m - (m v) u^T per letter.
+
+    Kept by columns, so a letter rebuilds only the columns in the support
+    of u, and m v is one column for a finite simple reflection.
+    """
     n = rs.rank + 2
-    m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    cols = [[int(r == c) for r in range(n)] for c in range(n)]
     refl = rs.affine_reflections
     for i in word:
-        nv, nu = refl[i]
-        for row in m:
-            mv = sum(row[k] * c for k, c in nv)
-            if mv:
-                for k, c in nu:
-                    row[k] -= mv * c
-    return tuple(map(tuple, m))
+        ((k, c), *rest), nu = refl[i]
+        mv = cols[k] if c == 1 else [c * x for x in cols[k]]
+        for k, c in rest:
+            mv = [a + c * b for a, b in zip(mv, cols[k])]
+        for k, c in nu:
+            cols[k] = [a - c * b for a, b in zip(cols[k], mv)]
+    return tuple(zip(*cols))
 
 
 def _image(m, level: int, finite: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -167,8 +177,7 @@ class AffineWeylElement:
 
     def _apply(self, m: IntMatrix, mu: AffineRoot) -> AffineRoot:
         lvl, fin = _image(m, mu.level, mu.finite)
-        probe = fin if any(c > 0 for c in fin) else tuple(-c for c in fin)
-        if probe not in self.rs.root_index:
+        if fin not in self.rs.signed_index:
             raise AssertionError("image of a root is not a root")
         return AffineRoot(lvl, fin)
 
@@ -207,103 +216,143 @@ def from_word(rs: RootSystem, word) -> AffineWeylElement:
     return AffineWeylElement(rs, word, _word_matrix(rs, word), _word_matrix(rs, word[::-1]))
 
 
-def n_set(w: AffineWeylElement) -> frozenset[AffineRoot]:
-    """Positive affine roots sent to negative ones by w.
+def _inversion_codes(w: AffineWeylElement) -> set[int]:
+    """N(w) as codes k * 2N + s (see the module docstring).
 
     The image of each positive root gamma_k = gamma_i + alpha_a (rs.split) is
-    image(gamma_i) + image(alpha_a), from the simple-root columns of w; with
-    w(gamma) = s delta + fin, w(k delta +- gamma) = (k +- s) delta +- fin.
+    image(gamma_i) + image(alpha_a): a level add and one signed_sums lookup,
+    starting from the simple-root columns of w.  With w(gamma) = l delta +
+    root s, w(k delta +- gamma) = (k +- l) delta +- root s.
     """
     rs = w.rs
     p = rs.rank
-    cols = tuple(zip(*w.matrix[: p + 1]))  # cols[a] = (finite..., level) of w(alpha_a)
-    images: list = [None] * len(rs.positive_roots)
+    n = len(rs.positive_roots)
+    n2 = 2 * n
+    m = w.matrix
+    add = rs.signed_sums
+    level = [0] * n
+    sign = [0] * n
     for a, g in enumerate(rs.simple_index):
-        images[g] = cols[a]
-    out: set[AffineRoot] = set()
-    for g, root in enumerate(rs.positive_roots):
-        img = images[g]
-        if img is None:
-            i, a = rs.split[g]
-            img = images[g] = tuple(x + y for x, y in zip(images[i], cols[a]))
-        shift = img[p]
-        if any(c > 0 for c in img[:p]):  # w(gamma) - shift delta is positive
-            plus, minus = -shift, shift + 1
+        level[g] = m[p][a]
+        sign[g] = rs.signed_index.get(tuple(row[a] for row in m[:p]))
+        if sign[g] is None:
+            raise AssertionError("image of a root is not a root")
+    out: set[int] = set()
+    for g, pair in enumerate(rs.split):
+        if pair is None:
+            lv, s = level[g], sign[g]
         else:
-            plus, minus = 1 - shift, shift
-        out.update(AffineRoot(k, root.coeffs) for k in range(plus))
-        if minus > 1:
-            neg = tuple(-c for c in root.coeffs)
-            out.update(AffineRoot(k, neg) for k in range(1, minus))
-    return frozenset(out)
+            i, a = pair
+            h = rs.simple_index[a]
+            lv = level[g] = level[i] + level[h]
+            s = sign[g] = add[sign[i]][sign[h]]
+        if s < n:  # w(gamma) - l delta is positive
+            plus, minus = -lv, lv + 1
+        else:
+            plus, minus = 1 - lv, lv
+        out.update(range(g, plus * n2, n2))  # k delta + gamma, 0 <= k < plus
+        out.update(range(n2 + n + g, minus * n2, n2))  # k delta - gamma, 1 <= k < minus
+    return out
+
+
+def n_set(w: AffineWeylElement) -> frozenset[AffineRoot]:
+    """Positive affine roots sent to negative ones by w (decoded N(w))."""
+    n2 = 2 * len(w.rs.positive_roots)
+    roots = w.rs.signed_roots
+    return frozenset(AffineRoot(c // n2, roots[c % n2]) for c in _inversion_codes(w))
 
 
 def length(w: AffineWeylElement) -> int:
     """Coxeter length, computed as the size of the inversion set."""
-    return len(n_set(w))
+    return len(_inversion_codes(w))
 
 
-def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
-    """Element whose inversion set is the given bi-convex set (by peeling).
-
-    With g the product peeled so far and left the unpeeled part of the set,
-    a step finds the lowest i with g(alpha_i) in left and sets g <- g s_i.
-    Only the p+1 images g(alpha_j) and g(Lambda) are kept, updated by
-    g s_i(alpha_j) = g(alpha_j) - <alpha_j, alpha_i^vee> g(alpha_i) and
-    g s_0(Lambda) = g(Lambda) - g(alpha_0); they are the columns of the
-    result's inverse g, and its matrix is built from the reversed word.  A
-    set that is not an inversion set is rejected with a diagnostic.
-    """
+def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
+    """Element whose inversion set has these codes; see word_from_biconvex."""
     p = rs.rank
-    left = set()
-    for mu in set(roots):
-        if not mu.is_positive():
-            raise ValueError(f"{mu!r} is not a positive affine root")
-        probe = mu.finite if any(c > 0 for c in mu.finite) else tuple(
-            -c for c in mu.finite
-        )
-        if probe not in rs.root_index:
-            raise ValueError(f"{mu!r} has a non-root finite part")
-        left.add(mu.finite + (mu.level,))
-    # images[j] = g(alpha_j) as (finite..., level); lam = g(Lambda) likewise.
-    images = [affine_simple_root(rs, j) for j in range(p + 1)]
-    images = [a.finite + (a.level,) for a in images]
-    lam = (0,) * (p + 1)
+    n = len(rs.positive_roots)
+    n2 = 2 * n
+    add = rs.signed_sums
+    roots = rs.signed_roots
+    # the j != i with <alpha_j, alpha_i^vee> = -k < 0, as (j, k)
+    others = [
+        [(j, -row[i]) for j, row in enumerate(rs.affine_cartan) if row[i] and j != i]
+        for i in range(p + 1)
+    ]
+    # g(alpha_j) = level[j] delta + root sign[j]; alpha_0 = delta - theta
+    level = [1] + [0] * p
+    sign = [n2 - 1, *rs.simple_index]
+    lam = [0] * (p + 1)  # g(Lambda) - Lambda as (finite..., level)
+    left = set(codes)
     peeled: list[int] = []
     while left:
-        for i, mu in enumerate(images):
-            if mu in left:
+        for i in range(p + 1):
+            code = level[i] * n2 + sign[i]
+            if code in left:
                 break
         else:
             ginv = _word_matrix(rs, peeled[::-1])
             raise ValueError(
                 "set is not bi-convex: no affine simple root left to peel "
-                f"among {sorted(_image(ginv, m[p], m[:p]) for m in left)}"
+                f"among {sorted(_image(ginv, c // n2, roots[c % n2]) for c in left)}"
             )
-        left.discard(mu)
+        left.remove(code)
         peeled.append(i)
-        for j, row in enumerate(rs.affine_cartan):
-            c = row[i]  # <alpha_j, alpha_i^vee>
-            if c:
-                images[j] = tuple(a - c * b for a, b in zip(images[j], mu))
+        li, si = level[i], sign[i]
         if i == 0:
-            lam = tuple(a - b for a, b in zip(lam, mu))
+            lam = [x - y for x, y in zip(lam, roots[si] + (li,))]
+        neg = si + n if si < n else si - n
+        level[i], sign[i] = -li, neg
+        for j, k in others[i]:  # g s_i(alpha_j) = g(alpha_j) + k g(alpha_i)
+            level[j] += k * li
+            sj = sign[j]
+            if sj == neg:  # affine A1 (k = 2): the finite parts cancel once
+                sign[j] = si
+                continue
+            for _ in range(k):
+                sj = add[sj][si]
+            sign[j] = sj
     word = tuple(peeled[::-1])
-    cols = [images[j] + (0,) for j in range(1, p + 1)]
-    cols += [(0,) * p + (1, 0), lam + (1,)]
+    cols = [roots[sign[j]] + (level[j], 0) for j in range(1, p + 1)]
+    cols += [(0,) * p + (1, 0), (*lam, 1)]
     w = AffineWeylElement(rs, word, _word_matrix(rs, word), tuple(zip(*cols)))
-    if n_set(w) != frozenset(roots):
+    if _inversion_codes(w) != codes:
         raise ValueError("set is not bi-convex: reconstruction mismatch")
     return w
 
 
-def _chain_inversions(chain: IdealChain) -> set[AffineRoot]:
-    roots: set[AffineRoot] = set()
-    for k, power in enumerate(chain.powers, start=1):
-        rs = power.rs
-        for g in power.root_indices():
-            roots.add(AffineRoot(k, tuple(-c for c in rs.positive_roots[g].coeffs)))
-    return roots
+def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
+    """Element whose inversion set is the given bi-convex set (by peeling).
+
+    Each root is checked and turned into its code k * 2N + s (module
+    docstring).  With g the product peeled so far and left the unpeeled
+    codes, a step finds the lowest i with g(alpha_i) in left and sets
+    g <- g s_i.  Only the p+1 images g(alpha_j), as (level, signed index)
+    pairs, and g(Lambda) are kept: g s_i(alpha_j) = g(alpha_j) -
+    <alpha_j, alpha_i^vee> g(alpha_i) adds the level and takes the finite
+    part by one signed_sums lookup per unit of the pairing, and
+    g s_0(Lambda) = g(Lambda) - g(alpha_0).  They are the columns of the
+    result's inverse g, and its matrix is built from the reversed word.  A
+    set that is not an inversion set is rejected with a diagnostic, and the
+    inversion set of the result is compared with the input, both coded.
+    """
+    n2 = 2 * len(rs.positive_roots)
+    codes = set()
+    for mu in set(roots):
+        if not mu.is_positive():
+            raise ValueError(f"{mu!r} is not a positive affine root")
+        s = rs.signed_index.get(mu.finite)
+        if s is None:
+            raise ValueError(f"{mu!r} has a non-root finite part")
+        codes.add(mu.level * n2 + s)
+    return _peel(rs, codes)
+
+
+def _peel_chain(rs: RootSystem, chain: IdealChain) -> AffineWeylElement:
+    """Peel the chain stacked by level: level k holds k delta - gamma, gamma in term k."""
+    n = len(rs.positive_roots)
+    codes = {k * 2 * n + n + g for k, t in enumerate(chain.powers, 1) for g in t.root_indices()}
+    return _peel(rs, codes)
 
 
 def w_min(ideal: UpperIdeal) -> AffineWeylElement:
@@ -312,7 +361,7 @@ def w_min(ideal: UpperIdeal) -> AffineWeylElement:
     Its inversion set stacks the power chain of the ideal: level k holds
     k*delta - gamma for gamma in the k-th power.
     """
-    return word_from_biconvex(ideal.rs, _chain_inversions(ideal_powers(ideal)))
+    return _peel_chain(ideal.rs, ideal_powers(ideal))
 
 
 def w_max(ideal: UpperIdeal) -> AffineWeylElement:
@@ -326,7 +375,7 @@ def w_max(ideal: UpperIdeal) -> AffineWeylElement:
     chain = complement_chain(ideal)
     if chain.stalled:
         raise AssertionError("complement chain stalled on a strictly positive ideal")
-    return word_from_biconvex(ideal.rs, _chain_inversions(chain))
+    return _peel_chain(ideal.rs, chain)
 
 
 def is_minimax(ideal: UpperIdeal) -> bool:
@@ -402,7 +451,7 @@ def translation_element(rs: RootSystem, z) -> AffineWeylElement:
     m = _translation_matrix(rs, coords)
     minv = _translation_matrix(rs, tuple(-c for c in coords))
     probe = AffineWeylElement(rs, (), m, minv)
-    out = word_from_biconvex(rs, n_set(probe))
+    out = _peel(rs, _inversion_codes(probe))
     if out.matrix != m:
         raise AssertionError("translation reconstruction mismatch")
     return out
@@ -539,13 +588,10 @@ def is_maximal_representative(w: AffineWeylElement) -> bool:
 
 
 def first_layer(w: AffineWeylElement) -> UpperIdeal:
-    """Upper ideal of positive roots gamma with w(delta - gamma) negative."""
+    """Upper ideal of positive roots gamma with delta - gamma in N(w)."""
     if not is_dominant(w):
         raise ValueError("first layer is defined for dominant elements only")
     rs = w.rs
-    bits = 0
-    for g, root in enumerate(rs.positive_roots):
-        shift, fin = _image(w.matrix, 0, root.coeffs)
-        if shift >= 2 or (shift == 1 and any(c > 0 for c in fin)):
-            bits |= 1 << g
-    return UpperIdeal(rs, bits)
+    n = len(rs.positive_roots)
+    low = 3 * n  # delta - gamma_g is 2n + n + g
+    return UpperIdeal(rs, sum(1 << (c - low) for c in _inversion_codes(w) if low <= c < low + n))

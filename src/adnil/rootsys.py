@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .linalg import determinant, invert, to_matrix
@@ -174,9 +174,13 @@ class RootSystem:
     the simple roots), up[i] (bitset of the upper covers gamma_i + alpha_a),
     lowers[i] (bitset of the simple indices a with gamma_i - alpha_a zero or
     a positive root) and split[k] (one pair (i, a) with
-    gamma_k = gamma_i + alpha_a, None for a simple root); for the affine
-    layer, affine_reflections[i] (rank-1 datum of s_i, i = 0..p),
-    affine_cartan and two_rho_hat (2 rho_hat as integers).
+    gamma_k = gamma_i + alpha_a, None for a simple root); over signed
+    indices (s < N is gamma_s, N + g is -gamma_g, N the number of positive
+    roots), signed_roots[s] (coefficients), signed_index (its inverse dict)
+    and signed_sums[s] (dict t -> u with root s + root t = root u, so both
+    orders of every difference), built on first use; for the affine layer,
+    affine_reflections[i] (rank-1 datum of s_i, i = 0..p), affine_cartan
+    and two_rho_hat (2 rho_hat as integers).
     """
 
     def __init__(self, label: str, family: str, rank: int):
@@ -296,6 +300,27 @@ class RootSystem:
         # 2 rho_hat = 2 rho + 2 h^vee Lambda, h^vee = 1 + (rho, theta).
         two_h_check = 2 + sum(c * q for c, q in zip(two_rho, self.theta_pairing))
         self.two_rho_hat = two_rho + (0, two_h_check)
+
+    @cached_property
+    def signed_roots(self) -> tuple[tuple[int, ...], ...]:
+        coeffs = tuple(r.coeffs for r in self.positive_roots)
+        return coeffs + tuple(tuple(-c for c in r) for r in coeffs)
+
+    @cached_property
+    def signed_index(self) -> dict[tuple[int, ...], int]:
+        return {c: s for s, c in enumerate(self.signed_roots)}
+
+    @cached_property
+    def signed_sums(self) -> tuple[dict[int, int], ...]:
+        n = len(self.positive_roots)
+        add: list[dict[int, int]] = [{} for _ in range(2 * n)]
+        for i, row in enumerate(self.sums):
+            for j, k in row.items():  # gamma_i + gamma_j = gamma_k
+                add[i][j] = k
+                add[n + i][n + j] = n + k
+                add[k][n + i] = add[n + i][k] = j
+                add[n + k][i] = add[i][n + k] = n + j
+        return tuple(add)
 
     def index_of(self, root) -> int:
         """Index of a positive root in positive_roots; KeyError if absent."""

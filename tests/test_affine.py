@@ -147,20 +147,62 @@ def test_n_set_matches_the_per_root_reference():
         assert n_set(identity_element(rs)) == _slow_n_set(identity_element(rs)) == frozenset()
         for _ in range(30):
             w = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(40))])
-            assert n_set(w) == _slow_n_set(w), (label, w.word)
+            slow = _slow_n_set(w)
+            assert n_set(w) == slow, (label, w.word)
+            assert length(w) == len(slow), (label, w.word)
+
+
+def _slow_first_layer(w):
+    """Reference first layer: gamma with w(delta - gamma) negative, one root at a time."""
+    p = w.rs.rank
+    bits = 0
+    for g, root in enumerate(w.rs.positive_roots):
+        shift = sum(w.matrix[p][j] * c for j, c in enumerate(root.coeffs))
+        fin = [sum(w.matrix[t][j] * c for j, c in enumerate(root.coeffs)) for t in range(p)]
+        if shift >= 2 or (shift == 1 and any(c > 0 for c in fin)):
+            bits |= 1 << g
+    return bits
+
+
+def _stacked_chain(chain):
+    """The chain as affine roots: level k holds k delta - gamma for gamma in term k."""
+    return frozenset(
+        AffineRoot(k, tuple(-c for c in root.coeffs))
+        for k, term in enumerate(chain.powers, start=1)
+        for root in term.roots()
+    )
+
+
+def _peel_cases():
+    # every ideal of these types covers pairings -1, -2 (B, C, F4), -3 (G2)
+    # and the affine A1 step where the two finite parts are opposite
+    for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4", "E6"):
+        yield from enumerate_ideals(build(label))
+    rs = build("E8")
+    rng = random.Random(41)
+    for _ in range(10):
+        picks = [rs.positive_roots[rng.randrange(120)] for _ in range(rng.randrange(1, 4))]
+        yield close_upward(rs, picks)
 
 
 def test_peeled_inverse_matrix_matches_the_word():
-    elements = [w_min(c) for c in enumerate_ideals(build("E6"))]
-    elements += [w_max(c) for c in enumerate_ideals(build("F4")) if is_strictly_positive(c)]
-    for w in elements:
-        n = w.rs.rank + 2
-        assert w.inverse_matrix == from_word(w.rs, w.word).inverse_matrix, w
-        product = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*w.inverse_matrix))
-            for row in w.matrix
-        )
-        assert product == tuple(tuple(int(r == c) for c in range(n)) for r in range(n)), w
+    for ideal in _peel_cases():
+        elements = [(w_min(ideal), ideal_powers(ideal))]
+        if is_strictly_positive(ideal):
+            elements.append((w_max(ideal), complement_chain(ideal)))
+        for w, chain in elements:
+            n = w.rs.rank + 2
+            replayed = from_word(w.rs, w.word)
+            assert w.matrix == replayed.matrix, w
+            assert w.inverse_matrix == replayed.inverse_matrix, w
+            product = tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*w.inverse_matrix))
+                for row in w.matrix
+            )
+            assert product == tuple(tuple(int(r == c) for c in range(n)) for r in range(n)), w
+            assert n_set(w) == _stacked_chain(chain), w
+            assert len(w.word) == sum(term.size for term in chain.powers), w
+            assert first_layer(w).bits == _slow_first_layer(w) == ideal.bits, w
 
 
 def test_factorize_rejects_a_tampered_matrix():
@@ -193,6 +235,14 @@ def test_word_from_biconvex_rejects_non_biconvex_sets():
     with pytest.raises(ValueError) as exc:
         word_from_biconvex(rs, stuck)
     assert str(exc.value) == prefix + "[(1, (1, 0))]"
+    for bad, why in (
+        (AffineRoot(0, (-1, 0)), "is not a positive affine root"),
+        (AffineRoot(1, (1, -1)), "has a non-root finite part"),
+        (AffineRoot(1, (0, 0)), "has a non-root finite part"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            word_from_biconvex(rs, {bad})
+        assert str(exc.value) == f"{bad!r} {why}"
 
 
 def test_rho_hat_level_is_dual_coxeter_number():
