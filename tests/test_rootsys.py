@@ -216,6 +216,17 @@ def test_sum_index_is_exact():
                     assert j not in rs.sums[i]
             assert rs.partners[i] == sum(1 << j for j in rs.sums[i])
         assert rs.simple_bits == sum(1 << k for k in rs.simple_index)
+        # signed indices: s < N is gamma_s, N + g is -gamma_g
+        n = len(roots)
+        assert rs.signed_roots == tuple(r.coeffs for r in roots) + tuple(
+            tuple(-c for c in r.coeffs) for r in roots
+        )
+        assert all(rs.signed_index[c] == s for s, c in enumerate(rs.signed_roots))
+        for s, a in enumerate(rs.signed_roots):
+            for t, b in enumerate(rs.signed_roots):
+                u = rs.signed_index.get(tuple(x + y for x, y in zip(a, b)))
+                assert rs.signed_sums[s].get(t) == u, (label, s, t)
+        assert len(rs.signed_sums) == 2 * n
 
 
 def test_split_and_affine_tables():
