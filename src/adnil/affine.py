@@ -4,19 +4,18 @@ Vectors live in the span of (alpha_1, ..., alpha_p, delta, Lambda) where
 delta is the null root and (delta, Lambda) = 1, (delta, delta) =
 (Lambda, Lambda) = 0.  Group elements act by exact integer matrices on
 that basis; words are witnesses only, equality is equality of actions.
-A simple reflection is one rank-1 datum (v, u), s_i(x) = x - u(x) v with
-v the affine simple root and u its coroot pairing, stored once per root
-system.  `_word_matrix` turns a word into a matrix by one rank-1 update
-per letter; `from_word` runs it on the word and on the reversed
-word, and bi-convex peeling runs it once and reads the inverse off the
-peeled images of the affine simple roots.
 
 Inside the module a real affine root k delta + root s is the integer
 k * 2N + s, N the number of positive roots and s a signed root index
 (s < N is gamma_s, N + g is -gamma_g).  Peeling and the inversion set
 N(w) work on these codes: adding two roots is one lookup in
 `RootSystem.signed_sums`, and `AffineRoot` objects are built only at the
-public boundary (`n_set`, `word_from_biconvex`).  The translation
+public boundary (`n_set`, `word_from_biconvex`).  A matrix is built on
+the codes too: one step g <- g s_i updates the images g(alpha_j) of the
+p+1 affine simple roots and g(Lambda), and the matrix is read off them.
+`from_word` runs the step on the word and on the reversed word, and
+bi-convex peeling runs it while it peels and once more on the peeled
+word.  The translation
 factorization w = t_z . v recomposes in O(p^2), and the minimal and
 maximal elements attached to an upper ideal live here too.
 """
@@ -97,22 +96,49 @@ def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     return AffineRoot(0, tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
 
 
-def _word_matrix(rs: RootSystem, word) -> IntMatrix:
-    """Matrix of s_{word[0]} ... s_{word[-1]}: m <- m - (m v) u^T per letter.
+def _images(rs: RootSystem, word, images=None):
+    """Coded images of g s_{word[0]} ... s_{word[-1]}, updated in place.
 
-    Kept by columns, so a letter rebuilds only the columns in the support
-    of u, and m v is one column for a finite simple reflection.
+    images holds g(alpha_j) = level[j] delta + root sign[j] for j = 0..p
+    (alpha_0 = delta - theta) and g(Lambda) - Lambda as (finite..., level);
+    g is the identity when images is None.  A letter i sets g <- g s_i:
+    g s_i(alpha_i) = -g(alpha_i), g s_0(Lambda) = g(Lambda) - g(alpha_0),
+    and g s_i(alpha_j) = g(alpha_j) + k g(alpha_i) for each (j, k) in
+    rs.affine_neighbours[i].  That adds the level and takes the finite part
+    by one signed_sums lookup per unit of k (alpha_j + m alpha_i is a root
+    for m <= k), except in affine A1 (k = 2), where the finite parts cancel.
     """
-    n = rs.rank + 2
-    cols = [[int(r == c) for r in range(n)] for c in range(n)]
-    refl = rs.affine_reflections
+    p = rs.rank
+    n = len(rs.positive_roots)
+    if images is None:
+        images = [1] + [0] * p, [2 * n - 1, *rs.simple_index], [0] * (p + 1)
+    level, sign, lam = images
+    add = rs.signed_sums
+    neighbours = rs.affine_neighbours
     for i in word:
-        ((k, c), *rest), nu = refl[i]
-        mv = cols[k] if c == 1 else [c * x for x in cols[k]]
-        for k, c in rest:
-            mv = [a + c * b for a, b in zip(mv, cols[k])]
-        for k, c in nu:
-            cols[k] = [a - c * b for a, b in zip(cols[k], mv)]
+        li, si = level[i], sign[i]
+        if i == 0:
+            lam[:] = [x - y for x, y in zip(lam, rs.signed_roots[si] + (li,))]
+        neg = si + n if si < n else si - n
+        level[i], sign[i] = -li, neg
+        for j, k in neighbours[i]:
+            level[j] += k * li
+            sj = sign[j]
+            if sj == neg:
+                sign[j] = si
+                continue
+            for _ in range(k):
+                sj = add[sj][si]
+            sign[j] = sj
+    return images
+
+
+def _matrix(rs: RootSystem, images) -> IntMatrix:
+    """The matrix of g with columns g(alpha_1..alpha_p), g(delta) = delta, g(Lambda)."""
+    level, sign, lam = images
+    p = rs.rank
+    cols = [rs.signed_roots[sign[j]] + (level[j], 0) for j in range(1, p + 1)]
+    cols += [(0,) * p + (1, 0), (*lam, 1)]
     return tuple(zip(*cols))
 
 
@@ -187,12 +213,6 @@ class AffineWeylElement:
     def apply_root_inverse(self, mu: AffineRoot) -> AffineRoot:
         return self._apply(self.inverse_matrix, mu)
 
-    def apply_vector(self, coords) -> tuple[Fraction, ...]:
-        return tuple(mat_vec(self.matrix, tuple(Fraction(c) for c in coords)))
-
-    def apply_vector_inverse(self, coords) -> tuple[Fraction, ...]:
-        return tuple(mat_vec(self.inverse_matrix, tuple(Fraction(c) for c in coords)))
-
     def __repr__(self) -> str:
         name = "*".join(f"s{i}" for i in self.word) if self.word else "e"
         return f"AffineWeylElement({self.rs.label}, {name})"
@@ -213,7 +233,9 @@ def from_word(rs: RootSystem, word) -> AffineWeylElement:
     for i in word:
         if not 0 <= i <= rs.rank:
             raise ValueError(f"affine simple index {i} out of range")
-    return AffineWeylElement(rs, word, _word_matrix(rs, word), _word_matrix(rs, word[::-1]))
+    return AffineWeylElement(
+        rs, word, _matrix(rs, _images(rs, word)), _matrix(rs, _images(rs, word[::-1]))
+    )
 
 
 def _inversion_codes(w: AffineWeylElement) -> set[int]:
@@ -270,19 +292,9 @@ def length(w: AffineWeylElement) -> int:
 def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
     """Element whose inversion set has these codes; see word_from_biconvex."""
     p = rs.rank
-    n = len(rs.positive_roots)
-    n2 = 2 * n
-    add = rs.signed_sums
+    n2 = 2 * len(rs.positive_roots)
     roots = rs.signed_roots
-    # the j != i with <alpha_j, alpha_i^vee> = -k < 0, as (j, k)
-    others = [
-        [(j, -row[i]) for j, row in enumerate(rs.affine_cartan) if row[i] and j != i]
-        for i in range(p + 1)
-    ]
-    # g(alpha_j) = level[j] delta + root sign[j]; alpha_0 = delta - theta
-    level = [1] + [0] * p
-    sign = [n2 - 1, *rs.simple_index]
-    lam = [0] * (p + 1)  # g(Lambda) - Lambda as (finite..., level)
+    level, sign, _ = images = _images(rs, ())
     left = set(codes)
     peeled: list[int] = []
     while left:
@@ -291,31 +303,16 @@ def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
             if code in left:
                 break
         else:
-            ginv = _word_matrix(rs, peeled[::-1])
+            ginv = _matrix(rs, _images(rs, peeled[::-1]))
             raise ValueError(
                 "set is not bi-convex: no affine simple root left to peel "
                 f"among {sorted(_image(ginv, c // n2, roots[c % n2]) for c in left)}"
             )
         left.remove(code)
         peeled.append(i)
-        li, si = level[i], sign[i]
-        if i == 0:
-            lam = [x - y for x, y in zip(lam, roots[si] + (li,))]
-        neg = si + n if si < n else si - n
-        level[i], sign[i] = -li, neg
-        for j, k in others[i]:  # g s_i(alpha_j) = g(alpha_j) + k g(alpha_i)
-            level[j] += k * li
-            sj = sign[j]
-            if sj == neg:  # affine A1 (k = 2): the finite parts cancel once
-                sign[j] = si
-                continue
-            for _ in range(k):
-                sj = add[sj][si]
-            sign[j] = sj
+        _images(rs, (i,), images)
     word = tuple(peeled[::-1])
-    cols = [roots[sign[j]] + (level[j], 0) for j in range(1, p + 1)]
-    cols += [(0,) * p + (1, 0), (*lam, 1)]
-    w = AffineWeylElement(rs, word, _word_matrix(rs, word), tuple(zip(*cols)))
+    w = AffineWeylElement(rs, word, _matrix(rs, _images(rs, word)), _matrix(rs, images))
     if _inversion_codes(w) != codes:
         raise ValueError("set is not bi-convex: reconstruction mismatch")
     return w
@@ -327,14 +324,13 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
     Each root is checked and turned into its code k * 2N + s (module
     docstring).  With g the product peeled so far and left the unpeeled
     codes, a step finds the lowest i with g(alpha_i) in left and sets
-    g <- g s_i.  Only the p+1 images g(alpha_j), as (level, signed index)
-    pairs, and g(Lambda) are kept: g s_i(alpha_j) = g(alpha_j) -
-    <alpha_j, alpha_i^vee> g(alpha_i) adds the level and takes the finite
-    part by one signed_sums lookup per unit of the pairing, and
-    g s_0(Lambda) = g(Lambda) - g(alpha_0).  They are the columns of the
-    result's inverse g, and its matrix is built from the reversed word.  A
-    set that is not an inversion set is rejected with a diagnostic, and the
-    inversion set of the result is compared with the input, both coded.
+    g <- g s_i with `_images`, which keeps only the p+1 images g(alpha_j),
+    as (level, signed index) pairs, and g(Lambda).  They are the columns
+    of the result's inverse g; its matrix comes from the same step run on
+    the reversed word.  A set that is not an inversion set is rejected
+    with a diagnostic that maps the unpeeled roots back through g^{-1}
+    (built by the same step), and the inversion set of the result is
+    compared with the input, both coded.
     """
     n2 = 2 * len(rs.positive_roots)
     codes = set()

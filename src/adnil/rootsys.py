@@ -179,8 +179,8 @@ class RootSystem:
     roots), signed_roots[s] (coefficients), signed_index (its inverse dict)
     and signed_sums[s] (dict t -> u with root s + root t = root u, so both
     orders of every difference), built on first use; for the affine layer,
-    affine_reflections[i] (rank-1 datum of s_i, i = 0..p), affine_cartan
-    and two_rho_hat (2 rho_hat as integers).
+    affine_cartan, affine_neighbours[i] (the (j, k) with <alpha_j,
+    alpha_i^vee> = -k < 0, j != i) and two_rho_hat (2 rho_hat as integers).
     """
 
     def __init__(self, label: str, family: str, rank: int):
@@ -282,20 +282,21 @@ class RootSystem:
         self.lowers = tuple(lowers)
         self.split = tuple(split)
 
-        # Affine simple reflections over (alpha_1..alpha_p, delta, Lambda):
-        # s_i(x) = x - u(x) v, v the affine simple root and u its coroot
-        # pairing, kept as the nonzero (index, coefficient) pairs of v and u;
-        # affine_cartan[i][j] = <alpha_i, alpha_j^vee> = u_j(v_i), i, j = 0..p.
+        # Over (alpha_1..alpha_p, delta, Lambda), v_i is the affine simple root
+        # and u_i its coroot pairing: affine_cartan[i][j] = <alpha_i, alpha_j^vee>
+        # = u_j(v_i), i, j = 0..p, and affine_neighbours[i] holds the (j, k)
+        # with j != i and <alpha_j, alpha_i^vee> = -k < 0.
         vs = [tuple(-c for c in self.marks) + (1, 0)]
         us = [tuple(-c for c in self.theta_pairing) + (0, 1)]
         for a in range(rank):
             vs.append(tuple(int(j == a) for j in range(rank + 2)))
             us.append(tuple(self.cartan[j][a] for j in range(rank)) + (0, 0))
-        self.affine_reflections = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(x) if c) for x in vu) for vu in zip(vs, us)
-        )
-        self.affine_cartan = tuple(
+        ac = self.affine_cartan = tuple(
             tuple(sum(a * b for a, b in zip(v, u)) for u in us) for v in vs
+        )
+        self.affine_neighbours = tuple(
+            tuple((j, -row[i]) for j, row in enumerate(ac) if row[i] and j != i)
+            for i in range(rank + 1)
         )
         # 2 rho_hat = 2 rho + 2 h^vee Lambda, h^vee = 1 + (rho, theta).
         two_h_check = 2 + sum(c * q for c, q in zip(two_rho, self.theta_pairing))

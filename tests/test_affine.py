@@ -95,12 +95,16 @@ def test_simple_reflection_action_on_simple_roots():
 
 
 def test_group_laws_on_random_words():
+    # from_word builds each matrix by coded steps and u * v by dense products;
+    # A1 takes the step's cancel branch, and words reach 40 letters
     rng = random.Random(11)
-    for label in ("A3", "C3", "G2"):
+    for label, top in (
+        ("A3", 9), ("C3", 9), ("G2", 9), ("A1", 41), ("B2", 41), ("F4", 41), ("E8", 41),
+    ):
         rs = build(label)
         for _ in range(60):
-            u = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(9))])
-            v = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(9))])
+            u = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(top))])
+            v = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(top))])
             uv = from_word(rs, u.word + v.word)
             assert uv == u * v and uv.inverse_matrix == (u * v).inverse_matrix
             assert (u * v).inverse() == v.inverse() * u.inverse()
@@ -235,6 +239,11 @@ def test_word_from_biconvex_rejects_non_biconvex_sets():
     with pytest.raises(ValueError) as exc:
         word_from_biconvex(rs, stuck)
     assert str(exc.value) == prefix + "[(1, (1, 0))]"
+    # G2: s_2 then s_1 (whose step adds 3 g(alpha_1) to g(alpha_2)), then stuck
+    stuck = {AffineRoot(0, (0, 1)), AffineRoot(0, (1, 1)), AffineRoot(1, (1, 0))}
+    with pytest.raises(ValueError) as exc:
+        word_from_biconvex(build("G2"), stuck)
+    assert str(exc.value) == prefix + "[(1, (2, 1))]"
     for bad, why in (
         (AffineRoot(0, (-1, 0)), "is not a positive affine root"),
         (AffineRoot(1, (1, -1)), "has a non-root finite part"),
@@ -438,15 +447,6 @@ def test_simplex_membership_edges():
     assert not in_min_simplex(rs, (-2, -1))
     assert in_max_simplex(rs, (0, 0))
     assert not in_max_simplex(rs, (2, 1))  # pairing exceeds 1
-
-
-def test_apply_vector_round_trip():
-    rs = build("A2")
-    w = from_word(rs, (1, 0, 2))
-    x = (1, 2)
-    img = w.apply_vector(x)
-    back = w.apply_vector_inverse(img)
-    assert tuple(back[: rs.rank]) == (1, 2)
 
 
 @st.composite
