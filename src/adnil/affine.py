@@ -29,7 +29,7 @@ from .ideals import (
     IdealChain,
     UpperIdeal,
     _complement_terms,
-    _product_bits,
+    _generated_product,
     complement_chain,
     ideal_powers,
     is_strictly_positive,
@@ -385,7 +385,7 @@ def is_minimax(ideal: UpperIdeal) -> bool:
     """
     if not is_strictly_positive(ideal):
         return False
-    rs, bits = ideal.rs, ideal.bits
+    rs, bits, gens = ideal.rs, ideal.bits, ideal.generator_indices()
     lower, previous = bits, None
     for upper in _complement_terms(rs, bits):
         if upper == previous:
@@ -395,7 +395,7 @@ def is_minimax(ideal: UpperIdeal) -> bool:
         if not upper:
             return True
         previous = upper
-        lower = _product_bits(rs, lower, bits)
+        lower = _generated_product(rs, gens, lower)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .ideals import enumerate_ideals, is_strictly_positive
-from .normalizers import normalizer
+from .ideals import enumerate_ideals
+from .normalizers import _removed_simples
 from .rootsys import RootSystem
 
 __all__ = [
@@ -282,7 +282,8 @@ def count_routes(rs: RootSystem) -> dict[str, int]:
     The generating function always runs; the lattice count through rank 8;
     enumeration, which also gives the total and strict ideal counts, unless
     `enumeration_skip` gives a reason.  Keys are in report order.
-    Enumeration streams the ideals once and keeps none of them.
+    Enumeration streams the ideals once and keeps none of them; it tallies
+    on their bits and generators, building no normalizer labels.
     """
     counts = {
         "borel_fiber_gf": gf_count(rs, 1),
@@ -293,11 +294,12 @@ def count_routes(rs: RootSystem) -> dict[str, int]:
         counts["strict_borel_fiber_lattice"] = lattice_count(rs, "max", off_walls=True).count
     if enumeration_skip(rs) is None:
         n_all = n_strict = n_b = n_b_strict = 0
+        simple_bits, borel = rs.simple_bits, (1 << rs.rank) - 1
         for ideal in enumerate_ideals(rs):
             n_all += 1
-            strict = is_strictly_positive(ideal)
+            strict = not ideal.bits & simple_bits
             n_strict += strict
-            if not normalizer(ideal).levi:
+            if _removed_simples(rs, ideal.generator_indices()) == borel:
                 n_b += 1
                 n_b_strict += strict
         counts["borel_fiber_enumeration"] = n_b

@@ -4,11 +4,29 @@ An upper ideal (the root-set shape of an ad-nilpotent ideal of the Borel)
 is a subset I of the positive roots closed under moving up in the
 dominance order.  Ideals are stored as bitsets over the root index of
 their root system; all set operations are integer bit twiddling on the
-root system's per-root tables.  `_upper_sets` is the one walk over the
-upward-closed sets of a poset, shared with `adnil.normalizers`; it carries
-the generating antichain of each set along, updated on each include of k
-as gens' = (gens & ~above[k]) | 1 << k, so `enumerate_ideals` hands every
+root system's per-root tables.
+
+`_upper_sets` is the one walk over the upward-closed sets of a poset,
+shared with `adnil.normalizers`.  Elements enter in falling index, and
+each stack entry carries its frontier: the bitset of the elements of
+smaller index than the last one entered whose upper covers are all in.
+Including k keeps the part of the frontier under index k and re-tests only
+the lower covers of k, the only elements k can free.  The walk also carries
+the generating antichain of each set, updated on each include of k as
+gens' = (gens & ~above[k]) | 1 << k, so `enumerate_ideals` hands every
 ideal its generators without a scan.
+
+Products go through generators.  For upper ideals I and J the root set of
+[I, J], the roots mu + nu with mu in I and nu in J, is the upward closure
+of {g + nu : g a generator of I, nu in J}.  It is upward closed (it is an
+ideal), so it contains that closure.  Conversely, take mu + nu a root with
+mu not a generator: mu = mu' + alpha_s for some mu' in I.  The Jacobi
+identity [[e_mu', e_s], e_nu] = [e_mu', [e_s, e_nu]] + [[e_mu', e_nu], e_s]
+makes nu + alpha_s or mu' + nu a root.  In the first case mu + nu =
+mu' + (nu + alpha_s) with nu + alpha_s in J; in the second mu + nu lies
+above mu' + nu.  Either way induction on the height of mu puts mu + nu in
+the closure.  `ideal_powers` and `adnil.affine.is_minimax` therefore loop
+over the generators of I (at most rank many), not over every root of I^k.
 """
 
 from __future__ import annotations
@@ -115,38 +133,47 @@ def close_upward(rs: RootSystem, generators) -> UpperIdeal:
         k = rs.root_index.get(_coords(g))
         if k is None:
             raise ValueError(f"{g!r} is not a positive root of {rs.label}")
-        bits |= 1 << k
-    stack = list(_iter_bits(bits))
-    while stack:
-        new = rs.up[stack.pop()] & ~bits
-        bits |= new
-        stack.extend(_iter_bits(new))
+        bits |= rs.upsets[k]
     return UpperIdeal(rs, bits, _validate=False)
 
 
-def _upper_sets(above, order) -> Iterator[tuple[int, int]]:
+def _upper_sets(above) -> Iterator[tuple[int, int]]:
     """Every subset closed under `above`, with its minimal elements, as bitsets.
 
-    above[k] is the bitset of elements that must be in before k may enter;
-    `order` lists every element after all of those above it.  Each path
-    takes the exclude branch first and stacks the include branches, so the
-    empty set comes first and the full one last.  The walk yields
-    (bits, gens), gens the minimal elements of bits, and on each include
-    of k updates them as gens' = (gens & ~above[k]) | 1 << k.  When above[k]
-    holds the upper covers of k this is exact: a minimal element above k
-    lies above some cover of k, which is in the set, so it is that cover.
+    above[k] is the bitset of the upper covers of k, all of larger index
+    than k.  Elements enter in falling index.  Each path takes the exclude
+    branch first and stacks the include branches, so the empty set comes
+    first and the full one last.
+
+    A stack entry (free, bits, gens) keeps the frontier invariant: free is
+    the set of elements of smaller index than the last one entered whose
+    covers are all in bits, so its members are exactly the elements that
+    may enter next.  The candidates are read off free from the top with
+    bit_length.  On an include of k, the elements of free under index k
+    stay free, and only the lower covers of k are re-tested, since no other
+    element has k as a cover.
+
+    gens, the minimal elements of bits, is updated on each include of k as
+    gens' = (gens & ~above[k]) | 1 << k.  This is exact: a minimal element
+    above k lies above some cover of k, which is in the set, so it is that
+    cover.
     """
-    n = len(order)
-    stack = [(0, 0, 0)]
+    below: list[list[tuple[int, int]]] = [[] for _ in above]
+    for j, a in enumerate(above):
+        for k in _iter_bits(a):
+            below[k].append((j, a))
+    stack = [(sum(1 << k for k, a in enumerate(above) if not a), 0, 0)]
     while stack:
-        start, bits, gens = stack.pop()
-        outside = ~bits
-        for pos in range(start, n):
-            k = order[pos]
-            a = above[k]
-            if not a & outside:
-                b = 1 << k
-                stack.append((pos + 1, bits | b, (gens & ~a) | b))
+        free, bits, gens = stack.pop()
+        while free:
+            k = free.bit_length() - 1
+            b = 1 << k
+            free ^= b
+            grown, frontier = bits | b, free
+            for j, a in below[k]:
+                if not a & ~grown:
+                    frontier |= 1 << j
+            stack.append((frontier, grown, (gens & ~above[k]) | b))
         yield bits, gens
 
 
@@ -158,7 +185,7 @@ def enumerate_ideals(rs: RootSystem) -> Iterator[UpperIdeal]:
     ideal first and the full one last.  Each ideal carries its generators
     from the walk.
     """
-    for bits, gens in _upper_sets(rs.up, range(len(rs.positive_roots) - 1, -1, -1)):
+    for bits, gens in _upper_sets(rs.up):
         yield UpperIdeal(rs, bits, _validate=False, _gens=gens)
 
 
@@ -174,13 +201,20 @@ def weight(ideal: UpperIdeal) -> RationalVector:
 
 
 def _product_bits(rs: RootSystem, left: int, right: int) -> int:
-    """Bitset of all root sums mu + nu with mu in left, nu in right."""
+    """Bitset of all root sums mu + nu with mu in left, nu in right.
+
+    Needed only where left is not an upper ideal (the complement chain);
+    `_generated_product` is the fast route for upper ideals.  A square
+    pairs each mu only with the nu of smaller index still in left, since
+    sums commute and 2 mu is never a root.
+    """
     sums, partners = rs.sums, rs.partners
+    square = left == right
     out = 0
     while left:  # inline bit loops: this is the hot path
         i = left.bit_length() - 1
         left ^= 1 << i
-        hit = partners[i] & right  # the nu in right with mu + nu a root
+        hit = partners[i] & (left if square else right)  # the nu with mu + nu a root
         if hit:
             s = sums[i]
             while hit:
@@ -190,32 +224,60 @@ def _product_bits(rs: RootSystem, left: int, right: int) -> int:
     return out
 
 
+def _generated_product(rs: RootSystem, gens, right: int) -> int:
+    """Bitset of [I, J] for upper ideals I, J: the upward closure of g + nu.
+
+    gens are the generator indices of I and right is the bitset of J; the
+    module docstring proves that this is every root sum mu + nu.
+    """
+    sums, partners, upsets = rs.sums, rs.partners, rs.upsets
+    out = 0
+    for g in gens:
+        hit = partners[g] & right
+        if hit:
+            s = sums[g]
+            while hit:
+                j = hit.bit_length() - 1
+                hit ^= 1 << j
+                k = s[j]
+                if not (out >> k) & 1:
+                    out |= upsets[k]
+    return out
+
+
 def _complement_terms(rs: RootSystem, bits: int) -> Iterator[int]:
     """Terms of the complement chain of I as bitsets, without end.
 
-    With m the complement of I, term k is the complement of m union ... union
-    m^k; the first term is I itself, and a stalled chain repeats its last term.
+    With m the complement of I, term k is the complement of the union
+    U_k = m union ... union m^k; the first term is I itself, and a stalled
+    chain repeats its last term.  U_{k+1} = m union (U_k + m), and the sums
+    from U_{k-1} already lie in U_k, so each step adds only the sums from
+    the roots new in U_k: every root is a left operand at most once.
     """
     full = (1 << len(rs.positive_roots)) - 1
     m = full & ~bits
-    used = power = m
+    used = new = m
     while True:
         yield full & ~used
-        power = _product_bits(rs, power, m)
-        used |= power
+        new = _product_bits(rs, new, m) & ~used
+        used |= new
 
 
 def ideal_powers(ideal: UpperIdeal) -> IdealChain:
     """The descending chain I, I^2, I^3, ... ending with the empty ideal.
 
-    I^k collects the roots expressible as mu + nu with mu in I^{k-1} and
-    nu in I; it always reaches empty because heights grow with k.
+    I^k collects the roots expressible as mu + nu with mu in I and nu in
+    I^{k-1}; it always reaches empty because heights grow with k.  By the
+    generator lemma of the module docstring, I^k is the upward closure of
+    the sums g + nu with g a generator of I, so each step loops over the
+    generators of I and the roots of I^{k-1} that pair with them.
     """
     rs = ideal.rs
+    gens = ideal.generator_indices()
     chain = [ideal]
     current = ideal.bits
     while current:
-        current = _product_bits(rs, current, ideal.bits)
+        current = _generated_product(rs, gens, current)
         chain.append(UpperIdeal(rs, current, _validate=False))
     return IdealChain(tuple(chain))
 

@@ -51,6 +51,15 @@ class ParabolicLabel:
         return f"ParabolicLabel({{{inside}}})"
 
 
+def _removed_simples(rs: RootSystem, gens) -> int:
+    """Bitset of the simple indices off the normalizer Levi: the OR of
+    rs.lowers over the generator indices `gens` of the ideal."""
+    removed = 0
+    for g in gens:
+        removed |= rs.lowers[g]
+    return removed
+
+
 def normalizer(ideal: UpperIdeal) -> ParabolicLabel:
     """Parabolic label from the generators of the ideal.
 
@@ -58,9 +67,7 @@ def normalizer(ideal: UpperIdeal) -> ParabolicLabel:
     gamma - alpha equal to zero or to a positive root.
     """
     rs = ideal.rs
-    removed = 0
-    for g in ideal.generator_indices():
-        removed |= rs.lowers[g]
+    removed = _removed_simples(rs, ideal.generator_indices())
     return ParabolicLabel(rs.rank, frozenset(_iter_bits(~removed & ((1 << rs.rank) - 1))))
 
 
@@ -111,14 +118,15 @@ def stable_count(rs: RootSystem, label: ParabolicLabel) -> int:
 
     Such an ideal lies off the Levi span and is a union of classes, the
     roots sharing their coefficients off the Levi, closed upward in the
-    class order.  Class covers are read from `rs.up`; the classes are walked
-    in falling off-Levi height.
+    class order.  Class covers are read from `rs.up`.  The classes are
+    indexed by rising off-Levi height, so covers get larger indices, and
+    the walk enters them in falling index.
     """
     if label.rank != rs.rank:
         raise ValueError("label rank does not match root system")
     off = [a for a in range(rs.rank) if a not in label.levi]
     keys = [tuple(root.coeffs[a] for a in off) for root in rs.positive_roots]
-    classes = sorted({k for k in keys if any(k)}, key=lambda k: (-sum(k), k))
+    classes = sorted({k for k in keys if any(k)}, key=lambda k: (sum(k), k))
     index = {k: c for c, k in enumerate(classes)}
     above = [0] * len(classes)
     for g, k in enumerate(keys):
@@ -126,4 +134,4 @@ def stable_count(rs: RootSystem, label: ParabolicLabel) -> int:
             for h in _iter_bits(rs.up[g]):
                 if keys[h] != k:
                     above[index[k]] |= 1 << index[keys[h]]
-    return sum(1 for _ in _upper_sets(above, range(len(classes))))
+    return sum(1 for _ in _upper_sets(above))

@@ -172,6 +172,7 @@ class RootSystem:
     gamma_i + gamma_j = gamma_k), partners[i] (bitset of the j with
     gamma_i + gamma_j a root, the keys of sums[i]), simple_bits (bitset of
     the simple roots), up[i] (bitset of the upper covers gamma_i + alpha_a),
+    upsets[i] (bitset of every root >= gamma_i, gamma_i included),
     lowers[i] (bitset of the simple indices a with gamma_i - alpha_a zero or
     a positive root) and split[k] (one pair (i, a) with
     gamma_k = gamma_i + alpha_a, None for a simple root); over signed
@@ -279,6 +280,16 @@ class RootSystem:
         self.sums = tuple(sums)
         self.partners = tuple(sum(1 << j for j in s) for s in sums)
         self.up = tuple(up)
+        # Covers have larger indices, so one falling pass closes each up-set.
+        upsets = [0] * n
+        for k in range(n - 1, -1, -1):
+            bits, covers = 1 << k, up[k]
+            while covers:
+                j = covers.bit_length() - 1
+                covers ^= 1 << j
+                bits |= upsets[j]
+            upsets[k] = bits
+        self.upsets = tuple(upsets)
         self.lowers = tuple(lowers)
         self.split = tuple(split)
 

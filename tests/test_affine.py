@@ -337,6 +337,12 @@ def test_lockstep_minimax_matches_the_full_chains():
             assert is_minimax(c) == want, (label, c)
 
 
+def test_minimax_counts_on_e7_e8():
+    # computed values, no published reference; E6's 67 is pinned by Table 7
+    for label, want in (("E7", 217), ("E8", 834)):
+        assert sum(is_minimax(c) for c in enumerate_ideals(build(label))) == want, label
+
+
 def test_minimax_raises_when_the_complement_chain_stalls(monkeypatch):
     # with every root sum removed, m^2 is empty and the complement chain
     # stops at the ideal itself

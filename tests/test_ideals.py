@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,21 @@ STRICT_TOTALS = {
 }
 
 
+# SHA-256 of repr([(bits, gens), ...]) over enumerate_ideals, taken from the
+# position-scan walk that the frontier walk replaced: the order is API.
+WALK_DIGESTS = {
+    "G2": "a87bb7c2d1dbb74f57475db045640d18ae96b1bb4fb8cf00243e0f5601a6c744",
+    "B4": "ce4a377a3d70677a12005cb86e6b5844e83d08e910228796ac13864fb69b6632",
+    "C4": "ce4a377a3d70677a12005cb86e6b5844e83d08e910228796ac13864fb69b6632",
+    "D5": "a3ff7f8c03afba3542b7f08cff82b5b4fd44b04a6c6d1a931bc8b5d60e7315ec",
+    "F4": "f55ecd951ff0b277578b3c6dece63d16f4e20c8543bd75b628c5990eb8006749",
+    "A6": "62bbc6e947f42881b1ccd77f0ff6fc0b02dab889d9a44b26e26f84d50b97c002",
+    "E6": "ed28550bf8f968720f5acb882a2d30ec739936e96e568aecaac884a6346cdc85",
+    "E7": "2f38ff22703afb482f484b85f28796678bb0f89f05e2747e42537f6d74bf08e0",
+    "E8": "0ff082d8edc8e3f9f4286e9673bb3eab9599405eb67fb4c3a8624fc2ed2ab294",
+}
+
+
 def _ideals(label):
     return list(enumerate_ideals(build(label)))
 
@@ -54,6 +71,12 @@ def test_enumeration_is_deterministic_and_duplicate_free():
         assert first[0] == 0, "empty ideal comes first"
         rs = build(label)
         assert first[-1] == (1 << len(rs.positive_roots)) - 1, "full ideal comes last"
+
+
+def test_walk_order_is_pinned():
+    for label, want in WALK_DIGESTS.items():
+        pairs = [(c.bits, c._gens) for c in enumerate_ideals(build(label))]
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == want, label
 
 
 def test_strictly_positive_totals():
@@ -157,6 +180,32 @@ def test_powers_match_pairwise_sums():
             if s in rs.root_index:
                 expected.add(s)
     assert {r.coeffs for r in sq.roots()} == expected
+
+
+def _all_pairs_powers(rs, bits):
+    """Reference chain: I^k from every pair mu in I^{k-1}, nu in I."""
+    chain = [bits]
+    while chain[-1]:
+        left, out = chain[-1], 0
+        for i in range(len(rs.positive_roots)):
+            if (left >> i) & 1:
+                for j, k in rs.sums[i].items():
+                    if (bits >> j) & 1:
+                        out |= 1 << k
+        chain.append(out)
+    return chain
+
+
+@pytest.mark.parametrize("label", ["G2", "A5", "B4", "C4", "D5", "F4", "E6", "E7", "E8"])
+def test_powers_from_generators_match_all_pairs(label):
+    # the generator lemma: [I, J] is the upward closure of the sums g + nu,
+    # g a generator of I; every ideal, and every 50th one of E8
+    ideals = list(enumerate_ideals(build(label)))
+    if label == "E8":
+        ideals = ideals[::50]
+    for c in ideals:
+        got = [p.bits for p in ideal_powers(c).powers]
+        assert got == _all_pairs_powers(c.rs, c.bits), (label, c.bits)
 
 
 def test_walk_carried_generators_match_the_scan():

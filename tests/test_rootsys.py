@@ -197,6 +197,10 @@ def test_cover_relations():
                     lowers |= 1 << a
             assert rs.up[k] == up
             assert rs.lowers[k] == lowers
+            assert rs.upsets[k] == sum(
+                1 << j for j, other in enumerate(rs.positive_roots)
+                if all(x <= y for x, y in zip(root.coeffs, other.coeffs))
+            )
             if rs.heights[k] == 1:
                 assert k in rs.simple_index and lowers.bit_count() == 1
             else:
