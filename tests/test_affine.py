@@ -355,6 +355,8 @@ def test_minimax_raises_when_the_complement_chain_stalls(monkeypatch):
     assert complement_chain(c).stalled
     with pytest.raises(AssertionError, match="complement chain stalled"):
         is_minimax(c)
+    with pytest.raises(AssertionError, match="complement chain stalled"):
+        w_max(c)
 
 
 def test_identity_and_simple_reflection_representative_flags():

@@ -221,6 +221,21 @@ def test_verify_restricted_to_one_type(capsys):
     assert "A3" not in out
 
 
+def test_verify_builds_w_min_once_per_ideal(monkeypatch):
+    calls = []
+
+    def counted(ideal):
+        calls.append(ideal)
+        return real(ideal)
+
+    real = verify.w_min
+    monkeypatch.setattr(verify, "w_min", counted)
+    runners = verify.suite_runners("G2", 0, 12)
+    for name in ("normalizer-oracles", "affine", "shi"):
+        runners[name]()
+    assert len(calls) == 8  # G2 has 8 ideals
+
+
 def test_verify_reports_first_counterexample(capsys, monkeypatch):
     fake = SimpleNamespace(name="fake", argument=3, lhs=1, rhs=2, passed=False)
     monkeypatch.setattr(verify, "verify_identities", lambda n_max: (fake,))

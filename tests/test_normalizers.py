@@ -77,20 +77,19 @@ def test_extreme_ideals():
 
 
 def test_nilradical_properties():
-    for label in ("A3", "B3", "D4", "G2"):
+    for label in ("A3", "B3", "D4", "G2", "F4", "E6"):
         rs = build(label)
-        n_pos = len(rs.positive_roots)
         for mask in range(1 << rs.rank):
             levi = frozenset(a for a in range(rs.rank) if mask >> a & 1)
             lab = ParabolicLabel(rs.rank, levi)
             m = nilradical(rs, lab)
-            # size: positive roots not supported inside the Levi
-            inside = sum(
-                1
-                for r in rs.positive_roots
-                if all(c == 0 or a in levi for a, c in enumerate(r.coeffs))
+            # exactly the positive roots with a nonzero coefficient off the Levi
+            off_levi = sum(
+                1 << k
+                for k, r in enumerate(rs.positive_roots)
+                if any(c and a not in levi for a, c in enumerate(r.coeffs))
             )
-            assert m.size == n_pos - inside
+            assert m.bits == off_levi
             assert normalizer(m) == lab
 
 
