@@ -638,7 +638,6 @@ def suite_runners(
     """Every suite by name, in run order; `label` restricts the per-type suites."""
     types = (build(label).label,) if label else None
     tables = cache(lambda: [ideal_table(t) for t in types or ORACLE_TYPES])
-
     return {
         "normalizer-oracles": lambda: suite_normalizer_oracles(tables()),
         "affine": lambda: suite_affine(tables(), seed),

@@ -222,13 +222,13 @@ def test_verify_restricted_to_one_type(capsys):
 
 
 def test_verify_builds_w_min_once_per_ideal(monkeypatch):
+    real = verify.w_min
     calls = []
 
     def counted(ideal):
         calls.append(ideal)
         return real(ideal)
 
-    real = verify.w_min
     monkeypatch.setattr(verify, "w_min", counted)
     runners = verify.suite_runners("G2", 0, 12)
     for name in ("normalizer-oracles", "affine", "shi"):
