@@ -12,17 +12,29 @@ decision is exact.
 The region and wall solves use only the boundary rows of the region:
 y_i > 0, c.y > 1 for the generators of the ideal and c.y < 1 for the
 maximal roots of its complement.  Pairings rise along the root poset when
-y >= 0, so every other row is implied.
+y >= 0, so every other row is implied.  Two tableau forms share one pivot
+loop (``_max_margin``).  ``feasible``, and with it ``region_witness``,
+splits free variables as x = (u - v) / s and keeps the positivity rows.
+``is_wall`` needs only a yes or no, and all its variables are positive
+pairings, so it substitutes y = (u + t 1) / s with u >= 0: positivity then
+follows from the margin t > 0, and the v columns and the positivity rows
+go away.
+
+Alcove membership is decided in integers: the barycenter of the base
+alcove is kept once per root system as integer numerators over one
+denominator, and its image under w^{-1} = t_z v is compared with the
+region rows on integer pairings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
-from .affine import AffineWeylElement, alcove_barycenter, is_dominant, star
+from .affine import AffineWeylElement, alcove_barycenter, factorize, is_dominant
 from .ideals import UpperIdeal
-from .rootsys import RationalVector
+from .rootsys import RationalVector, RootSystem
 
 __all__ = [
     "in_region",
@@ -33,20 +45,24 @@ __all__ = [
 ]
 
 
-def in_region(ideal: UpperIdeal, x) -> bool:
-    """Whether x lies in the open region attached to the ideal.
+def _rows_hold(ideal: UpperIdeal, y, d: int) -> bool:
+    """The region test on integer pairings y = d (x, alpha_i), for d > 0.
 
     Every row is tested, not only the boundary rows: pairings with simple
     roots are positive, with ideal roots exceed one, with others below one.
     """
-    rs = ideal.rs
-    y = rs.pairings(x)
-    d = lcm(*(v.denominator for v in y))  # compare c.(d y) with d in integers
-    y = [v.numerator * (d // v.denominator) for v in y]
-    values = (sum(c * v for c, v in zip(root.coeffs, y)) for root in rs.positive_roots)
+    bits = ideal.bits
+    values = (sum(c * v for c, v in zip(root.coeffs, y)) for root in ideal.rs.positive_roots)
     return min(y) > 0 and all(
-        value > d if (ideal.bits >> g) & 1 else value < d for g, value in enumerate(values)
+        value > d if (bits >> g) & 1 else value < d for g, value in enumerate(values)
     )
+
+
+def in_region(ideal: UpperIdeal, x) -> bool:
+    """Whether x lies in the open region attached to the ideal."""
+    y = ideal.rs.pairings(x)
+    d = lcm(*(v.denominator for v in y))  # compare c.(d y) with d in integers
+    return _rows_hold(ideal, [v.numerator * (d // v.denominator) for v in y], d)
 
 
 def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> None:
@@ -65,42 +81,22 @@ def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> None:
     pivot_row[c] = det
 
 
-def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
-    """Exact strict-feasibility test with an interior rational witness.
+def _max_margin(tableau: list[list[int]], k: int) -> list[int] | None:
+    """Raise the margin t above zero, or None when it cannot be.
 
-    Each row is a triple (normal, bound, relation) of an int tuple of length
-    ``dimension``, an int and ">" or "<", for the strict condition
-    normal.x > bound or normal.x < bound.  Returns a point satisfying every
-    row, or None when there is none.
-
-    The rows are homogenised with x = (u - v) / s over u, v, s >= 0.  A
-    margin t must satisfy s >= t and clear every row (a.(u - v) - b s >= t
-    for a.x > b, and the negation for <), and sum(u) + sum(v) + s <= 1
-    bounds the problem.  Only that last row has a nonzero right-hand side,
-    so the origin is a feasible basis and a single phase maximizes t on an
-    integer tableau with fraction-free pivots and Bland's rule.  The system
-    is feasible iff t can be made positive; the search stops at the first
-    basis where it is.
+    Each row of ``tableau`` is a condition row.(z, s, t) <= 0 on k variables
+    z >= 0 and s, t >= 0, held as its k + 2 coefficients and a zero
+    right-hand side.  The loop appends s >= t, the bound sum(z) + s <= 1
+    and the objective t, so the origin is a feasible basis, and maximizes t
+    with fraction-free pivots and Bland's rule.  It stops at the first
+    basis where t is positive and returns the values of the k + 2 columns
+    as numerators over one positive denominator.
     """
-    p = dimension
-    s_col, t_col = 2 * p, 2 * p + 1
-    n = 2 * p + 2
-    tableau = []
-    for normal, bound, relation in rows:
-        if relation not in (">", "<"):
-            raise ValueError(f"unknown relation {relation!r}")
-        if len(normal) != p:
-            raise ValueError(f"normal of length {len(normal)} in dimension {p}")
-        if any(type(a) is not int for a in (*normal, bound)):
-            raise ValueError(f"row {normal!r} {relation} {bound!r} has a non-int entry")
-        if not any(normal):
-            raise ValueError("inequality with zero normal")
-        sign = -1 if relation == ">" else 1
-        a = [sign * v for v in normal]
-        tableau.append(a + [-v for v in a] + [-sign * bound, 1, 0])
+    s_col, t_col = k, k + 1
+    n = k + 2
     margin = [0] * (n + 1)
     margin[s_col], margin[t_col] = -1, 1
-    norm = [1] * (2 * p + 1) + [0, 1]
+    norm = [1] * (k + 1) + [0, 1]
     objective = [0] * (n + 1)
     objective[t_col] = -1
     tableau += [margin, norm, objective]
@@ -136,20 +132,80 @@ def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
     for i, col in enumerate(basis):
         if col < n:
             value[col] = tableau[i][-1]
-    s = value[s_col]
+    return value
+
+
+def _free_split_rows(dimension: int, rows) -> list[list[int]]:
+    """Tableau rows for x = (u - v) / s: a.(u - v) - b s >= t for a.x > b.
+
+    A row a.x < b is negated first.  Raises ValueError on a malformed row.
+    """
+    tableau = []
+    for normal, bound, relation in rows:
+        if relation not in (">", "<"):
+            raise ValueError(f"unknown relation {relation!r}")
+        if len(normal) != dimension:
+            raise ValueError(f"normal of length {len(normal)} in dimension {dimension}")
+        if any(type(a) is not int for a in (*normal, bound)):
+            raise ValueError(f"row {normal!r} {relation} {bound!r} has a non-int entry")
+        if not any(normal):
+            raise ValueError("inequality with zero normal")
+        sign = -1 if relation == ">" else 1
+        a = [sign * v for v in normal]
+        tableau.append(a + [-v for v in a] + [-sign * bound, 1, 0])
+    return tableau
+
+
+def _orthant_rows(rows) -> list[list[int]]:
+    """Tableau rows for y = (u + t 1) / s with u >= 0, so that every y_i > 0.
+
+    With the margin t, a.y > b becomes -a.u + b s + (1 - sum(a)) t <= 0 and
+    a.y < b becomes a.u - b s + (1 + sum(a)) t <= 0.
+    """
+    tableau = []
+    for normal, bound, relation in rows:
+        total = sum(normal)
+        if relation == ">":
+            tableau.append([-a for a in normal] + [bound, 1 - total, 0])
+        else:
+            tableau.append(list(normal) + [-bound, 1 + total, 0])
+    return tableau
+
+
+def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
+    """Exact strict-feasibility test with an interior rational witness.
+
+    Each row is a triple (normal, bound, relation) of an int tuple of length
+    ``dimension``, an int and ">" or "<", for the strict condition
+    normal.x > bound or normal.x < bound.  Returns a point satisfying every
+    row, or None when there is none.
+
+    The rows are homogenised with x = (u - v) / s over u, v, s >= 0.  A
+    margin t must satisfy s >= t and clear every row (a.(u - v) - b s >= t
+    for a.x > b, and the negation for <), and sum(u) + sum(v) + s <= 1
+    bounds the problem.  The system is feasible iff t can be made positive.
+    ``is_wall`` runs the same pivot loop on the smaller orthant form, where
+    every variable is positive and y = (u + t 1) / s needs no v columns.
+    """
+    p = dimension
+    value = _max_margin(_free_split_rows(p, rows), 2 * p)
+    if value is None:
+        return None
+    s = value[2 * p]
     return tuple(Fraction(value[i] - value[p + i], s) for i in range(p))
 
 
 def _boundary_rows(ideal: UpperIdeal, drop: int | None) -> list | None:
-    """Boundary rows of the region in pairing coordinates, as feasible takes them.
+    """Generator and complement-maximal rows of the region, as feasible takes them.
 
-    With ``drop``, the pairing with that simple root is fixed at zero and
-    removed from the variables.  A row left with a zero normal is 0 > 1,
-    and then there are no rows (None), or 0 < 1, which is skipped.
+    The positivity rows y_i > 0 are left to the caller.  With ``drop``, the
+    pairing with that simple root is fixed at zero and removed from the
+    variables.  A row left with a zero normal is 0 > 1, and then there are
+    no rows (None), or 0 < 1, which is skipped.
     """
     rs, bits = ideal.rs, ideal.bits
     keep = [i for i in range(rs.rank) if i != drop]
-    rows = [(tuple(int(i == k) for i in keep), 0, ">") for k in keep]
+    rows = []
     for g in ideal.generator_indices():
         normal = tuple(rs.positive_roots[g].coeffs[i] for i in keep)
         if not any(normal):
@@ -166,17 +222,20 @@ def _boundary_rows(ideal: UpperIdeal, drop: int | None) -> list | None:
 def region_witness(ideal: UpperIdeal) -> RationalVector:
     """Exact interior point of the region of the ideal.
 
-    Solved on the boundary rows in pairing coordinates y, and mapped back
-    as x = sum(y_i * omega_i-coweight).
+    Solved by ``feasible`` on the positivity rows followed by the boundary
+    rows, in pairing coordinates y, and mapped back as
+    x = sum(y_i * omega_i-coweight).
     """
     rs = ideal.rs
-    y = feasible(rs.rank, _boundary_rows(ideal, None))
+    p = rs.rank
+    positive = [(tuple(int(i == k) for i in range(p)), 0, ">") for k in range(p)]
+    y = feasible(p, positive + _boundary_rows(ideal, None))
     if y is None:
         raise AssertionError(f"region of {ideal!r} is infeasible")
     return RationalVector(
         tuple(
             sum(yi * w.coords[j] for yi, w in zip(y, rs.fundamental_coweights))
-            for j in range(rs.rank)
+            for j in range(p)
         )
     )
 
@@ -186,25 +245,47 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
 
     The pairing with that simple root is dropped from the boundary rows
     (fixed at zero); the hyperplane is a wall iff the rest stays strictly
-    feasible.  If the simple root generates the ideal, its row becomes
-    0 > 1 and the answer is no without a solve.
+    feasible with every other pairing positive, decided on the orthant
+    form.  If the simple root generates the ideal, its row becomes 0 > 1
+    and the answer is no without a solve.
     """
     rs = ideal.rs
     if not 0 <= simple < rs.rank:
         raise ValueError(f"simple root index {simple} out of range")
     rows = _boundary_rows(ideal, simple)
-    return rows is not None and feasible(rs.rank - 1, rows) is not None
+    return rows is not None and _max_margin(_orthant_rows(rows), rs.rank - 1) is not None
+
+
+@lru_cache(maxsize=None)
+def _barycenter_data(rs: RootSystem) -> tuple:
+    """The alcove barycenter as integer numerators over a denominator d, and
+    the integer pairing matrix P over e: e (x, alpha_j) = sum_k x_k P[k][j]."""
+    coords = alcove_barycenter(rs).coords
+    d = lcm(*(v.denominator for v in coords))
+    e = lcm(*(v.denominator for v in rs.symmetrizer))
+    pairing = tuple(
+        tuple(int(e * s * a) for s, a in zip(rs.symmetrizer, row)) for row in rs.cartan
+    )
+    return tuple(v.numerator * (d // v.denominator) for v in coords), d, pairing, e
 
 
 def alcove_membership(w: AffineWeylElement, ideal: UpperIdeal) -> bool:
     """Whether the inverse affine action drops the base alcove in the region.
 
     Evaluates the region conditions at the image of the alcove barycenter
-    under the inverse of w; true exactly when the first layer of w is the
+    under w^{-1} = t_z v, as the integer vector v(d b) + d z for the
+    barycenter b = (d b) / d; true exactly when the first layer of w is the
     given ideal.
     """
     if w.rs is not ideal.rs:
         raise ValueError("elements belong to different root systems")
     if not is_dominant(w):
         raise ValueError("alcove membership is defined for dominant elements")
-    return in_region(ideal, star(w.inverse(), alcove_barycenter(w.rs)))
+    fac = factorize(w.inverse())
+    b, d, pairing, e = _barycenter_data(w.rs)
+    x = [
+        sum(a * c for a, c in zip(row, b)) + d * int(z)
+        for row, z in zip(fac.finite_part, fac.translation.coords)
+    ]
+    y = [sum(xk * row[j] for xk, row in zip(x, pairing)) for j in range(len(x))]
+    return _rows_hold(ideal, y, d * e)

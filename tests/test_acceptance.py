@@ -188,6 +188,16 @@ def test_criterion_4_five_way_normalizer_agreement_on_e6():
     assert results == [("five-way-normalizer[E6]", "833 ideals")]
 
 
+def test_criterion_4_five_way_normalizer_agreement_on_an_e7_sample():
+    start = time.monotonic()
+    rs = build("E7")
+    ideals = list(enumerate_ideals(rs))[::4]
+    table = (rs, ideals, [w_min(c) for c in ideals])
+    results = suite_normalizer_oracles([table])  # raises on any discrepancy
+    assert results == [("five-way-normalizer[E7]", "1040 ideals")]
+    assert time.monotonic() - start < 30
+
+
 def test_criterion_5_lattice_point_bijections_and_index_law():
     for label in ORACLE_TYPES:
         rs = build(label)

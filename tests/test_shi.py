@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from adnil.affine import alcove_barycenter, identity_element, simple_reflection, w_min
+import adnil.shi
+from adnil.affine import alcove_barycenter, identity_element, simple_reflection, star, w_min
 from adnil.ideals import close_upward, enumerate_ideals
 from adnil.normalizers import normalizer
 from adnil.rootsys import build, inner
 from adnil.shi import (
+    _boundary_rows,
     alcove_membership,
     feasible,
     in_region,
@@ -227,6 +230,54 @@ def test_walls_and_witnesses_on_an_e7_sample():
     ideals = list(enumerate_ideals(build("E7")))[::13]
     assert len(ideals) == 320
     _check_walls_and_witnesses(ideals)
+
+
+def test_orthant_walls_match_the_free_split_solve(monkeypatch):
+    # The reference is the free-split solve on the positivity rows of the
+    # kept pairings followed by the boundary rows.
+    samples = [
+        list(enumerate_ideals(build(label)))
+        for label in ("G2", "B3", "C3", "D4", "F4", "B4", "C4", "D5", "A5")
+    ]
+    samples.append(list(enumerate_ideals(build("E7")))[::13])
+    for ideals in samples:
+        p = ideals[0].rs.rank
+        positive = [(tuple(int(i == k) for i in range(p - 1)), 0, ">") for k in range(p - 1)]
+        for c in ideals:
+            for a in range(p):
+                rows = _boundary_rows(c, a)
+                expected = rows is not None and feasible(p - 1, positive + rows) is not None
+                assert is_wall(c, a) == expected, (c, a)
+
+    def no_solve(*args):
+        raise AssertionError("a generating simple root needs no solve")
+
+    monkeypatch.setattr(adnil.shi, "_max_margin", no_solve)
+    for label in ("A3", "B3", "D4", "G2", "F4"):
+        rs = build(label)
+        for a, g in enumerate(rs.simple_index):
+            generated = close_upward(rs, [rs.positive_roots[g]])
+            assert _boundary_rows(generated, a) is None
+            assert not is_wall(generated, a)
+
+
+def test_integer_alcove_membership_matches_the_fraction_route():
+    def check(rs, pairs):
+        image = {}
+        for w, b in pairs:
+            if w not in image:
+                image[w] = star(w.inverse(), alcove_barycenter(rs))
+            assert alcove_membership(w, b) == in_region(b, image[w]), (w, b)
+
+    for label in ("G2", "B3", "D4", "F4"):
+        rs = build(label)
+        ideals = list(enumerate_ideals(rs))
+        check(rs, [(w_min(a), b) for a in ideals for b in ideals])
+    rs = build("E6")
+    ideals = list(enumerate_ideals(rs))
+    rng = random.Random(7)
+    picks = [(rng.randrange(len(ideals)), rng.randrange(len(ideals))) for _ in range(200)]
+    check(rs, [(w_min(ideals[a]), ideals[b]) for a, b in picks])
 
 
 def test_is_wall_rejects_bad_index():
