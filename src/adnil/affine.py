@@ -409,14 +409,10 @@ def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ..
     if any(Fraction(c).denominator != 1 for c in coords):
         raise AssertionError("coroot-lattice vector with non-integral data")
     z = tuple(int(c) for c in coords)
-    pairs = []
-    for j, d in enumerate(rs.symmetrizer):  # (z, alpha_j) = d_j <z, alpha_j^vee>
-        q, r = divmod(
-            d.numerator * sum(c * row[j] for c, row in zip(z, rs.cartan) if c), d.denominator
-        )
-        if r:
-            raise AssertionError("non-integral pairing with a simple root")
-        pairs.append(q)
+    y, den = rs._scaled_pairings(z)
+    if any(v % den for v in y):
+        raise AssertionError("non-integral pairing with a simple root")
+    pairs = [v // den for v in y]
     half_norm, odd = divmod(sum(c * q for c, q in zip(z, pairs)), 2)
     if odd:
         raise AssertionError("coroot-lattice vector with non-integral data")

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 
-from .linalg import determinant, invert, to_matrix
+from .linalg import adjugate
 
 __all__ = [
     "ConfigurationError",
@@ -166,7 +167,9 @@ class RootSystem:
     """Immutable container of exact root-system data.
 
     Attributes of note: positive_roots (height-sorted Root tuple), theta,
-    marks (theta coefficients), f (index of connection), cartan, gram,
+    marks (theta coefficients), f (index of connection), cartan, form (the
+    invariant form in ints, form[i][j] = e (alpha_i, alpha_j)), form_scale
+    (that e, the lcm of the symmetrizer denominators), gram (form / e),
     fundamental_weights / fundamental_coweights, rho, rho_check, and the
     root-poset tables over root indices: sums[i] (dict j -> k with
     gamma_i + gamma_j = gamma_k), partners[i] (bitset of the j with
@@ -190,17 +193,14 @@ class RootSystem:
         self.rank = rank
         self.cartan = _cartan_entries(family, rank)
         self.symmetrizer = _symmetrizer(family, rank)
-        # gram[i][j] = (alpha_i, alpha_j) = cartan[i][j] * d_j.
-        self.gram = to_matrix(
-            [
-                [Fraction(self.cartan[i][j]) * self.symmetrizer[j] for j in range(rank)]
-                for i in range(rank)
-            ]
-        )
-        for i in range(rank):
-            for j in range(rank):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
+        # form[i][j] = e (alpha_i, alpha_j) = cartan[i][j] e d_j, e the lcm of
+        # the denominators of the d_j, so every pairing sums in integers.
+        e = self.form_scale = lcm(*(d.denominator for d in self.symmetrizer))
+        scaled = [int(e * d) for d in self.symmetrizer]
+        self.form = tuple(tuple(c * s for c, s in zip(row, scaled)) for row in self.cartan)
+        if any(self.form[i][j] != self.form[j][i] for i in range(rank) for j in range(i)):
+            raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
+        self.gram = tuple(tuple(Fraction(v, e) for v in row) for row in self.form)
 
         coeff_list = _positive_roots(self.cartan)
         self.positive_roots = tuple(Root(c) for c in coeff_list)
@@ -222,17 +222,18 @@ class RootSystem:
             raise AssertionError(f"(theta, theta) = {theta_norm}, expected 2")
 
         self.f = 1 + sum(1 for c in self.marks if c == 1)
-        det = determinant(to_matrix(self.cartan))
+        det, adj = adjugate(self.cartan)
         if det != self.f:
             raise AssertionError(f"det(cartan) = {det} but index of connection = {self.f}")
 
-        self.cartan_inverse = invert(to_matrix(self.cartan))
-        self.gram_inverse = invert(self.gram)
+        self.cartan_inverse = tuple(tuple(Fraction(v, det) for v in row) for row in adj)
         self.fundamental_weights = tuple(
             RationalVector(tuple(row)) for row in self.cartan_inverse
         )
+        # gram = cartan diag(d), so gram^{-1} = diag(1/d) cartan^{-1}.
         self.fundamental_coweights = tuple(
-            RationalVector(tuple(row)) for row in self.gram_inverse
+            RationalVector(tuple(v / d for v in row))
+            for row, d in zip(self.cartan_inverse, self.symmetrizer)
         )
         rho = tuple(
             sum(w.coords[j] for w in self.fundamental_weights) for j in range(rank)
@@ -250,13 +251,10 @@ class RootSystem:
         self.coxeter_number = 1 + self.theta.height
 
         # (alpha_j, theta) is an integer because theta is long.
-        tp = []
-        for j in range(rank):
-            val = sum(self.gram[j][k] * self.marks[k] for k in range(rank))
-            if val.denominator != 1:
-                raise AssertionError("(alpha_j, theta) not integral")
-            tp.append(int(val))
-        self.theta_pairing = tuple(tp)
+        y, den = self._scaled_pairings(self.marks)
+        if any(v % den for v in y):
+            raise AssertionError("(alpha_j, theta) not integral")
+        self.theta_pairing = tuple(v // den for v in y)
 
         n = len(coeff_list)
         sums: list[dict[int, int]] = [{} for _ in range(n)]
@@ -343,15 +341,18 @@ class RootSystem:
         c = _vector(self, x)
         return sum(c[k] * self.cartan[k][j] for k in range(self.rank))
 
-    def pairings(self, x) -> tuple[Fraction, ...]:
-        """The pairing vector ((x, alpha_1), ..., (x, alpha_p))."""
+    def _scaled_pairings(self, x) -> tuple[list[int], int]:
+        """Integers y and den > 0 with y_j = den (x, alpha_j), summed in ints."""
         c = _vector(self, x)
         den = lcm(*(v.denominator for v in c))  # sum den * x in integers
         c = [v.numerator * (den // v.denominator) for v in c]
-        return tuple(
-            d * Fraction(sum(ck * row[j] for ck, row in zip(c, self.cartan)), den)
-            for j, d in enumerate(self.symmetrizer)
-        )
+        # form is symmetric, so its row j pairs with alpha_j.
+        return [sum(map(mul, c, row)) for row in self.form], den * self.form_scale
+
+    def pairings(self, x) -> tuple[Fraction, ...]:
+        """The pairing vector ((x, alpha_1), ..., (x, alpha_p))."""
+        y, den = self._scaled_pairings(x)
+        return tuple(Fraction(v, den) for v in y)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"

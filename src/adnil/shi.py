@@ -6,8 +6,8 @@ chamber).  Membership and the solves work in pairing coordinates
 y_i = (x, alpha_i), where the pairing of x with a root gamma is c.y for
 the coefficient vector c of gamma.  Feasibility is decided by a one-phase
 simplex on an integer tableau: the system is homogenised so that the
-origin is a feasible basis, and pivots are fraction-free, so every sign
-decision is exact.
+origin is a feasible basis, and pivots are fraction-free (``linalg.pivot``),
+so every sign decision is exact.
 
 The region and wall solves use only the boundary rows of the region:
 y_i > 0, c.y > 1 for the generators of the ideal and c.y < 1 for the
@@ -23,7 +23,8 @@ go away.
 Alcove membership is decided in integers: the barycenter of the base
 alcove is kept once per root system as integer numerators over one
 denominator, and its image under w^{-1} = t_z v is compared with the
-region rows on integer pairings.
+region rows on the integer pairings of ``RootSystem._scaled_pairings``,
+as in ``in_region``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from math import lcm
 
 from .affine import AffineWeylElement, alcove_barycenter, factorize, is_dominant
 from .ideals import UpperIdeal
+from .linalg import pivot
 from .rootsys import RationalVector, RootSystem
 
 __all__ = [
@@ -60,25 +62,7 @@ def _rows_hold(ideal: UpperIdeal, y, d: int) -> bool:
 
 def in_region(ideal: UpperIdeal, x) -> bool:
     """Whether x lies in the open region attached to the ideal."""
-    y = ideal.rs.pairings(x)
-    d = lcm(*(v.denominator for v in y))  # compare c.(d y) with d in integers
-    return _rows_hold(ideal, [v.numerator * (d // v.denominator) for v in y], d)
-
-
-def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> None:
-    """Fraction-free exchange of the basic variable of row r with column c.
-
-    Every row holds det times its true entries; afterwards the common
-    factor is the pivot entry, and the division by det is exact.
-    """
-    pivot_row = rows[r]
-    p = pivot_row[c]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
-            rows[i] = [(p * a - f * w) // det for a, w in zip(row, pivot_row)]
-            rows[i][c] = -f
-    pivot_row[c] = det
+    return _rows_hold(ideal, *ideal.rs._scaled_pairings(x))
 
 
 def _max_margin(tableau: list[list[int]], k: int) -> list[int] | None:
@@ -124,7 +108,7 @@ def _max_margin(tableau: list[list[int]], k: int) -> list[int] | None:
         if r is None:
             raise AssertionError("unbounded margin objective")
         new_det = tableau[r][c]
-        _pivot(tableau, r, c, det)
+        pivot(tableau, r, c, det)
         objective = tableau[-1]
         det = new_det
         basis[r], nonbasic[c] = enter, basis[r]
@@ -257,16 +241,11 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _barycenter_data(rs: RootSystem) -> tuple:
-    """The alcove barycenter as integer numerators over a denominator d, and
-    the integer pairing matrix P over e: e (x, alpha_j) = sum_k x_k P[k][j]."""
+def _barycenter_data(rs: RootSystem) -> tuple[tuple[int, ...], int]:
+    """The alcove barycenter as integer numerators over a denominator d."""
     coords = alcove_barycenter(rs).coords
     d = lcm(*(v.denominator for v in coords))
-    e = lcm(*(v.denominator for v in rs.symmetrizer))
-    pairing = tuple(
-        tuple(int(e * s * a) for s, a in zip(rs.symmetrizer, row)) for row in rs.cartan
-    )
-    return tuple(v.numerator * (d // v.denominator) for v in coords), d, pairing, e
+    return tuple(v.numerator * (d // v.denominator) for v in coords), d
 
 
 def alcove_membership(w: AffineWeylElement, ideal: UpperIdeal) -> bool:
@@ -282,10 +261,10 @@ def alcove_membership(w: AffineWeylElement, ideal: UpperIdeal) -> bool:
     if not is_dominant(w):
         raise ValueError("alcove membership is defined for dominant elements")
     fac = factorize(w.inverse())
-    b, d, pairing, e = _barycenter_data(w.rs)
+    b, d = _barycenter_data(w.rs)
     x = [
         sum(a * c for a, c in zip(row, b)) + d * int(z)
         for row, z in zip(fac.finite_part, fac.translation.coords)
     ]
-    y = [sum(xk * row[j] for xk, row in zip(x, pairing)) for j in range(len(x))]
-    return _rows_hold(ideal, y, d * e)
+    y, den = w.rs._scaled_pairings(x)
+    return _rows_hold(ideal, y, d * den)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from adnil.affine import in_min_simplex, translation_element
 from adnil.ideals import enumerate_ideals
+from adnil.linalg import adjugate
 from adnil.rootsys import (
     ConfigurationError,
     Root,
@@ -106,23 +108,54 @@ def test_cartan_matrix_shape():
 
 
 def test_cartan_inverse_is_inverse():
-    for label in ("A4", "B3", "C4", "D5", "F4", "G2"):
+    for label in ALL_LABELS:
         rs = build(label)
         n = rs.rank
         for i in range(n):
             for j in range(n):
                 s = sum(rs.cartan[i][k] * rs.cartan_inverse[k][j] for k in range(n))
-                assert s == (1 if i == j else 0)
+                assert s == (1 if i == j else 0), label
+
+
+def test_adjugate_of_every_cartan_matrix():
+    for label in ALL_LABELS:
+        rs = build(label)
+        n = rs.rank
+        det, adj = adjugate(rs.cartan)
+        assert det == rs.f, label
+        for i in range(n):
+            for j in range(n):
+                s = sum(rs.cartan[i][k] * adj[k][j] for k in range(n))
+                assert s == (det if i == j else 0), label
+    # a zero or negative leading minor is refused
+    for a in (((1, 2), (2, 1)), ((0, 1), (1, 0)), ((0,),)):
+        with pytest.raises(ValueError, match="not positive"):
+            adjugate(a)
 
 
 def test_gram_is_symmetrized_cartan():
-    for label in ("B3", "C3", "F4", "G2", "A2"):
+    for label in ALL_LABELS:
         rs = build(label)
         n = rs.rank
+        e = rs.form_scale
         for i in range(n):
             for j in range(n):
                 assert rs.gram[i][j] == rs.gram[j][i]
                 assert rs.gram[i][j] == rs.symmetrizer[j] * rs.cartan[i][j]
+                assert rs.form[i][j] == rs.form[j][i]
+                assert type(rs.form[i][j]) is int and rs.form[i][j] == e * rs.gram[i][j]
+
+
+def test_pairings_match_the_symmetrized_cartan():
+    # (x, alpha_j) = sum_k x_k d_j <alpha_k, alpha_j^vee>, summed here in Fractions
+    for label in ALL_LABELS:
+        rs = build(label)
+        rng = random.Random(label)
+        for _ in range(50):
+            x = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rs.rank)]
+            y = rs.pairings(x)
+            for j, d in enumerate(rs.symmetrizer):
+                assert y[j] == sum(xk * d * row[j] for xk, row in zip(x, rs.cartan)), label
 
 
 def test_highest_root_is_long_with_norm_two():
@@ -161,7 +194,7 @@ def test_rho_pairs_to_one_with_every_simple_coroot():
 
 
 def test_fundamental_weights_dual_to_coroots():
-    for label in ("A3", "B3", "C3", "G2", "F4"):
+    for label in ALL_LABELS:
         rs = build(label)
         for i in range(rs.rank):
             for j in range(rs.rank):
