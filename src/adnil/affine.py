@@ -10,7 +10,11 @@ k * 2N + s, N the number of positive roots and s a signed root index
 (s < N is gamma_s, N + g is -gamma_g).  Peeling and the inversion set
 N(w) work on these codes: adding two roots is one lookup in
 `RootSystem.signed_sums`, and `AffineRoot` objects are built only at the
-public boundary (`n_set`, `word_from_biconvex`).  A matrix is built on
+public boundary (`n_set`, `word_from_biconvex`).  N(w) is read off one
+shifted level per positive root gamma: with w(gamma) = l delta + root s,
+e = l, or l - 1 when root s is negative; k delta + gamma is inverted for
+0 <= k < -e and k delta - gamma for 1 <= k <= e, so each gamma adds at
+most one run of codes.  A matrix is built on
 the codes too: one step g <- g s_i updates the images g(alpha_j) of the
 p+1 affine simple roots and g(Lambda), and the matrix is read off them.
 `from_word` runs the step on the word and on the reversed word, and
@@ -32,7 +36,6 @@ from .ideals import (
     _power_terms,
     is_strictly_positive,
 )
-from .linalg import mat_vec
 from .normalizers import ParabolicLabel
 from .rootsys import RationalVector, RootSystem, _coords, in_coroot_lattice
 
@@ -241,8 +244,7 @@ def _inversion_codes(w: AffineWeylElement) -> set[int]:
 
     The image of each positive root gamma_k = gamma_i + alpha_a (rs.split) is
     image(gamma_i) + image(alpha_a): a level add and one signed_sums lookup,
-    starting from the simple-root columns of w.  With w(gamma) = l delta +
-    root s, w(k delta +- gamma) = (k +- l) delta +- root s.
+    starting from the simple-root columns of w, then the shifted level e.
     """
     rs = w.rs
     p = rs.rank
@@ -252,26 +254,25 @@ def _inversion_codes(w: AffineWeylElement) -> set[int]:
     add = rs.signed_sums
     level = [0] * n
     sign = [0] * n
-    for a, g in enumerate(rs.simple_index):
-        level[g] = m[p][a]
-        sign[g] = rs.signed_index.get(tuple(row[a] for row in m[:p]))
+    for g, col, lv in zip(rs.simple_index, zip(*m[:p]), m[p]):
+        level[g], sign[g] = lv, rs.signed_index.get(col)
         if sign[g] is None:
             raise AssertionError("image of a root is not a root")
     out: set[int] = set()
     for g, pair in enumerate(rs.split):
         if pair is None:
-            lv, s = level[g], sign[g]
+            e, s = level[g], sign[g]
         else:
             i, a = pair
             h = rs.simple_index[a]
-            lv = level[g] = level[i] + level[h]
+            e = level[g] = level[i] + level[h]
             s = sign[g] = add[sign[i]][sign[h]]
-        if s < n:  # w(gamma) - l delta is positive
-            plus, minus = -lv, lv + 1
-        else:
-            plus, minus = 1 - lv, lv
-        out.update(range(g, plus * n2, n2))  # k delta + gamma, 0 <= k < plus
-        out.update(range(n2 + n + g, minus * n2, n2))  # k delta - gamma, 1 <= k < minus
+        if s >= n:
+            e -= 1
+        if e < 0:
+            out.update(range(g, -e * n2, n2))  # k delta + gamma, 0 <= k < -e
+        elif e:
+            out.update(range(n2 + n + g, (e + 1) * n2, n2))  # k delta - gamma, 1 <= k <= e
     return out
 
 
@@ -406,9 +407,9 @@ def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ..
     coords = _coords(z)
     if not in_coroot_lattice(rs, coords):
         raise ValueError("translation vector is not in the coroot lattice")
-    if any(Fraction(c).denominator != 1 for c in coords):
+    if any(c.denominator != 1 for c in coords):
         raise AssertionError("coroot-lattice vector with non-integral data")
-    z = tuple(int(c) for c in coords)
+    z = tuple(c.numerator for c in coords)
     y, den = rs._scaled_pairings(z)
     if any(v % den for v in y):
         raise AssertionError("non-integral pairing with a simple root")
@@ -472,8 +473,8 @@ def star(w: AffineWeylElement, x) -> RationalVector:
     """Affine action on the finite space: x maps to v(x) + z."""
     fac = factorize(w)
     coords = tuple(Fraction(c) for c in _coords(x))
-    vx = mat_vec(fac.finite_part, coords)
-    return RationalVector(tuple(a + b for a, b in zip(vx, fac.translation.coords)))
+    v, z = fac.finite_part, fac.translation.coords
+    return RationalVector(tuple(sum(a * b for a, b in zip(r, coords)) + t for r, t in zip(v, z)))
 
 
 def alcove_barycenter(rs: RootSystem) -> RationalVector:
@@ -530,14 +531,14 @@ def check_inversion_sum(w: AffineWeylElement) -> bool:
 
     Compared doubled, in integers: 2 rho_hat - w^{-1}(2 rho_hat) = 2 sum N(w).
     """
-    p = w.rs.rank
-    r = w.rs.two_rho_hat
+    rs = w.rs
+    n2 = 2 * len(rs.positive_roots)
+    r = rs.two_rho_hat
     diff = tuple(a - sum(x * y for x, y in zip(row, r)) for a, row in zip(r, w.inverse_matrix))
-    total = [0] * (p + 2)
-    for mu in n_set(w):
-        for j, c in enumerate(mu.finite):
-            total[j] += c
-        total[p] += mu.level
+    codes = _inversion_codes(w)
+    roots = (rs.signed_roots[c % n2] for c in codes)
+    finite = (sum(col) for col in zip((0,) * rs.rank, *roots))  # p sums when N(w) is empty too
+    total = (*finite, sum(c // n2 for c in codes), 0)
     return diff == tuple(2 * t for t in total)
 
 

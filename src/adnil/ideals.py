@@ -85,9 +85,6 @@ class UpperIdeal:
     def size(self) -> int:
         return self.bits.bit_count()
 
-    def root_indices(self) -> list[int]:
-        return list(_iter_bits(self.bits))
-
     def roots(self) -> tuple[Root, ...]:
         return tuple(self.rs.positive_roots[i] for i in _iter_bits(self.bits))
 

@@ -2,7 +2,7 @@
 
 `pivot` is the one fraction-free exchange step (Bareiss): the Shi simplex
 and `adjugate` run it on int tableaux, where every division is exact.
-`mat_vec` and `solve` work on fractions.Fraction; nothing is approximate.
+`solve` works on fractions.Fraction; nothing is approximate.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ from fractions import Fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
-
-
-def mat_vec(a: Matrix, v) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
 def _elimination(a: Matrix, rhs: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -38,11 +38,6 @@ class ParabolicLabel:
         if not all(0 <= a < self.rank for a in self.levi):
             raise ValueError("Levi indices out of range")
 
-    @property
-    def srk(self) -> int:
-        """Semisimple rank of the Levi part."""
-        return len(self.levi)
-
     def levi_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.levi))
 

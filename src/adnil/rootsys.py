@@ -332,10 +332,6 @@ class RootSystem:
                 add[n + k][i] = add[i][n + k] = n + j
         return tuple(add)
 
-    def index_of(self, root) -> int:
-        """Index of a positive root in positive_roots; KeyError if absent."""
-        return self.root_index[_coords(root)]
-
     def coroot_pairing(self, x, j: int):
         """<x, alpha_j-coroot> = 2 (x, alpha_j) / (alpha_j, alpha_j)."""
         c = _vector(self, x)
@@ -427,6 +423,9 @@ def root_sum(rs: RootSystem, mu, nu) -> Root | None:
 
 
 def in_coroot_lattice(rs: RootSystem, x) -> bool:
-    """Whether x lies in the integer span of the simple coroots."""
-    c = _vector(rs, x)
-    return all((Fraction(v) * d).denominator == 1 for v, d in zip(c, rs.symmetrizer))
+    """Whether x (ints or Fractions) lies in the integer span of the simple coroots.
+
+    Its coroot coordinates c_i d_i = c_i form[i][i] / 2e are tested in integers.
+    """
+    c, form, e2 = _vector(rs, x), rs.form, 2 * rs.form_scale
+    return all(v.numerator * form[i][i] % (e2 * v.denominator) == 0 for i, v in enumerate(c))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -144,18 +145,6 @@ def _slow_n_set(w):
     return frozenset(out)
 
 
-def test_n_set_matches_the_per_root_reference():
-    rng = random.Random(23)
-    for label in ("G2", "A4", "B3", "C4", "D5", "F4", "E6", "E7", "E8"):
-        rs = build(label)
-        assert n_set(identity_element(rs)) == _slow_n_set(identity_element(rs)) == frozenset()
-        for _ in range(30):
-            w = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(40))])
-            slow = _slow_n_set(w)
-            assert n_set(w) == slow, (label, w.word)
-            assert length(w) == len(slow), (label, w.word)
-
-
 def _slow_first_layer(w):
     """Reference first layer: gamma with w(delta - gamma) negative, one root at a time."""
     p = w.rs.rank
@@ -166,6 +155,42 @@ def _slow_first_layer(w):
         if shift >= 2 or (shift == 1 and any(c > 0 for c in fin)):
             bits |= 1 << g
     return bits
+
+
+# Coroot-lattice vectors; the short simple coroots of B3, F4 and G2 are
+# 2 alpha_3, 2 alpha_1 and 2 alpha_2, and 3 alpha_1.
+_TRANSLATIONS = (
+    ("A1", (3,)), ("A1", (-2,)), ("B3", (1, 0, 2)), ("B3", (0, -1, -2)),
+    ("F4", (2, -2, 1, 0)), ("G2", (3, 1)), ("G2", (-3, 2)), ("E6", (1, 0, -1, 2, 0, 1)),
+)
+
+
+def _n_set_cases():
+    # random words (A1 takes the k = 2 neighbour step), extremal F4
+    # elements and translations
+    rng = random.Random(23)
+    for label in ("G2", "A4", "B3", "C4", "D5", "F4", "E6", "E7", "E8", "A1"):
+        rs = build(label)
+        yield identity_element(rs)
+        for _ in range(30):
+            yield from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(40))])
+    for ideal in enumerate_ideals(build("F4")):
+        yield w_min(ideal)
+        if is_strictly_positive(ideal):
+            yield w_max(ideal)
+    for label, z in _TRANSLATIONS:
+        yield translation_element(build(label), z)
+
+
+def test_n_set_matches_the_per_root_reference():
+    for w in _n_set_cases():
+        slow = _slow_n_set(w)
+        assert n_set(w) == slow, (w.rs.label, w.word)
+        assert length(w) == len(slow), (w.rs.label, w.word)
+        if is_dominant(w):
+            assert first_layer(w).bits == _slow_first_layer(w), (w.rs.label, w.word)
+        if not w.word:
+            assert slow == frozenset()
 
 
 def _stacked_chain(chain):
@@ -386,6 +411,13 @@ def test_translation_elements():
         assert check_inversion_sum(t)
         t_inv = translation_element(rs, RationalVector(rs.theta.coeffs))
         assert t * t_inv == identity_element(rs)
+
+
+def test_translation_element_rejects_vectors_off_the_coroot_lattice():
+    cases = (("A2", (Fraction(1, 2), 0)), ("B2", (0, 1)), ("G2", (1, 0)), ("F4", (1, 0, 0, 0)))
+    for label, z in cases:
+        with pytest.raises(ValueError, match="coroot lattice"):
+            translation_element(build(label), z)
 
 
 def test_star_is_an_action():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from adnil.ideals import (
     UpperIdeal,
+    _iter_bits,
     close_upward,
     complement_chain,
     enumerate_ideals,
@@ -110,7 +111,7 @@ def test_generators_form_an_antichain_of_minimal_elements():
     rs = build("B3")
     for c in enumerate_ideals(rs):
         gen = set(c.generator_indices())
-        members = c.root_indices()
+        members = list(_iter_bits(c.bits))
         for i in gen:
             assert not any((rs.up[j] >> i) & 1 for j in members)
         # every member lies above some generator
@@ -130,7 +131,7 @@ def test_generators_form_an_antichain_of_minimal_elements():
 
 def test_upper_ideal_validation():
     rs = build("A2")
-    theta_only = 1 << rs.index_of(rs.theta)
+    theta_only = 1 << rs.root_index[rs.theta.coeffs]
     UpperIdeal(rs, theta_only)
     a1_only = 1 << rs.simple_index[0]
     with pytest.raises(ValueError):

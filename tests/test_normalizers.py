@@ -24,7 +24,7 @@ def _pair_root(n, i, j):
 
 def test_parabolic_label_basics():
     lab = ParabolicLabel(4, frozenset({2, 0}))
-    assert lab.srk == 2
+    assert len(lab.levi) == 2
     assert lab.levi_sorted() == (0, 2)
     assert repr(lab) == "ParabolicLabel({a1,a3})"
     with pytest.raises(ValueError):

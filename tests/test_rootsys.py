@@ -76,7 +76,7 @@ def test_marks_and_theta():
         rs = build(label)
         assert rs.marks == marks, label
         assert rs.theta.coeffs == marks, label
-        assert rs.positive_roots[rs.index_of(rs.theta)] == rs.theta
+        assert rs.positive_roots[rs.root_index[rs.theta.coeffs]] == rs.theta
 
 
 def test_connection_index_counts_unit_marks():
@@ -303,7 +303,7 @@ def test_index_maps_are_consistent():
         rs = build(label)
         for k, root in enumerate(rs.positive_roots):
             assert rs.root_index[root.coeffs] == k
-            assert rs.index_of(root) == k
+            assert rs.positive_roots.index(root) == k
         for i in range(rs.rank):
             k = rs.simple_index[i]
             assert rs.heights[k] == 1
@@ -322,6 +322,21 @@ def test_coroot_lattice_membership():
     assert in_coroot_lattice(rs, (0, 2))
     assert not in_coroot_lattice(rs, (0, 1))
     assert in_coroot_lattice(rs, (1, 0))
+
+
+def test_integer_coroot_lattice_test_matches_the_fraction_definition():
+    # x = sum c_i alpha_i is in the coroot lattice iff every c_i d_i is an integer
+    rng = random.Random(5)
+    for label in ("A3", "B3", "C3", "D4", "E6", "E7", "E8", "F4", "G2"):
+        rs = build(label)
+        seen = set()
+        for _ in range(200):
+            x = tuple(Fraction(rng.randrange(-12, 13), rng.randrange(1, 7)) for _ in range(rs.rank))
+            for v in (x, tuple(c.numerator for c in x)):
+                expected = all((c * d).denominator == 1 for c, d in zip(v, rs.symmetrizer))
+                assert in_coroot_lattice(rs, v) == expected, (label, v)
+                seen.add(expected)
+        assert seen == {True, False}, label
 
 
 def test_vectors_of_the_wrong_length_are_rejected():

@@ -201,7 +201,7 @@ def test_minimax_corank_in_type_a():
         for c in enumerate_ideals(build(f"A{n}")):
             f = from_upper_ideal_A(c)
             if is_minimax_A(f):
-                assert normalizer_A(f).srk == n - 2 * len(f.pairs)
+                assert len(normalizer_A(f).levi) == n - 2 * len(f.pairs)
 
 
 def test_fiber_c_counts_and_contents():
