@@ -34,6 +34,7 @@ from .ideals import (
     _complement_terms,
     _iter_bits,
     _power_terms,
+    _trusted,
     is_strictly_positive,
 )
 from .normalizers import ParabolicLabel
@@ -381,10 +382,32 @@ def is_minimax(ideal: UpperIdeal) -> bool:
     which is how it is decided (no words are built): the two term walks
     are read in lockstep, and the first pair of terms that differs answers
     False.  A complement chain that ends on a nonempty term has stalled.
+
+    Term 1 is tested first, with no product.  With m the complement of I,
+    term 1 of the complement chain is I minus m^2 and term 1 of the power
+    chain is I^2, so for a minimax ideal every root of I lies in I^2 or in
+    m^2: it is the sum of two roots of I or of two roots outside I.
+    `RootSystem.halves` lists the pairs that sum to each root, and the first
+    root with neither kind of pair answers False.  The generators of I need
+    no test: a generator g of a strictly positive I is not simple, so g =
+    beta + alpha_a for a simple alpha_a and a positive root beta; alpha_a
+    is outside I because I is strictly positive and beta because g is
+    minimal, so g is in m^2.  An ideal that passes goes on to the lockstep.
     """
     if not is_strictly_positive(ideal):
         return False
     rs, bits = ideal.rs, ideal.bits
+    halves = rs.halves
+    rest = bits & ~ideal._generator_bits()
+    while rest:  # lowest root first: the low roots of I fail most often
+        low = rest & -rest
+        rest ^= low
+        for pair in halves[low.bit_length() - 1]:
+            inside = pair & bits
+            if not inside or inside == pair:
+                break
+        else:
+            return False
     powers = _power_terms(rs, ideal.generator_indices(), bits)
     for lower, upper in zip(powers, _complement_terms(rs, bits)):
         if lower != upper:
@@ -576,10 +599,15 @@ def is_maximal_representative(w: AffineWeylElement) -> bool:
 
 
 def first_layer(w: AffineWeylElement) -> UpperIdeal:
-    """Upper ideal of positive roots gamma with delta - gamma in N(w)."""
+    """Upper ideal of positive roots gamma with delta - gamma in N(w).
+
+    It is upward closed: dominance keeps every alpha_a out of N(w), whose
+    complement is closed under sums, so delta - gamma - alpha_a outside
+    N(w) would put delta - gamma outside too.
+    """
     if not is_dominant(w):
         raise ValueError("first layer is defined for dominant elements only")
     rs = w.rs
     n = len(rs.positive_roots)
     low = 3 * n  # delta - gamma_g is 2n + n + g
-    return UpperIdeal(rs, sum(1 << (c - low) for c in _inversion_codes(w) if low <= c < low + n))
+    return _trusted(rs, sum(1 << (c - low) for c in _inversion_codes(w) if low <= c < low + n))

@@ -299,7 +299,7 @@ def count_routes(rs: RootSystem) -> dict[str, int]:
             n_all += 1
             strict = not ideal.bits & simple_bits
             n_strict += strict
-            if _removed_simples(rs, ideal.generator_indices()) == borel:
+            if _removed_simples(rs, ideal._generator_bits()) == borel:
                 n_b += 1
                 n_b_strict += strict
         counts["borel_fiber_enumeration"] = n_b

@@ -6,6 +6,12 @@ dominance order.  Ideals are stored as bitsets over the root index of
 their root system; all set operations are integer bit twiddling on the
 root system's per-root tables.
 
+`UpperIdeal(rs, bits)` checks that bits is in range and upward closed.
+Bitsets closed by construction (the walk, closures, meets, joins, chain
+terms, nilradicals, first layers) go through `_trusted` instead, which
+fills the slots directly and skips the dataclass `__init__` and its checks;
+equality, hash and repr are the same either way.
+
 `_upper_sets` is the one walk over the upward-closed sets of a poset,
 shared with `adnil.normalizers`.  Elements enter in falling index, and
 each stack entry carries its frontier: the bitset of the elements of
@@ -57,29 +63,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpperIdeal:
     """An upward-closed set of positive roots, as a bitset of root indices."""
 
     rs: RootSystem
     bits: int
-    _validate: bool = field(default=True, repr=False, compare=False)
     # Bitset of the generators, when the enumeration walk carried them.
     _gens: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._validate:
-            n = len(self.rs.positive_roots)
-            if self.bits < 0 or self.bits >> n:
-                raise ValueError("bitset out of range for this root system")
-            roots, up = self.rs.positive_roots, self.rs.up
-            for i in _iter_bits(self.bits):
-                missing = up[i] & ~self.bits
-                if missing:
-                    j = (missing & -missing).bit_length() - 1
-                    raise ValueError(
-                        f"not upward closed: {roots[i]} is in but {roots[j]} is out"
-                    )
+        n = len(self.rs.positive_roots)
+        if self.bits < 0 or self.bits >> n:
+            raise ValueError("bitset out of range for this root system")
+        roots, up = self.rs.positive_roots, self.rs.up
+        for i in _iter_bits(self.bits):
+            missing = up[i] & ~self.bits
+            if missing:
+                j = (missing & -missing).bit_length() - 1
+                raise ValueError(
+                    f"not upward closed: {roots[i]} is in but {roots[j]} is out"
+                )
 
     @property
     def size(self) -> int:
@@ -92,18 +96,22 @@ class UpperIdeal:
         k = self.rs.root_index.get(_coords(root))
         return k is not None and bool((self.bits >> k) & 1)
 
-    def generator_indices(self) -> tuple[int, ...]:
-        """Indices of the minimal elements (the generating antichain).
+    def _generator_bits(self) -> int:
+        """Bitset of the minimal elements (the generating antichain).
 
         Carried from the enumeration walk when the ideal came from it,
         otherwise found by a scan of the ideal's upper covers.
         """
         if self._gens is not None:
-            return tuple(_iter_bits(self._gens))
+            return self._gens
         covered = 0
         for i in _iter_bits(self.bits):
             covered |= self.rs.up[i]
-        return tuple(_iter_bits(self.bits & ~covered))
+        return self.bits & ~covered
+
+    def generator_indices(self) -> tuple[int, ...]:
+        """Indices of the minimal elements (the generating antichain)."""
+        return tuple(_iter_bits(self._generator_bits()))
 
     def generators(self) -> tuple[Root, ...]:
         return tuple(self.rs.positive_roots[i] for i in self.generator_indices())
@@ -111,6 +119,23 @@ class UpperIdeal:
     def __repr__(self) -> str:
         gens = ",".join(str(list(r.coeffs)) for r in self.generators())
         return f"UpperIdeal({self.rs.label}, size={self.size}, gens=[{gens}])"
+
+
+_new = object.__new__
+_set_rs, _set_bits, _set_gens = (UpperIdeal.__dict__[f].__set__ for f in ("rs", "bits", "_gens"))
+
+
+def _trusted(rs: RootSystem, bits: int, gens: int | None = None) -> UpperIdeal:
+    """An UpperIdeal built without the checks of the public constructor.
+
+    For bitsets upward closed by construction; gens, when given, must be
+    the bitset of the generators.
+    """
+    ideal = _new(UpperIdeal)
+    _set_rs(ideal, rs)
+    _set_bits(ideal, bits)
+    _set_gens(ideal, gens)
+    return ideal
 
 
 @dataclass(frozen=True)
@@ -136,7 +161,7 @@ def close_upward(rs: RootSystem, generators) -> UpperIdeal:
         if k is None:
             raise ValueError(f"{g!r} is not a positive root of {rs.label}")
         bits |= rs.upsets[k]
-    return UpperIdeal(rs, bits, _validate=False)
+    return _trusted(rs, bits)
 
 
 def _upper_sets(above) -> Iterator[tuple[int, int]]:
@@ -188,7 +213,7 @@ def enumerate_ideals(rs: RootSystem) -> Iterator[UpperIdeal]:
     from the walk.
     """
     for bits, gens in _upper_sets(rs.up):
-        yield UpperIdeal(rs, bits, _validate=False, _gens=gens)
+        yield _trusted(rs, bits, gens)
 
 
 def weight(ideal: UpperIdeal) -> RationalVector:
@@ -282,7 +307,7 @@ def ideal_powers(ideal: UpperIdeal) -> IdealChain:
     rs = ideal.rs
     terms = _power_terms(rs, ideal.generator_indices(), ideal.bits)
     next(terms)
-    return IdealChain((ideal, *(UpperIdeal(rs, t, _validate=False) for t in terms)))
+    return IdealChain((ideal, *(_trusted(rs, t) for t in terms)))
 
 
 def complement_chain(ideal: UpperIdeal) -> IdealChain:
@@ -295,7 +320,7 @@ def complement_chain(ideal: UpperIdeal) -> IdealChain:
     the ideal is not strictly positive.
     """
     rs = ideal.rs
-    terms = [UpperIdeal(rs, t, _validate=False) for t in _complement_terms(rs, ideal.bits)]
+    terms = [_trusted(rs, t) for t in _complement_terms(rs, ideal.bits)]
     return IdealChain(tuple(terms), stalled=bool(terms[-1].bits))
 
 
@@ -307,13 +332,13 @@ def _require_same(a: UpperIdeal, b: UpperIdeal) -> None:
 def meet(a: UpperIdeal, b: UpperIdeal) -> UpperIdeal:
     """Intersection; an upper ideal again."""
     _require_same(a, b)
-    return UpperIdeal(a.rs, a.bits & b.bits, _validate=False)
+    return _trusted(a.rs, a.bits & b.bits)
 
 
 def join(a: UpperIdeal, b: UpperIdeal) -> UpperIdeal:
     """Union; an upper ideal again."""
     _require_same(a, b)
-    return UpperIdeal(a.rs, a.bits | b.bits, _validate=False)
+    return _trusted(a.rs, a.bits | b.bits)
 
 
 def is_strictly_positive(ideal: UpperIdeal) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import UpperIdeal, _iter_bits, _upper_sets, enumerate_ideals, weight
+from .ideals import UpperIdeal, _iter_bits, _trusted, _upper_sets, enumerate_ideals, weight
 from .rootsys import RootSystem
 
 __all__ = [
@@ -46,12 +46,14 @@ class ParabolicLabel:
         return f"ParabolicLabel({{{inside}}})"
 
 
-def _removed_simples(rs: RootSystem, gens) -> int:
+def _removed_simples(rs: RootSystem, gens: int) -> int:
     """Bitset of the simple indices off the normalizer Levi: the OR of
-    rs.lowers over the generator indices `gens` of the ideal."""
-    removed = 0
-    for g in gens:
-        removed |= rs.lowers[g]
+    rs.lowers over the generator bitset `gens` of the ideal."""
+    removed, lowers = 0, rs.lowers
+    while gens:  # inline bit loop: count_routes runs it on every ideal
+        g = gens.bit_length() - 1
+        gens ^= 1 << g
+        removed |= lowers[g]
     return removed
 
 
@@ -62,7 +64,7 @@ def normalizer(ideal: UpperIdeal) -> ParabolicLabel:
     gamma - alpha equal to zero or to a positive root.
     """
     rs = ideal.rs
-    removed = _removed_simples(rs, ideal.generator_indices())
+    removed = _removed_simples(rs, ideal._generator_bits())
     return ParabolicLabel(rs.rank, frozenset(_iter_bits(~removed & ((1 << rs.rank) - 1))))
 
 
@@ -82,7 +84,7 @@ def nilradical(rs: RootSystem, label: ParabolicLabel) -> UpperIdeal:
     for a in range(rs.rank):
         if a not in label.levi:
             bits |= rs.upsets[rs.simple_index[a]]
-    return UpperIdeal(rs, bits, _validate=False)
+    return _trusted(rs, bits)
 
 
 def fibers(rs: RootSystem) -> dict[ParabolicLabel, tuple[list[UpperIdeal], list[UpperIdeal]]]:

@@ -182,7 +182,8 @@ class RootSystem:
     indices (s < N is gamma_s, N + g is -gamma_g, N the number of positive
     roots), signed_roots[s] (coefficients), signed_index (its inverse dict)
     and signed_sums[s] (dict t -> u with root s + root t = root u, so both
-    orders of every difference), built on first use; for the affine layer,
+    orders of every difference), and halves[k] (the bitsets 1 << i | 1 << j
+    with gamma_i + gamma_j = gamma_k), built on first use; for the affine layer,
     affine_cartan, affine_neighbours[i] (the (j, k) with <alpha_j,
     alpha_i^vee> = -k < 0, j != i) and two_rho_hat (2 rho_hat as integers).
     """
@@ -331,6 +332,15 @@ class RootSystem:
                 add[k][n + i] = add[n + i][k] = j
                 add[n + k][i] = add[i][n + k] = n + j
         return tuple(add)
+
+    @cached_property
+    def halves(self) -> tuple[tuple[int, ...], ...]:
+        pairs: list[list[int]] = [[] for _ in self.positive_roots]
+        for i, row in enumerate(self.sums):
+            for j, k in row.items():  # gamma_i + gamma_j = gamma_k
+                if i < j:
+                    pairs[k].append(1 << i | 1 << j)
+        return tuple(map(tuple, pairs))
 
     def coroot_pairing(self, x, j: int):
         """<x, alpha_j-coroot> = 2 (x, alpha_j) / (alpha_j, alpha_j)."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -349,9 +350,11 @@ def test_extremal_element_flags_exhaustive():
 
 
 def test_lockstep_minimax_matches_the_full_chains():
-    for label in ("G2", "B4", "C4", "D5", "F4", "E6", "E7"):
+    for label, step in (
+        ("G2", 1), ("B4", 1), ("C4", 1), ("D5", 1), ("F4", 1), ("E6", 1), ("E7", 1), ("E8", 10),
+    ):
         rs = build(label)
-        for c in enumerate_ideals(rs):
+        for c in islice(enumerate_ideals(rs), 0, None, step):
             if not is_strictly_positive(c):
                 assert not is_minimax(c)
                 continue

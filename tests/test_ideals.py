@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,19 @@ def test_walk_order_is_pinned():
     for label, want in WALK_DIGESTS.items():
         pairs = [(c.bits, c._gens) for c in enumerate_ideals(build(label))]
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == want, label
+
+
+def test_walk_yields_the_ideals_the_public_constructor_builds():
+    # count_routes and the benchmark tracer see each ideal as one yield of
+    # this generator function
+    assert inspect.isgeneratorfunction(enumerate_ideals)
+    for label in ("G2", "F4", "E6"):
+        rs = build(label)
+        for c in enumerate_ideals(rs):
+            fresh = UpperIdeal(rs, c.bits)
+            assert c == fresh and hash(c) == hash(fresh), (label, c)
+            assert c.generator_indices() == fresh.generator_indices(), (label, c)
+            assert repr(c) == repr(fresh)
 
 
 def test_strictly_positive_totals():

@@ -266,6 +266,21 @@ def test_sum_index_is_exact():
         assert len(rs.signed_sums) == 2 * n
 
 
+def test_halves_match_coefficient_arithmetic():
+    for label in ALL_LABELS:
+        rs = build(label)
+        coeffs = [r.coeffs for r in rs.positive_roots]
+        want = {c: set() for c in coeffs}
+        for i, a in enumerate(coeffs):
+            for j in range(i + 1, len(coeffs)):
+                s = tuple(x + y for x, y in zip(a, coeffs[j]))
+                if s in want:
+                    want[s].add(1 << i | 1 << j)
+        assert len(rs.halves) == len(coeffs)
+        for k, c in enumerate(coeffs):
+            assert sorted(rs.halves[k]) == sorted(want[c]), (label, k)
+
+
 def test_split_and_affine_tables():
     for label in ALL_LABELS:
         rs = build(label)
