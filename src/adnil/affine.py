@@ -91,7 +91,7 @@ class AffineRoot:
 
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     """The i-th affine simple root; index 0 is delta - theta."""
-    if not 0 <= i <= rs.rank:
+    if not isinstance(i, int) or not 0 <= i <= rs.rank:
         raise ValueError(f"affine simple index {i} out of range")
     if i == 0:
         return AffineRoot(1, tuple(-c for c in rs.theta.coeffs))
@@ -233,7 +233,7 @@ def from_word(rs: RootSystem, word) -> AffineWeylElement:
     """Compose simple reflections; word[0] is applied last."""
     word = tuple(word)
     for i in word:
-        if not 0 <= i <= rs.rank:
+        if not isinstance(i, int) or not 0 <= i <= rs.rank:
             raise ValueError(f"affine simple index {i} out of range")
     return AffineWeylElement(
         rs, word, _matrix(rs, _images(rs, word)), _matrix(rs, _images(rs, word[::-1]))

@@ -12,13 +12,12 @@ so every sign decision is exact.
 The region and wall solves use only the boundary rows of the region:
 y_i > 0, c.y > 1 for the generators of the ideal and c.y < 1 for the
 maximal roots of its complement.  Pairings rise along the root poset when
-y >= 0, so every other row is implied.  Two tableau forms share one pivot
-loop (``_max_margin``).  ``feasible``, and with it ``region_witness``,
-splits free variables as x = (u - v) / s and keeps the positivity rows.
-``is_wall`` needs only a yes or no, and all its variables are positive
-pairings, so it substitutes y = (u + t 1) / s with u >= 0: positivity then
-follows from the margin t > 0, and the v columns and the positivity rows
-go away.
+y >= 0, so every other row is implied.  Every solve runs on one tableau
+form (``_max_margin``) over positive variables: it substitutes
+y = (u + t 1) / s with u >= 0, so positivity follows from the margin
+t > 0 and needs no rows.  ``feasible``, and with it ``region_witness``,
+takes free variables: it writes x = y' - y'' with y', y'' > 0 and solves
+the same form with each normal a doubled to (a, -a).
 
 Alcove membership is decided in integers: the barycenter of the base
 alcove is kept once per root system as integer numerators over one
@@ -65,17 +64,25 @@ def in_region(ideal: UpperIdeal, x) -> bool:
     return _rows_hold(ideal, *ideal.rs._scaled_pairings(x))
 
 
-def _max_margin(tableau: list[list[int]], k: int) -> list[int] | None:
-    """Raise the margin t above zero, or None when it cannot be.
+def _max_margin(rows, k: int) -> list[int] | None:
+    """Strict feasibility of rows (normal, bound, relation) over k variables y > 0.
 
-    Each row of ``tableau`` is a condition row.(z, s, t) <= 0 on k variables
-    z >= 0 and s, t >= 0, held as its k + 2 coefficients and a zero
-    right-hand side.  The loop appends s >= t, the bound sum(z) + s <= 1
-    and the objective t, so the origin is a feasible basis, and maximizes t
-    with fraction-free pivots and Bland's rule.  It stops at the first
-    basis where t is positive and returns the values of the k + 2 columns
-    as numerators over one positive denominator.
+    With y = (u + t 1) / s over u >= 0 and s, t >= 0, every y_i > 0 once
+    the margin t is positive; a.y > b becomes -a.u + b s + (1 - sum(a)) t <= 0
+    and a.y < b becomes a.u - b s + (1 + sum(a)) t <= 0.  The loop appends
+    s >= t, the bound sum(u) + s <= 1 and the objective t, so the origin is a
+    feasible basis, and maximizes t with fraction-free pivots and Bland's
+    rule.  It stops at the first basis where t is positive and returns the
+    values of the k + 2 columns (u, s, t) as numerators over one positive
+    denominator, or None when t cannot be made positive.
     """
+    tableau = []
+    for normal, bound, relation in rows:
+        total = sum(normal)
+        if relation == ">":
+            tableau.append([-a for a in normal] + [bound, 1 - total, 0])
+        else:
+            tableau.append(list(normal) + [-bound, 1 + total, 0])
     s_col, t_col = k, k + 1
     n = k + 2
     margin = [0] * (n + 1)
@@ -119,12 +126,20 @@ def _max_margin(tableau: list[list[int]], k: int) -> list[int] | None:
     return value
 
 
-def _free_split_rows(dimension: int, rows) -> list[list[int]]:
-    """Tableau rows for x = (u - v) / s: a.(u - v) - b s >= t for a.x > b.
+def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
+    """Exact strict-feasibility test with an interior rational witness.
 
-    A row a.x < b is negated first.  Raises ValueError on a malformed row.
+    Each row is a triple (normal, bound, relation) of an int tuple of length
+    ``dimension``, an int and ">" or "<", for the strict condition
+    normal.x > bound or normal.x < bound.  Returns a point satisfying every
+    row, or None when there is none.  Raises ValueError on a bad dimension
+    or a malformed row.  The free x is written as y' - y'' with y', y'' > 0,
+    so each normal a becomes (a, -a) for ``_max_margin``, and the witness is
+    read off as x = (u' - u'') / s.
     """
-    tableau = []
+    if not isinstance(dimension, int) or dimension < 0:
+        raise ValueError(f"dimension {dimension!r} is not a non-negative int")
+    doubled = []
     for normal, bound, relation in rows:
         if relation not in (">", "<"):
             raise ValueError(f"unknown relation {relation!r}")
@@ -134,45 +149,9 @@ def _free_split_rows(dimension: int, rows) -> list[list[int]]:
             raise ValueError(f"row {normal!r} {relation} {bound!r} has a non-int entry")
         if not any(normal):
             raise ValueError("inequality with zero normal")
-        sign = -1 if relation == ">" else 1
-        a = [sign * v for v in normal]
-        tableau.append(a + [-v for v in a] + [-sign * bound, 1, 0])
-    return tableau
-
-
-def _orthant_rows(rows) -> list[list[int]]:
-    """Tableau rows for y = (u + t 1) / s with u >= 0, so that every y_i > 0.
-
-    With the margin t, a.y > b becomes -a.u + b s + (1 - sum(a)) t <= 0 and
-    a.y < b becomes a.u - b s + (1 + sum(a)) t <= 0.
-    """
-    tableau = []
-    for normal, bound, relation in rows:
-        total = sum(normal)
-        if relation == ">":
-            tableau.append([-a for a in normal] + [bound, 1 - total, 0])
-        else:
-            tableau.append(list(normal) + [-bound, 1 + total, 0])
-    return tableau
-
-
-def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
-    """Exact strict-feasibility test with an interior rational witness.
-
-    Each row is a triple (normal, bound, relation) of an int tuple of length
-    ``dimension``, an int and ">" or "<", for the strict condition
-    normal.x > bound or normal.x < bound.  Returns a point satisfying every
-    row, or None when there is none.
-
-    The rows are homogenised with x = (u - v) / s over u, v, s >= 0.  A
-    margin t must satisfy s >= t and clear every row (a.(u - v) - b s >= t
-    for a.x > b, and the negation for <), and sum(u) + sum(v) + s <= 1
-    bounds the problem.  The system is feasible iff t can be made positive.
-    ``is_wall`` runs the same pivot loop on the smaller orthant form, where
-    every variable is positive and y = (u + t 1) / s needs no v columns.
-    """
+        doubled.append(((*normal, *(-a for a in normal)), bound, relation))
     p = dimension
-    value = _max_margin(_free_split_rows(p, rows), 2 * p)
+    value = _max_margin(doubled, 2 * p)
     if value is None:
         return None
     s = value[2 * p]
@@ -229,15 +208,15 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
 
     The pairing with that simple root is dropped from the boundary rows
     (fixed at zero); the hyperplane is a wall iff the rest stays strictly
-    feasible with every other pairing positive, decided on the orthant
-    form.  If the simple root generates the ideal, its row becomes 0 > 1
-    and the answer is no without a solve.
+    feasible with every other pairing positive, which ``_max_margin``
+    decides directly.  If the simple root generates the ideal, its row
+    becomes 0 > 1 and the answer is no without a solve.
     """
     rs = ideal.rs
-    if not 0 <= simple < rs.rank:
+    if not isinstance(simple, int) or not 0 <= simple < rs.rank:
         raise ValueError(f"simple root index {simple} out of range")
     rows = _boundary_rows(ideal, simple)
-    return rows is not None and _max_margin(_orthant_rows(rows), rs.rank - 1) is not None
+    return rows is not None and _max_margin(rows, rs.rank - 1) is not None
 
 
 @lru_cache(maxsize=None)

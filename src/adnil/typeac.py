@@ -46,7 +46,7 @@ def _check_pairs(pairs, ok_pair, what: str) -> None:
     """Each pair a root and both coordinate sequences strictly increasing."""
     last_i, last_j = 0, 1
     for i, j in pairs:
-        if not ok_pair(i, j):
+        if not (isinstance(i, int) and isinstance(j, int) and ok_pair(i, j)):
             raise ValueError(f"pair {(i, j)} is not a root of {what}")
         if i <= last_i or j <= last_j:
             raise ValueError("generator pairs must increase strictly in both slots")
@@ -183,6 +183,14 @@ def _removed_set_A(c: FerrersIdeal) -> set[int]:
     return {i for i, _ in c.pairs} | {j - 1 for _, j in c.pairs}
 
 
+def _removed_members(removed, top: int, span: str) -> list[int]:
+    """The removed indices in increasing order, each an int in 1..top."""
+    members = set(removed)
+    if any(not isinstance(l, int) or not 1 <= l <= top for l in members):
+        raise ValueError(f"removed indices must lie in {span}")
+    return sorted(members)
+
+
 def _label_from_removed(rank: int, removed) -> ParabolicLabel:
     levi = frozenset(l - 1 for l in range(1, rank + 1) if l not in removed)
     return ParabolicLabel(rank, levi)
@@ -201,9 +209,7 @@ def fiber_A(n: int, removed) -> list[FerrersIdeal]:
     for every t exactly when the partial sums stay nonnegative.  Generators
     are (a_t, b_t + 1); output is lexicographic in (a, b).
     """
-    members = sorted(set(removed))
-    if any(not 1 <= l <= n for l in members):
-        raise ValueError("removed indices must lie in 1..n")
+    members = _removed_members(removed, n, "1..n")
     found = sorted(
         _halves(members, letters)
         for letters in _signed_words(len(members), with_zero=True)
@@ -218,9 +224,7 @@ def fiber_minimum_A(n: int, removed) -> FerrersIdeal:
     With removed indices l_1 < ... < l_s, its generators are the pairs
     (l_t, l_{floor(s/2)+t} + 1) for t up to ceil(s/2).
     """
-    members = sorted(set(removed))
-    if any(not 1 <= l <= n for l in members):
-        raise ValueError("removed indices must lie in 1..n")
+    members = _removed_members(removed, n, "1..n")
     s = len(members)
     pairs = tuple(
         (members[t], members[s // 2 + t] + 1) for t in range((s + 1) // 2)
@@ -317,9 +321,7 @@ def _ideal_from_halves(n: int, a_part, b_part) -> SymplecticIdeal:
 
 def decode_word(n: int, removed, word: SignedWord) -> SymplecticIdeal:
     """Ideal for a sign word over removed indices below n (letters as in `_halves`)."""
-    members = sorted(set(removed))
-    if any(not 1 <= l <= n - 1 for l in members):
-        raise ValueError("removed indices must lie in 1..n-1")
+    members = _removed_members(removed, n - 1, "1..n-1")
     if len(word.letters) != len(members):
         raise ValueError("word length must equal the number of removed indices")
     return _ideal_from_halves(n, *_halves(members, word.letters))
@@ -348,9 +350,7 @@ def fiber_C(n: int, removed) -> list[SymplecticIdeal]:
     is removed it is inserted into both sequences.  Output is lexicographic
     in the generator pairs.
     """
-    members = sorted(set(removed))
-    if any(not 1 <= l <= n for l in members):
-        raise ValueError("removed indices must lie in 1..n")
+    members = _removed_members(removed, n, "1..n")
     core = [l for l in members if l != n]
     out = []
     for letters in _signed_words(len(core), with_zero=True):
@@ -368,9 +368,7 @@ def fiber_minimax_C(n: int, removed) -> list[SymplecticIdeal]:
 
     Nonempty only when every removed index is below n.
     """
-    members = sorted(set(removed))
-    if any(not 1 <= l <= n for l in members):
-        raise ValueError("removed indices must lie in 1..n")
+    members = _removed_members(removed, n, "1..n")
     if n in members:
         return []
     return [

@@ -477,9 +477,7 @@ def suite_typeac() -> list[tuple[str, str]]:
         for mask in range(1 << n):
             removed = {l for l in range(1, n + 1) if mask >> (l - 1) & 1}
             s = len(removed)
-            lab = ParabolicLabel(
-                n, frozenset(l - 1 for l in range(1, n + 1) if l not in removed)
-            )
+            lab = typeac._label_from_removed(n, removed)
             fib = typeac.fiber_A(n, removed)
             members, minima = fibs.get(lab, ([], []))
             _require(
@@ -545,9 +543,7 @@ def suite_typeac() -> list[tuple[str, str]]:
         total = 0
         for mask in range(1 << n):
             removed = {l for l in range(1, n + 1) if mask >> (l - 1) & 1}
-            lab = ParabolicLabel(
-                n, frozenset(l - 1 for l in range(1, n + 1) if l not in removed)
-            )
+            lab = typeac._label_from_removed(n, removed)
             fib = typeac.fiber_C(n, removed)
             members, minima = fibs.get(lab, ([], []))
             core = len([l for l in removed if l != n])

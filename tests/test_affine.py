@@ -96,6 +96,17 @@ def test_simple_reflection_action_on_simple_roots():
             simple_reflection(rs, -1)
 
 
+def test_affine_simple_index_must_be_an_int():
+    # 1.5 passed the range check alone and gave the zero affine root
+    rs = build("A2")
+    for bad in (1.5, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="out of range"):
+            affine_simple_root(rs, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            from_word(rs, (0, bad))
+    assert affine_simple_root(rs, True) == affine_simple_root(rs, 1)
+
+
 def test_group_laws_on_random_words():
     # from_word builds each matrix by coded steps and u * v by dense products;
     # A1 takes the step's cancel branch, and words reach 40 letters

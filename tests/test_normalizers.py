@@ -31,6 +31,14 @@ def test_parabolic_label_basics():
         ParabolicLabel(3, frozenset({3}))
 
 
+def test_parabolic_label_rejects_non_integer_indices():
+    # {0.5} passed the range check alone and acted as the empty Levi set
+    for bad in (0.5, 1.0):
+        with pytest.raises(ValueError, match="out of range"):
+            ParabolicLabel(2, frozenset({bad}))
+    assert ParabolicLabel(2, frozenset({True})) == ParabolicLabel(2, frozenset({1}))
+
+
 def test_sl5_example_normalizer():
     rs = build("A4")
     c = close_upward(rs, [_pair_root(4, 1, 3), _pair_root(4, 2, 5)])

@@ -71,6 +71,65 @@ def test_feasible_rejects_malformed_rows():
     for rows, message in bad:
         with pytest.raises(ValueError, match=message):
             feasible(2, rows)
+    for dimension in (-1, 1.0, "2", None):
+        with pytest.raises(ValueError, match="dimension"):
+            feasible(dimension, [])
+
+
+def _fourier_motzkin(dimension, rows):
+    """Whether a strict system is feasible, by Fourier-Motzkin elimination.
+
+    Each row is turned into a.x > b.  Eliminating x_k pairs every row with
+    a_k > 0 with every row with a_k < 0 under positive multipliers; strict
+    rows stay strict, and the projection is exact.  With no variables left
+    each row reads 0 > b.
+    """
+    system = [(a, b) if r == ">" else (tuple(-v for v in a), -b) for a, b, r in rows]
+    for k in range(dimension):
+        lower = [row for row in system if row[0][k] > 0]
+        upper = [row for row in system if row[0][k] < 0]
+        system = [row for row in system if row[0][k] == 0]
+        for a, b in lower:
+            for c, d in upper:
+                p, q = -c[k], a[k]
+                system.append((tuple(p * x + q * y for x, y in zip(a, c)), p * b + q * d))
+    return all(b < 0 for _, b in system)
+
+
+def _random_systems(seed, count):
+    """Seeded strict systems in 1 to 3 dimensions, both relations mixed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            normal = tuple(rng.randint(-3, 3) for _ in range(p))
+            if any(normal):
+                rows.append((normal, rng.randint(-4, 4), rng.choice("<>")))
+        yield p, rows
+
+
+# SHA-256 of the feasible witnesses of _random_systems(11, 3000), one
+# "c1,...,cp" line per system and "-" for an infeasible one.
+RANDOM_SYSTEM_DIGEST = "0961981209ad45468560af32767289f6a5822cf8a9ee4090dabbbeeb43270253"
+
+
+def test_feasible_matches_fourier_motzkin_on_random_systems():
+    digest = hashlib.sha256()
+    infeasible = negative = 0
+    for p, rows in _random_systems(11, 3000):
+        witness = feasible(p, rows)
+        assert (witness is None) == (not _fourier_motzkin(p, rows)), (p, rows)
+        if witness is None:
+            infeasible += 1
+            digest.update(b"-\n")
+            continue
+        assert _holds(rows, witness), (p, rows, witness)
+        negative += any(v < 0 for v in witness)
+        digest.update((",".join(str(v) for v in witness) + "\n").encode())
+    # both answers and witnesses off the positive orthant are exercised
+    assert infeasible > 500 and negative > 1000
+    assert digest.hexdigest() == RANDOM_SYSTEM_DIGEST
 
 
 # SHA-256 of the region witnesses of every ideal, one "c1,...,cp" line each
@@ -287,6 +346,17 @@ def test_is_wall_rejects_bad_index():
         is_wall(c, 2)
     with pytest.raises(ValueError):
         is_wall(c, -1)
+
+
+def test_is_wall_rejects_non_integer_index():
+    # 0.5 passed the range check alone and gave a wrong answer
+    rs = build("A2")
+    c = list(enumerate_ideals(rs))[2]
+    assert not is_wall(c, 0)
+    for bad in (0.5, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="out of range"):
+            is_wall(c, bad)
+    assert is_wall(c, True) == is_wall(c, 1)
 
 
 def test_minimal_alcove_sits_in_its_region():

@@ -61,6 +61,28 @@ def test_ferrers_validation():
         FerrersIdeal(3, ((1, 3), (1, 3)))  # duplicate
 
 
+def test_indices_and_pairs_must_be_ints():
+    # each of these passed its range check alone and built a wrong answer
+    cases = (
+        (lambda: fiber_A(3, [1.5]), r"1\.\.n$"),
+        (lambda: fiber_minimum_A(3, [2.0]), r"1\.\.n$"),
+        (lambda: fiber_C(3, [1.5]), r"1\.\.n$"),
+        (lambda: fiber_minimax_C(3, [1.5]), r"1\.\.n$"),
+        (lambda: decode_word(4, [1.5], SignedWord((1,))), r"1\.\.n-1$"),
+        (lambda: FerrersIdeal(2, ((1, 2.0),)), "not a root"),
+        (lambda: SymplecticIdeal(2, ((1.0, 3),)), "not a root"),
+    )
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the range messages are kept
+    with pytest.raises(ValueError, match=r"1\.\.n$"):
+        fiber_C(3, [4])
+    with pytest.raises(ValueError, match=r"1\.\.n-1$"):
+        decode_word(4, [4], SignedWord((1,)))
+    assert fiber_A(3, [True, 2]) == fiber_A(3, [1, 2])
+
+
 def test_symplectic_validation():
     SymplecticIdeal(2, ((1, 3),))
     SymplecticIdeal(3, ((1, 4), (2, 5)))
