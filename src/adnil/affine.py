@@ -38,7 +38,7 @@ from .ideals import (
     is_strictly_positive,
 )
 from .normalizers import ParabolicLabel
-from .rootsys import RationalVector, RootSystem, _coords, in_coroot_lattice
+from .rootsys import RationalVector, RootSystem, _coords, _vector, in_coroot_lattice
 
 __all__ = [
     "AffineRoot",
@@ -495,19 +495,15 @@ def factorize(w: AffineWeylElement) -> AffineFactorization:
 def star(w: AffineWeylElement, x) -> RationalVector:
     """Affine action on the finite space: x maps to v(x) + z."""
     fac = factorize(w)
-    coords = tuple(Fraction(c) for c in _coords(x))
+    coords = tuple(Fraction(c) for c in _vector(w.rs, x))
     v, z = fac.finite_part, fac.translation.coords
     return RationalVector(tuple(sum(a * b for a, b in zip(r, coords)) + t for r, t in zip(v, z)))
 
 
 def alcove_barycenter(rs: RootSystem) -> RationalVector:
     """Barycenter of the fundamental alcove (vertices 0 and coweights/marks)."""
-    p = rs.rank
-    total = [Fraction(0)] * p
-    for i, cw in enumerate(rs.fundamental_coweights):
-        for j in range(p):
-            total[j] += cw.coords[j] / rs.marks[i]
-    return RationalVector(tuple(t / (p + 1) for t in total))
+    n = rs.rank + 1
+    return rs.from_pairings(tuple(Fraction(1, m * n) for m in rs.marks))
 
 
 def in_min_simplex(rs: RootSystem, x) -> bool:

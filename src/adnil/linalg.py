@@ -2,7 +2,9 @@
 
 `pivot` is the one fraction-free exchange step (Bareiss): the Shi simplex
 and `adjugate` run it on int tableaux, where every division is exact.
-`solve` works on fractions.Fraction; nothing is approximate.
+`solve` works on fractions.Fraction; nothing is approximate.  No code in
+the package calls `solve`; it stays because the benchmark's tracer
+(`perfbench/tracing.py`) wraps it by name.
 """
 
 from __future__ import annotations

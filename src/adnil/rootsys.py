@@ -243,11 +243,7 @@ class RootSystem:
         if rho != tuple(Fraction(c, 2) for c in two_rho):
             raise AssertionError("sum of fundamental weights != half sum of roots")
         self.rho = RationalVector(rho)
-        self.rho_check = RationalVector(
-            tuple(
-                sum(w.coords[j] for w in self.fundamental_coweights) for j in range(rank)
-            )
-        )
+        self.rho_check = self.from_pairings((1,) * rank)
         # Coxeter number: 1 + height of theta.
         self.coxeter_number = 1 + self.theta.height
 
@@ -360,6 +356,12 @@ class RootSystem:
         y, den = self._scaled_pairings(x)
         return tuple(Fraction(v, den) for v in y)
 
+    def from_pairings(self, y) -> RationalVector:
+        """The x with (x, alpha_j) = y_j, as sum(y_i * omega_i-coweight)."""
+        y = _vector(self, y)
+        columns = zip(*(w.coords for w in self.fundamental_coweights))
+        return RationalVector(tuple(sum(map(mul, y, col)) for col in columns))
+
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"
 
@@ -421,13 +423,13 @@ def inner(rs: RootSystem, x, y) -> Fraction:
 
 def leq(rs: RootSystem, mu, gamma) -> bool:
     """Root-poset order: gamma - mu has nonnegative coefficients."""
-    cm, cg = _coords(mu), _coords(gamma)
+    cm, cg = _vector(rs, mu), _vector(rs, gamma)
     return all(g - m >= 0 for m, g in zip(cm, cg))
 
 
 def root_sum(rs: RootSystem, mu, nu) -> Root | None:
     """mu + nu if it is a positive root, else None."""
-    s = tuple(a + b for a, b in zip(_coords(mu), _coords(nu)))
+    s = tuple(a + b for a, b in zip(_vector(rs, mu), _vector(rs, nu)))
     k = rs.root_index.get(s)
     return None if k is None else rs.positive_roots[k]
 

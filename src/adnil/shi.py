@@ -15,9 +15,10 @@ maximal roots of its complement.  Pairings rise along the root poset when
 y >= 0, so every other row is implied.  Every solve runs on one tableau
 form (``_max_margin``) over positive variables: it substitutes
 y = (u + t 1) / s with u >= 0, so positivity follows from the margin
-t > 0 and needs no rows.  ``feasible``, and with it ``region_witness``,
-takes free variables: it writes x = y' - y'' with y', y'' > 0 and solves
-the same form with each normal a doubled to (a, -a).
+t > 0 and needs no rows.  ``region_witness`` and ``is_wall`` solve the
+boundary rows on it directly.  ``feasible`` takes free variables for
+general strict systems: it writes x = y' - y'' with y', y'' > 0 and
+solves the same form with each normal a doubled to (a, -a).
 
 Alcove membership is decided in integers: the barycenter of the base
 alcove is kept once per root system as integer numerators over one
@@ -159,9 +160,9 @@ def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
 
 
 def _boundary_rows(ideal: UpperIdeal, drop: int | None) -> list | None:
-    """Generator and complement-maximal rows of the region, as feasible takes them.
+    """Generator and complement-maximal rows of the region, as _max_margin takes them.
 
-    The positivity rows y_i > 0 are left to the caller.  With ``drop``, the
+    Positivity y_i > 0 needs no rows in ``_max_margin``.  With ``drop``, the
     pairing with that simple root is fixed at zero and removed from the
     variables.  A row left with a zero normal is 0 > 1, and then there are
     no rows (None), or 0 < 1, which is skipped.
@@ -185,22 +186,17 @@ def _boundary_rows(ideal: UpperIdeal, drop: int | None) -> list | None:
 def region_witness(ideal: UpperIdeal) -> RationalVector:
     """Exact interior point of the region of the ideal.
 
-    Solved by ``feasible`` on the positivity rows followed by the boundary
-    rows, in pairing coordinates y, and mapped back as
-    x = sum(y_i * omega_i-coweight).
+    Solved by ``_max_margin`` on the boundary rows, as ``is_wall`` solves
+    them, in pairing coordinates y = (u + t 1) / s, and mapped back by
+    ``RootSystem.from_pairings``.
     """
     rs = ideal.rs
     p = rs.rank
-    positive = [(tuple(int(i == k) for i in range(p)), 0, ">") for k in range(p)]
-    y = feasible(p, positive + _boundary_rows(ideal, None))
-    if y is None:
+    value = _max_margin(_boundary_rows(ideal, None), p)
+    if value is None:
         raise AssertionError(f"region of {ideal!r} is infeasible")
-    return RationalVector(
-        tuple(
-            sum(yi * w.coords[j] for yi, w in zip(y, rs.fundamental_coweights))
-            for j in range(p)
-        )
-    )
+    s, t = value[p], value[p + 1]
+    return rs.from_pairings(tuple(Fraction(u + t, s) for u in value[:p]))
 
 
 def is_wall(ideal: UpperIdeal, simple: int) -> bool:

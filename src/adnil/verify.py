@@ -56,7 +56,7 @@ from .ideals import (
     weight,
 )
 from .normalizers import ParabolicLabel, fibers, nilradical, normalizer, normalizer_by_weight
-from .rootsys import RationalVector, build, in_coroot_lattice
+from .rootsys import build, in_coroot_lattice
 from .shi import alcove_membership, in_region, is_wall, region_witness
 
 __all__ = [
@@ -352,14 +352,10 @@ def suite_shi(tables, seed: int) -> list[tuple[str, str]]:
             ks = [rng.randrange(0, 3) for _ in range(rs.rank)]
             if sum(ks) == 0 or sum(ks) > 3:
                 continue
-            coords = tuple(
-                -sum(k * cw.coords[j] for k, cw in zip(ks, rs.fundamental_coweights))
-                for j in range(rs.rank)
-            )
-            if not in_coroot_lattice(rs, coords):
+            z = rs.from_pairings(tuple(-k for k in ks))
+            if not in_coroot_lattice(rs, z):
                 continue
             found += 1
-            z = RationalVector(coords)
             w = translation_element(rs, z)
             layer = first_layer(w)
             ok = (

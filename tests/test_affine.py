@@ -443,6 +443,11 @@ def test_star_is_an_action():
         v = from_word(rs, [rng.randrange(3) for _ in range(rng.randrange(8))])
         assert star(u * v, x).coords == star(u, star(v, x)).coords
     assert star(identity_element(rs), x).coords == x.coords
+    # a vector of the wrong length is rejected, not cut short by zip
+    w = from_word(build("A2"), (0, 1))
+    for bad in ((1,), (1, 0, 0, 5)):
+        with pytest.raises(ValueError, match=f"vector of length {len(bad)} in a rank-2"):
+            star(w, bad)
 
 
 def test_factorization_reconstructs_the_element():

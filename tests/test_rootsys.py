@@ -205,6 +205,9 @@ def test_fundamental_weights_dual_to_coroots():
                 assert inner(rs, rs.fundamental_coweights[i].coords, alpha.coeffs) == (
                     1 if i == j else 0
                 )
+        rng = random.Random(f"from_pairings:{label}")
+        y = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rs.rank))
+        assert rs.pairings(rs.from_pairings(y)) == y
 
 
 def test_theta_pairing_row():
@@ -311,6 +314,14 @@ def test_root_sum_and_leq():
     assert leq(rs, a1, Root((1, 1, 1)))
     assert not leq(rs, Root((1, 1, 1)), a1)
     assert not leq(rs, a1, a2)
+    # a vector of the wrong length is rejected, not cut short by zip
+    for bad in ((1, 0), (1, 0, 0, 5)):
+        with pytest.raises(ValueError, match=f"vector of length {len(bad)} in a rank-3"):
+            root_sum(rs, bad, a1)
+        with pytest.raises(ValueError, match=f"vector of length {len(bad)} in a rank-3"):
+            leq(rs, a1, bad)
+    with pytest.raises(ValueError, match="vector of length 1 in a rank-2"):
+        leq(build("A2"), (0, 1), (1,))
 
 
 def test_index_maps_are_consistent():

@@ -291,21 +291,30 @@ def test_walls_and_witnesses_on_an_e7_sample():
     _check_walls_and_witnesses(ideals)
 
 
+def _positivity(n):
+    """The rows y_i > 0 of n free variables, as feasible takes them."""
+    return [(tuple(int(i == k) for i in range(n)), 0, ">") for k in range(n)]
+
+
 def test_orthant_walls_match_the_free_split_solve(monkeypatch):
     # The reference is the free-split solve on the positivity rows of the
-    # kept pairings followed by the boundary rows.
+    # kept pairings followed by the boundary rows; for the witness, every
+    # pairing is kept and y is mapped back by the inline coweight sum.
     samples = [
         list(enumerate_ideals(build(label)))
         for label in ("G2", "B3", "C3", "D4", "F4", "B4", "C4", "D5", "A5")
     ]
     samples.append(list(enumerate_ideals(build("E7")))[::13])
     for ideals in samples:
-        p = ideals[0].rs.rank
-        positive = [(tuple(int(i == k) for i in range(p - 1)), 0, ">") for k in range(p - 1)]
+        rs = ideals[0].rs
+        p = rs.rank
+        positive, kept = _positivity(p), _positivity(p - 1)
         for c in ideals:
+            y = feasible(p, positive + _boundary_rows(c, None))
+            assert region_witness(c).coords == _point(rs, y), c
             for a in range(p):
                 rows = _boundary_rows(c, a)
-                expected = rows is not None and feasible(p - 1, positive + rows) is not None
+                expected = rows is not None and feasible(p - 1, kept + rows) is not None
                 assert is_wall(c, a) == expected, (c, a)
 
     def no_solve(*args):
