@@ -15,8 +15,10 @@ maximal roots of its complement.  Pairings rise along the root poset when
 y >= 0, so every other row is implied.  Every solve runs on one tableau
 form (``_max_margin``) over positive variables: it substitutes
 y = (u + t 1) / s with u >= 0, so positivity follows from the margin
-t > 0 and needs no rows.  ``region_witness`` and ``is_wall`` solve the
-boundary rows on it directly.  ``feasible`` takes free variables for
+t > 0 and needs no rows.  ``region_witness`` solves the boundary rows on
+it directly; the walls come from one row set per ideal, with ``_wall``
+fixing one pairing at zero for ``is_wall`` and ``wall_levi``.
+``feasible`` takes free variables for
 general strict systems: it writes x = y' - y'' with y', y'' > 0 and
 solves the same form with each normal a doubled to (a, -a).
 
@@ -36,6 +38,7 @@ from math import lcm
 from .affine import AffineWeylElement, alcove_barycenter, factorize, is_dominant
 from .ideals import UpperIdeal
 from .linalg import pivot
+from .normalizers import ParabolicLabel
 from .rootsys import RationalVector, RootSystem
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "feasible",
     "region_witness",
     "is_wall",
+    "wall_levi",
     "alcove_membership",
 ]
 
@@ -159,40 +163,42 @@ def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
     return tuple(Fraction(value[i] - value[p + i], s) for i in range(p))
 
 
-def _boundary_rows(ideal: UpperIdeal, drop: int | None) -> list | None:
+def _boundary_rows(ideal: UpperIdeal) -> list:
     """Generator and complement-maximal rows of the region, as _max_margin takes them.
 
-    Positivity y_i > 0 needs no rows in ``_max_margin``.  With ``drop``, the
-    pairing with that simple root is fixed at zero and removed from the
-    variables.  A row left with a zero normal is 0 > 1, and then there are
-    no rows (None), or 0 < 1, which is skipped.
+    Positivity y_i > 0 needs no rows in ``_max_margin``.  The normals are the
+    roots' own coefficient tuples; ``_wall`` drops one pairing from them.
     """
     rs, bits = ideal.rs, ideal.bits
-    keep = [i for i in range(rs.rank) if i != drop]
-    rows = []
-    for g in ideal.generator_indices():
-        normal = tuple(rs.positive_roots[g].coeffs[i] for i in keep)
-        if not any(normal):
-            return None
-        rows.append((normal, 1, ">"))
-    for g in range(len(rs.positive_roots)):
-        if not (bits >> g) & 1 and not rs.up[g] & ~bits:
-            normal = tuple(rs.positive_roots[g].coeffs[i] for i in keep)
-            if any(normal):
-                rows.append((normal, 1, "<"))
-    return rows
+    rows = [(rs.positive_roots[g].coeffs, 1, ">") for g in ideal.generator_indices()]
+    return rows + [
+        (root.coeffs, 1, "<")
+        for g, root in enumerate(rs.positive_roots)
+        if not (bits >> g) & 1 and not rs.up[g] & ~bits
+    ]
+
+
+def _wall(rows, a: int, p: int) -> bool:
+    """Whether the boundary rows stay feasible with pairing a fixed at zero.
+
+    Coordinate a is removed from each normal.  A row left with a zero normal
+    is 0 > 1 (alpha_a generates the ideal: no wall, no solve) or 0 < 1 (void).
+    """
+    kept = [(normal[:a] + normal[a + 1 :], bound, rel) for normal, bound, rel in rows]
+    if any(rel == ">" and not any(normal) for normal, _, rel in kept):
+        return False
+    return _max_margin([row for row in kept if any(row[0])], p - 1) is not None
 
 
 def region_witness(ideal: UpperIdeal) -> RationalVector:
     """Exact interior point of the region of the ideal.
 
-    Solved by ``_max_margin`` on the boundary rows, as ``is_wall`` solves
-    them, in pairing coordinates y = (u + t 1) / s, and mapped back by
-    ``RootSystem.from_pairings``.
+    Solved by ``_max_margin`` on the boundary rows, in pairing coordinates
+    y = (u + t 1) / s, and mapped back by ``RootSystem.from_pairings``.
     """
     rs = ideal.rs
     p = rs.rank
-    value = _max_margin(_boundary_rows(ideal, None), p)
+    value = _max_margin(_boundary_rows(ideal), p)
     if value is None:
         raise AssertionError(f"region of {ideal!r} is infeasible")
     s, t = value[p], value[p + 1]
@@ -202,17 +208,23 @@ def region_witness(ideal: UpperIdeal) -> RationalVector:
 def is_wall(ideal: UpperIdeal, simple: int) -> bool:
     """Whether the zero hyperplane of a simple root bounds the region.
 
-    The pairing with that simple root is dropped from the boundary rows
-    (fixed at zero); the hyperplane is a wall iff the rest stays strictly
-    feasible with every other pairing positive, which ``_max_margin``
-    decides directly.  If the simple root generates the ideal, its row
-    becomes 0 > 1 and the answer is no without a solve.
+    The hyperplane is a wall iff the boundary rows stay strictly feasible
+    with that pairing fixed at zero and every other pairing positive,
+    which ``_wall`` decides.  ``wall_levi`` decides all p from one row set.
     """
     rs = ideal.rs
     if not isinstance(simple, int) or not 0 <= simple < rs.rank:
         raise ValueError(f"simple root index {simple} out of range")
-    rows = _boundary_rows(ideal, simple)
-    return rows is not None and _max_margin(rows, rs.rank - 1) is not None
+    return _wall(_boundary_rows(ideal), simple, rs.rank)
+
+
+def wall_levi(ideal: UpperIdeal) -> ParabolicLabel:
+    """The Levi set of the simple roots whose zero hyperplanes bound the region.
+
+    One build of the boundary rows serves the p calls to ``_wall``.
+    """
+    p, rows = ideal.rs.rank, _boundary_rows(ideal)
+    return ParabolicLabel(p, frozenset(a for a in range(p) if _wall(rows, a, p)))
 
 
 @lru_cache(maxsize=None)

@@ -57,7 +57,7 @@ from .ideals import (
 )
 from .normalizers import ParabolicLabel, fibers, nilradical, normalizer, normalizer_by_weight
 from .rootsys import build, in_coroot_lattice
-from .shi import alcove_membership, in_region, is_wall, region_witness
+from .shi import alcove_membership, in_region, region_witness, wall_levi
 
 __all__ = [
     "VerificationFailure",
@@ -122,20 +122,13 @@ def _simple_image_levi(w) -> ParabolicLabel:
     return ParabolicLabel(rs.rank, levi)
 
 
-def _wall_levi(ideal: UpperIdeal) -> ParabolicLabel:
-    rs = ideal.rs
-    return ParabolicLabel(
-        rs.rank, frozenset(a for a in range(rs.rank) if is_wall(ideal, a))
-    )
-
-
 def normalizer_routes(ideal: UpperIdeal, w) -> dict[str, ParabolicLabel]:
     """The normalizer of an ideal by five independent routes; w = w_min(ideal)."""
     return {
         "generators": normalizer(ideal),
         "weight": normalizer_by_weight(ideal),
         "minimal-element": _simple_image_levi(w),
-        "shi-walls": _wall_levi(ideal),
+        "shi-walls": wall_levi(ideal),
         "z-walls": normalizer_by_zwall(w),
     }
 

@@ -21,6 +21,7 @@ from adnil.shi import (
     in_region,
     is_wall,
     region_witness,
+    wall_levi,
 )
 
 
@@ -274,9 +275,10 @@ def test_wall_of_a_simple_root_with_a_zero_row():
 def _check_walls_and_witnesses(ideals):
     for c in ideals:
         assert in_region(c, region_witness(c)), c
-        levi = normalizer(c).levi
+        label = normalizer(c)
+        assert wall_levi(c) == label, c
         for a in range(c.rs.rank):
-            assert is_wall(c, a) == (a in levi), (c, a)
+            assert is_wall(c, a) == (a in label.levi), (c, a)
 
 
 def test_walls_and_witnesses_on_every_e6_ideal():
@@ -298,8 +300,10 @@ def _positivity(n):
 
 def test_orthant_walls_match_the_free_split_solve(monkeypatch):
     # The reference is the free-split solve on the positivity rows of the
-    # kept pairings followed by the boundary rows; for the witness, every
-    # pairing is kept and y is mapped back by the inline coweight sum.
+    # kept pairings followed by the boundary rows projected onto them; a
+    # projected > row with a zero normal (0 > 1) means no wall.  For the
+    # witness, every pairing is kept and y is mapped back by the inline
+    # coweight sum.
     samples = [
         list(enumerate_ideals(build(label)))
         for label in ("G2", "B3", "C3", "D4", "F4", "B4", "C4", "D5", "A5")
@@ -310,12 +314,16 @@ def test_orthant_walls_match_the_free_split_solve(monkeypatch):
         p = rs.rank
         positive, kept = _positivity(p), _positivity(p - 1)
         for c in ideals:
-            y = feasible(p, positive + _boundary_rows(c, None))
+            rows = _boundary_rows(c)
+            y = feasible(p, positive + rows)
             assert region_witness(c).coords == _point(rs, y), c
+            levi = wall_levi(c).levi
             for a in range(p):
-                rows = _boundary_rows(c, a)
-                expected = rows is not None and feasible(p - 1, kept + rows) is not None
-                assert is_wall(c, a) == expected, (c, a)
+                projected = [(n[:a] + n[a + 1 :], b, rel) for n, b, rel in rows]
+                expected = not any(rel == ">" and not any(n) for n, _, rel in projected) and (
+                    feasible(p - 1, kept + [row for row in projected if any(row[0])]) is not None
+                )
+                assert is_wall(c, a) == expected == (a in levi), (c, a)
 
     def no_solve(*args):
         raise AssertionError("a generating simple root needs no solve")
@@ -325,8 +333,21 @@ def test_orthant_walls_match_the_free_split_solve(monkeypatch):
         rs = build(label)
         for a, g in enumerate(rs.simple_index):
             generated = close_upward(rs, [rs.positive_roots[g]])
-            assert _boundary_rows(generated, a) is None
             assert not is_wall(generated, a)
+
+
+def test_wall_levi_builds_the_rows_once_per_ideal(monkeypatch):
+    builds = []
+
+    def counted(ideal):
+        builds.append(ideal)
+        return _boundary_rows(ideal)
+
+    monkeypatch.setattr(adnil.shi, "_boundary_rows", counted)
+    ideals = list(enumerate_ideals(build("D4")))
+    for c in ideals:
+        assert wall_levi(c) == normalizer(c), c
+    assert builds == ideals
 
 
 def test_integer_alcove_membership_matches_the_fraction_route():
