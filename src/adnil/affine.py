@@ -419,10 +419,11 @@ def is_minimax(ideal: UpperIdeal) -> bool:
 
 @dataclass(frozen=True)
 class AffineFactorization:
-    """w = t_z . v with v in the finite Weyl group and z in the coroot lattice."""
+    """w = t_z . v, v finite and z in the coroot lattice, with pairings ((z, alpha_j))_j."""
 
     finite_part: IntMatrix
     translation: RationalVector
+    pairings: tuple[int, ...]
 
 
 def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -489,7 +490,7 @@ def factorize(w: AffineWeylElement) -> AffineFactorization:
         or m[p + 1] != (0,) * (p + 1) + (1,)
     ):
         raise AssertionError("translation factorization does not recompose")
-    return AffineFactorization(v, RationalVector(tuple(Fraction(c) for c in z)))
+    return AffineFactorization(v, RationalVector(tuple(Fraction(c) for c in z)), pairs)
 
 
 def star(w: AffineWeylElement, x) -> RationalVector:
@@ -527,7 +528,7 @@ def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:
     if not is_minimal_representative(w):
         raise ValueError("z-walls are read off a minimal element only")
     rs = w.rs
-    y = rs.pairings(factorize(w).translation)
+    y = factorize(w).pairings
     walls = [i + 1 for i, v in enumerate(y) if v == 0]
     if sum(c * v for c, v in zip(rs.marks, y)) == 1:
         walls.append(0)

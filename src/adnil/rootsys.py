@@ -74,10 +74,12 @@ def _coords(x) -> tuple:
 
 
 def _vector(rs: RootSystem, x) -> tuple:
-    """Coefficient tuple of x, which must have one entry per simple root."""
+    """Coefficient tuple of x, which must have one int or Fraction per simple root."""
     c = _coords(x)
     if len(c) != rs.rank:
         raise ValueError(f"vector of length {len(c)} in a rank-{rs.rank} root system")
+    if not all(isinstance(v, (int, Fraction)) for v in c):
+        raise ValueError(f"vector {c!r} has an entry that is neither an int nor a Fraction")
     return c
 
 

@@ -24,9 +24,9 @@ solves the same form with each normal a doubled to (a, -a).
 
 Alcove membership is decided in integers: the barycenter of the base
 alcove is kept once per root system as integer numerators over one
-denominator, and its image under w^{-1} = t_z v is compared with the
-region rows on the integer pairings of ``RootSystem._scaled_pairings``,
-as in ``in_region``.
+denominator, and its image is read off the finite rows of
+``w.inverse_matrix`` and compared with the region rows on the integer
+pairings of ``RootSystem._scaled_pairings``, as in ``in_region``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .affine import AffineWeylElement, alcove_barycenter, factorize, is_dominant
+from .affine import AffineWeylElement, alcove_barycenter, is_dominant
 from .ideals import UpperIdeal
 from .linalg import pivot
 from .normalizers import ParabolicLabel
@@ -229,29 +229,24 @@ def wall_levi(ideal: UpperIdeal) -> ParabolicLabel:
 
 @lru_cache(maxsize=None)
 def _barycenter_data(rs: RootSystem) -> tuple[tuple[int, ...], int]:
-    """The alcove barycenter as integer numerators over a denominator d."""
+    """The integer vector d (b, 0, 1) in the affine basis, for the barycenter b = (d b) / d."""
     coords = alcove_barycenter(rs).coords
     d = lcm(*(v.denominator for v in coords))
-    return tuple(v.numerator * (d // v.denominator) for v in coords), d
+    return (*(v.numerator * (d // v.denominator) for v in coords), 0, d), d
 
 
 def alcove_membership(w: AffineWeylElement, ideal: UpperIdeal) -> bool:
     """Whether the inverse affine action drops the base alcove in the region.
 
-    Evaluates the region conditions at the image of the alcove barycenter
-    under w^{-1} = t_z v, as the integer vector v(d b) + d z for the
-    barycenter b = (d b) / d; true exactly when the first layer of w is the
-    given ideal.
+    Evaluates the region conditions at d w^{-1}(b), the finite rows of
+    ``w.inverse_matrix`` applied to d (b, 0, 1) for the barycenter b;
+    true exactly when the first layer of w is the given ideal.
     """
     if w.rs is not ideal.rs:
         raise ValueError("elements belong to different root systems")
     if not is_dominant(w):
         raise ValueError("alcove membership is defined for dominant elements")
-    fac = factorize(w.inverse())
     b, d = _barycenter_data(w.rs)
-    x = [
-        sum(a * c for a, c in zip(row, b)) + d * int(z)
-        for row, z in zip(fac.finite_part, fac.translation.coords)
-    ]
+    x = [sum(a * c for a, c in zip(row, b)) for row in w.inverse_matrix[: w.rs.rank]]
     y, den = w.rs._scaled_pairings(x)
     return _rows_hold(ideal, y, d * den)

@@ -222,7 +222,7 @@ def suite_affine(tables, seed: int) -> list[tuple[str, str]]:
                 and n == sum(p.size for p in ideal_powers(ideal).powers)
             )
             _require(ok, "minimal-element-flags", type=label, ideal=ideal)
-            z_points.add(rs.pairings(factorize(w).translation))
+            z_points.add(factorize(w).pairings)
         lattice_min = lattice_count(rs, "min")
         _require(
             z_points == set(lattice_min.points)
@@ -256,7 +256,7 @@ def suite_affine(tables, seed: int) -> list[tuple[str, str]]:
                 type=label,
                 ideal=ideal,
             )
-            y_points.add(rs.pairings(factorize(w).translation))
+            y_points.add(factorize(w).pairings)
         lattice_max = lattice_count(rs, "max")
         _require(
             y_points == set(lattice_max.points)

@@ -471,11 +471,15 @@ def test_factorize_z_pairs_to_the_delta_row():
         p = rs.rank
         for _ in range(25):
             w = from_word(rs, [rng.randrange(p + 1) for _ in range(rng.randrange(30))])
-            z = factorize(w).translation
+            fac = factorize(w)
+            z = fac.translation
             assert in_coroot_lattice(rs, z.coords), (label, w.word)
             for i in range(p):
                 e_i = tuple(1 if t == i else 0 for t in range(p))
                 assert inner(rs, z, e_i) == w.inverse_matrix[p][i], (label, w.word, i)
+            # the integer pairings factorize returns are the same delta row
+            assert all(type(q) is int for q in fac.pairings), (label, w.word)
+            assert fac.pairings == rs.pairings(z) == w.inverse_matrix[p][:p], (label, w.word)
 
 
 def test_normalizer_by_zwall_needs_a_minimal_element():

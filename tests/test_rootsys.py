@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from adnil.affine import in_min_simplex, translation_element
+from adnil.affine import identity_element, in_min_simplex, star, translation_element
 from adnil.ideals import enumerate_ideals
 from adnil.linalg import adjugate
 from adnil.rootsys import (
@@ -383,6 +383,34 @@ def test_vectors_of_the_wrong_length_are_rejected():
         for v in ((1,), (1, 1, 5), (0, 0, 99)):
             with pytest.raises(ValueError, match="length"):
                 check(v)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    (
+        lambda rs, v: rs.from_pairings(v),
+        lambda rs, v: rs.pairings(v),
+        lambda rs, v: rs.coroot_pairing(v, 0),
+        lambda rs, v: in_coroot_lattice(rs, v),
+        lambda rs, v: inner(rs, v, (1, 1)),
+        lambda rs, v: in_region(next(iter(enumerate_ideals(rs))), v),
+        lambda rs, v: star(identity_element(rs), v),
+        lambda rs, v: leq(rs, v, (1, 2)),
+        lambda rs, v: root_sum(rs, v, (0, 1)),
+        lambda rs, v: in_min_simplex(rs, v),
+    ),
+    ids=(
+        "from_pairings", "pairings", "coroot_pairing", "in_coroot_lattice", "inner",
+        "in_region", "star", "leq", "root_sum", "in_min_simplex",
+    ),
+)
+def test_float_entries_are_rejected(entry):
+    # a float would put binary fractions into exact coordinates, or fail later
+    rs = build("B2")
+    entry(rs, (1, Fraction(0)))
+    for bad in ((0.5, 0.25), (0.1, 0), (1, 1.0)):
+        with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+            entry(rs, bad)
 
 
 def test_bad_labels_raise():

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+import adnil.affine
 import adnil.shi
 from adnil.affine import alcove_barycenter, identity_element, simple_reflection, star, w_min
 from adnil.ideals import close_upward, enumerate_ideals
@@ -400,6 +401,24 @@ def test_minimal_alcove_sits_in_its_region():
             for other in ideals:
                 if other.bits != c.bits:
                     assert not alcove_membership(w, other)
+
+
+def test_alcove_membership_reads_the_inverse_matrix(monkeypatch):
+    # the point comes from w.inverse_matrix alone: no translation is re-derived
+    ideals = list(enumerate_ideals(build("D4")))
+    minimal = [w_min(c) for c in ideals]
+    calls = []
+    translation_data = adnil.affine._translation_data
+
+    def counted(rs, z):
+        calls.append(rs)
+        return translation_data(rs, z)
+
+    monkeypatch.setattr(adnil.affine, "_translation_data", counted)
+    for a, w in enumerate(minimal):
+        for b, c in enumerate(ideals):
+            assert alcove_membership(w, c) == (a == b), (a, b)
+    assert calls == []
 
 
 def test_alcove_membership_requires_dominance():
