@@ -240,18 +240,16 @@ def from_word(rs: RootSystem, word) -> AffineWeylElement:
     )
 
 
-def _inversion_codes(w: AffineWeylElement) -> set[int]:
-    """N(w) as codes k * 2N + s (see the module docstring).
+def _inversion_codes(rs: RootSystem, m: IntMatrix) -> set[int]:
+    """N(w) as codes k * 2N + s (see the module docstring), m the matrix of w.
 
     The image of each positive root gamma_k = gamma_i + alpha_a (rs.split) is
     image(gamma_i) + image(alpha_a): a level add and one signed_sums lookup,
-    starting from the simple-root columns of w, then the shifted level e.
+    starting from the simple-root columns of m, then the shifted level e.
     """
-    rs = w.rs
     p = rs.rank
     n = len(rs.positive_roots)
     n2 = 2 * n
-    m = w.matrix
     add = rs.signed_sums
     level = [0] * n
     sign = [0] * n
@@ -281,12 +279,12 @@ def n_set(w: AffineWeylElement) -> frozenset[AffineRoot]:
     """Positive affine roots sent to negative ones by w (decoded N(w))."""
     n2 = 2 * len(w.rs.positive_roots)
     roots = w.rs.signed_roots
-    return frozenset(AffineRoot(c // n2, roots[c % n2]) for c in _inversion_codes(w))
+    return frozenset(AffineRoot(c // n2, roots[c % n2]) for c in _inversion_codes(w.rs, w.matrix))
 
 
 def length(w: AffineWeylElement) -> int:
     """Coxeter length, computed as the size of the inversion set."""
-    return len(_inversion_codes(w))
+    return len(_inversion_codes(w.rs, w.matrix))
 
 
 def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
@@ -313,7 +311,7 @@ def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
         _images(rs, (i,), images)
     word = tuple(peeled[::-1])
     w = AffineWeylElement(rs, word, _matrix(rs, _images(rs, word)), _matrix(rs, images))
-    if _inversion_codes(w) != codes:
+    if _inversion_codes(rs, w.matrix) != codes:
         raise ValueError("set is not bi-convex: reconstruction mismatch")
     return w
 
@@ -458,12 +456,9 @@ def _translation_matrix(rs: RootSystem, z) -> IntMatrix:
 
 
 def translation_element(rs: RootSystem, z) -> AffineWeylElement:
-    """The translation t_z as a group element, with a peeled reduced word."""
-    coords = tuple(Fraction(c) for c in _coords(z))
-    m = _translation_matrix(rs, coords)
-    minv = _translation_matrix(rs, tuple(-c for c in coords))
-    probe = AffineWeylElement(rs, (), m, minv)
-    out = _peel(rs, _inversion_codes(probe))
+    """The translation t_z, with a peeled reduced word; z is validated once, in its matrix."""
+    m = _translation_matrix(rs, z)
+    out = _peel(rs, _inversion_codes(rs, m))
     if out.matrix != m:
         raise AssertionError("translation reconstruction mismatch")
     return out
@@ -555,7 +550,7 @@ def check_inversion_sum(w: AffineWeylElement) -> bool:
     n2 = 2 * len(rs.positive_roots)
     r = rs.two_rho_hat
     diff = tuple(a - sum(x * y for x, y in zip(row, r)) for a, row in zip(r, w.inverse_matrix))
-    codes = _inversion_codes(w)
+    codes = _inversion_codes(rs, w.matrix)
     roots = (rs.signed_roots[c % n2] for c in codes)
     finite = (sum(col) for col in zip((0,) * rs.rank, *roots))  # p sums when N(w) is empty too
     total = (*finite, sum(c // n2 for c in codes), 0)
@@ -607,4 +602,5 @@ def first_layer(w: AffineWeylElement) -> UpperIdeal:
     rs = w.rs
     n = len(rs.positive_roots)
     low = 3 * n  # delta - gamma_g is 2n + n + g
-    return _trusted(rs, sum(1 << (c - low) for c in _inversion_codes(w) if low <= c < low + n))
+    codes = _inversion_codes(rs, w.matrix)
+    return _trusted(rs, sum(1 << (c - low) for c in codes if low <= c < low + n))

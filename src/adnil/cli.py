@@ -22,7 +22,7 @@ from .ideals import (
     weight,
 )
 from .normalizers import ParabolicLabel, normalizer
-from .rootsys import ConfigurationError, RationalVector, Root, build
+from .rootsys import ConfigurationError, RationalVector, build
 from .verify import SUITES, VerificationFailure, run_table7, suite_runners
 
 __all__ = [
@@ -58,11 +58,12 @@ def serialize_ideal(ideal: UpperIdeal) -> dict:
 
 
 def parse_ideal(obj: dict) -> UpperIdeal:
-    """Inverse of serialize_ideal."""
+    """Inverse of serialize_ideal; every coefficient must be an int."""
     rs = build(obj["type"])
-    return close_upward(
-        rs, [Root(tuple(int(c) for c in g)) for g in obj["generators"]]
-    )
+    generators = [tuple(g) for g in obj["generators"]]
+    if any(type(c) is not int for g in generators for c in g):
+        raise ValueError(f"generators {obj['generators']!r} have a non-int coefficient")
+    return close_upward(rs, generators)
 
 
 def _jsonable(value):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .ideals import enumerate_ideals
+from .linalg import adjugate
 from .normalizers import _removed_simples
 from .rootsys import RootSystem
 
@@ -216,7 +217,7 @@ def lattice_count(
     marks = rs.marks
     rank = rs.rank
     f = rs.f
-    adj = [[int(f * a) for a in row] for row in rs.cartan_inverse]
+    adj = adjugate(rs.cartan)[1]
     check = lattice == "coroot" and f > 1
     # suffix[k] = sum of marks from position k on.
     suffix = [0] * (rank + 1)

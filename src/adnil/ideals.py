@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .rootsys import RationalVector, Root, RootSystem, _coords
+from .rootsys import RationalVector, Root, RootSystem, _coords, _vector
 
 __all__ = [
     "UpperIdeal",
@@ -154,10 +154,10 @@ def _iter_bits(bits: int) -> Iterator[int]:
 
 
 def close_upward(rs: RootSystem, generators) -> UpperIdeal:
-    """Smallest upper ideal containing the given positive roots."""
+    """Smallest upper ideal containing the given positive roots; a float entry is refused."""
     bits = 0
     for g in generators:
-        k = rs.root_index.get(_coords(g))
+        k = rs.root_index.get(_vector(rs, g))
         if k is None:
             raise ValueError(f"{g!r} is not a positive root of {rs.label}")
         bits |= rs.upsets[k]

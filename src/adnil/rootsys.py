@@ -171,7 +171,7 @@ class RootSystem:
     Attributes of note: positive_roots (height-sorted Root tuple), theta,
     marks (theta coefficients), f (index of connection), cartan, form (the
     invariant form in ints, form[i][j] = e (alpha_i, alpha_j)), form_scale
-    (that e, the lcm of the symmetrizer denominators), gram (form / e),
+    (that e, the lcm of the symmetrizer denominators),
     fundamental_weights / fundamental_coweights, rho, rho_check, and the
     root-poset tables over root indices: sums[i] (dict j -> k with
     gamma_i + gamma_j = gamma_k), partners[i] (bitset of the j with
@@ -203,7 +203,6 @@ class RootSystem:
         self.form = tuple(tuple(c * s for c, s in zip(row, scaled)) for row in self.cartan)
         if any(self.form[i][j] != self.form[j][i] for i in range(rank) for j in range(i)):
             raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
-        self.gram = tuple(tuple(Fraction(v, e) for v in row) for row in self.form)
 
         coeff_list = _positive_roots(self.cartan)
         self.positive_roots = tuple(Root(c) for c in coeff_list)
@@ -233,7 +232,7 @@ class RootSystem:
         self.fundamental_weights = tuple(
             RationalVector(tuple(row)) for row in self.cartan_inverse
         )
-        # gram = cartan diag(d), so gram^{-1} = diag(1/d) cartan^{-1}.
+        # form / e = cartan diag(d), so its inverse is diag(1/d) cartan^{-1}.
         self.fundamental_coweights = tuple(
             RationalVector(tuple(v / d for v in row))
             for row, d in zip(self.cartan_inverse, self.symmetrizer)
@@ -412,15 +411,11 @@ def build(label: str) -> RootSystem:
 
 
 def inner(rs: RootSystem, x, y) -> Fraction:
-    """Invariant bilinear form, (theta, theta) = 2 normalization."""
-    cx, cy = _vector(rs, x), _vector(rs, y)
-    gram = rs.gram
-    total = Fraction(0)
-    for i, xi in enumerate(cx):
-        if xi:
-            row = gram[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(cy) if yj)
-    return total
+    """Invariant bilinear form, (theta, theta) = 2, summed on the integer form.
+
+    (x, y) = sum_j y_j (x, alpha_j), over the integer pairings of x."""
+    py, den = rs._scaled_pairings(x)
+    return Fraction(sum(map(mul, _vector(rs, y), py)), den)
 
 
 def leq(rs: RootSystem, mu, gamma) -> bool:

@@ -12,15 +12,16 @@ so every sign decision is exact.
 The region and wall solves use only the boundary rows of the region:
 y_i > 0, c.y > 1 for the generators of the ideal and c.y < 1 for the
 maximal roots of its complement.  Pairings rise along the root poset when
-y >= 0, so every other row is implied.  Every solve runs on one tableau
-form (``_max_margin``) over positive variables: it substitutes
-y = (u + t 1) / s with u >= 0, so positivity follows from the margin
-t > 0 and needs no rows.  ``region_witness`` solves the boundary rows on
-it directly; the walls come from one row set per ideal, with ``_wall``
-fixing one pairing at zero for ``is_wall`` and ``wall_levi``.
-``feasible`` takes free variables for
-general strict systems: it writes x = y' - y'' with y', y'' > 0 and
-solves the same form with each normal a doubled to (a, -a).
+y >= 0, so every other row is implied.  A row (normal, bound) has one
+relation, normal.y > bound, so a complement row is (-c, -1).  Every solve
+runs on one tableau form (``_max_margin``) over positive variables: it
+substitutes y = (u + t 1) / s with u >= 0, so positivity follows from the
+margin t > 0 and needs no rows.  ``region_witness`` solves the boundary
+rows on it directly; the walls come from one row set per ideal, with
+``_wall`` fixing one pairing at zero for ``is_wall`` and ``wall_levi``.
+``feasible`` takes free variables for general strict systems: it negates
+each "<" row once, writes x = y' - y'' with y', y'' > 0 and solves the
+same form with each normal a doubled to (a, -a).
 
 Alcove membership is decided in integers: the barycenter of the base
 alcove is kept once per root system as integer numerators over one
@@ -70,24 +71,18 @@ def in_region(ideal: UpperIdeal, x) -> bool:
 
 
 def _max_margin(rows, k: int) -> list[int] | None:
-    """Strict feasibility of rows (normal, bound, relation) over k variables y > 0.
+    """Strict feasibility of rows (a, b), each a.y > b, over k variables y > 0.
 
     With y = (u + t 1) / s over u >= 0 and s, t >= 0, every y_i > 0 once
-    the margin t is positive; a.y > b becomes -a.u + b s + (1 - sum(a)) t <= 0
-    and a.y < b becomes a.u - b s + (1 + sum(a)) t <= 0.  The loop appends
+    the margin t is positive, and a.y > b becomes
+    -a.u + b s + (1 - sum(a)) t <= 0.  The loop appends
     s >= t, the bound sum(u) + s <= 1 and the objective t, so the origin is a
     feasible basis, and maximizes t with fraction-free pivots and Bland's
     rule.  It stops at the first basis where t is positive and returns the
     values of the k + 2 columns (u, s, t) as numerators over one positive
     denominator, or None when t cannot be made positive.
     """
-    tableau = []
-    for normal, bound, relation in rows:
-        total = sum(normal)
-        if relation == ">":
-            tableau.append([-a for a in normal] + [bound, 1 - total, 0])
-        else:
-            tableau.append(list(normal) + [-bound, 1 + total, 0])
+    tableau = [[-a for a in normal] + [bound, 1 - sum(normal), 0] for normal, bound in rows]
     s_col, t_col = k, k + 1
     n = k + 2
     margin = [0] * (n + 1)
@@ -138,9 +133,10 @@ def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
     ``dimension``, an int and ">" or "<", for the strict condition
     normal.x > bound or normal.x < bound.  Returns a point satisfying every
     row, or None when there is none.  Raises ValueError on a bad dimension
-    or a malformed row.  The free x is written as y' - y'' with y', y'' > 0,
-    so each normal a becomes (a, -a) for ``_max_margin``, and the witness is
-    read off as x = (u' - u'') / s.
+    or a malformed row.  A "<" row is negated once into normal.x > bound,
+    the one relation ``_max_margin`` takes.  The free x is written as
+    y' - y'' with y', y'' > 0, so each normal a becomes (a, -a), and the
+    witness is read off as x = (u' - u'') / s.
     """
     if not isinstance(dimension, int) or dimension < 0:
         raise ValueError(f"dimension {dimension!r} is not a non-negative int")
@@ -154,7 +150,9 @@ def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
             raise ValueError(f"row {normal!r} {relation} {bound!r} has a non-int entry")
         if not any(normal):
             raise ValueError("inequality with zero normal")
-        doubled.append(((*normal, *(-a for a in normal)), bound, relation))
+        if relation == "<":
+            normal, bound = [-a for a in normal], -bound
+        doubled.append(((*normal, *(-a for a in normal)), bound))
     p = dimension
     value = _max_margin(doubled, 2 * p)
     if value is None:
@@ -166,14 +164,16 @@ def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
 def _boundary_rows(ideal: UpperIdeal) -> list:
     """Generator and complement-maximal rows of the region, as _max_margin takes them.
 
-    Positivity y_i > 0 needs no rows in ``_max_margin``.  The normals are the
-    roots' own coefficient tuples; ``_wall`` drops one pairing from them.
+    Positivity y_i > 0 needs no rows in ``_max_margin``.  A generator gamma
+    gives (gamma, 1) and a complement-maximal mu gives (-mu, -1), its signed
+    root; ``_wall`` drops one pairing from the normals.
     """
     rs, bits = ideal.rs, ideal.bits
-    rows = [(rs.positive_roots[g].coeffs, 1, ">") for g in ideal.generator_indices()]
+    n = len(rs.positive_roots)
+    rows = [(rs.positive_roots[g].coeffs, 1) for g in ideal.generator_indices()]
     return rows + [
-        (root.coeffs, 1, "<")
-        for g, root in enumerate(rs.positive_roots)
+        (rs.signed_roots[n + g], -1)
+        for g in range(n)
         if not (bits >> g) & 1 and not rs.up[g] & ~bits
     ]
 
@@ -182,10 +182,11 @@ def _wall(rows, a: int, p: int) -> bool:
     """Whether the boundary rows stay feasible with pairing a fixed at zero.
 
     Coordinate a is removed from each normal.  A row left with a zero normal
-    is 0 > 1 (alpha_a generates the ideal: no wall, no solve) or 0 < 1 (void).
+    reads 0 > bound: with bound >= 0 it fails (0 > 1: alpha_a generates the
+    ideal, no wall, no solve), and with bound < 0 it is void (0 > -1).
     """
-    kept = [(normal[:a] + normal[a + 1 :], bound, rel) for normal, bound, rel in rows]
-    if any(rel == ">" and not any(normal) for normal, _, rel in kept):
+    kept = [(normal[:a] + normal[a + 1 :], bound) for normal, bound in rows]
+    if any(bound >= 0 and not any(normal) for normal, bound in kept):
         return False
     return _max_margin([row for row in kept if any(row[0])], p - 1) is not None
 

@@ -75,6 +75,13 @@ def test_serialize_parse_identity_across_types():
             assert back.bits == c.bits
 
 
+def test_parse_ideal_refuses_non_int_coefficients():
+    # int() would take each of these; an exact coefficient must already be a JSON integer
+    for bad in (1.5, 1.0, "1", True):
+        with pytest.raises(ValueError, match="non-int coefficient"):
+            parse_ideal({"type": "A2", "generators": [[bad, 0]]})
+
+
 def test_table7_ok(capsys):
     code, out, _ = run(capsys, "table7")
     assert code == 0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -133,14 +135,48 @@ def test_gf_equals_borel_fiber_enumeration():
         ), label
 
 
+# Ideals by number of generators (Narayana numbers), tabulated in Armstrong,
+# Mem. AMS 202 (2009), for the types without a closed form below.
+NARAYANA = {
+    "E6": (1, 36, 204, 351, 204, 36, 1),
+    "E7": (1, 63, 546, 1470, 1470, 546, 63, 1),
+    "E8": (1, 120, 1540, 6120, 9518, 6120, 1540, 120, 1),
+    "F4": (1, 24, 55, 24, 1),
+    "G2": (1, 6, 1),
+}
+
+
+def _narayana(family, n):
+    """Ideals with k = 0..n generators, all and strictly positive (None: no closed form)."""
+    ks = range(n + 1)
+    if family == "A":  # the strict row is the A_{n-1} row padded with a 0
+        nar = [comb(n + 1, k) * comb(n + 1, k + 1) // (n + 1) for k in ks]
+        return nar, [comb(n, k) * comb(n, k + 1) // n for k in ks]
+    if family in "BC":
+        return [comb(n, k) ** 2 for k in ks], [comb(n, k) * comb(n - 1, k) for k in ks]
+    if family == "D":
+        lower = [comb(n - 1, k) * comb(n - 1, k - 1) if k else 0 for k in ks]
+        return [comb(n, k) ** 2 - Fraction(n * low, n - 1) for k, low in zip(ks, lower)], None
+    return list(NARAYANA[f"{family}{n}"]), None
+
+
 def test_lattice_counts_match_ideal_counts():
-    # every type under the default rank caps, E7 and E8 included
+    # every type under the default rank caps, E7 and E8 included; the same walk
+    # tallies the ideals by number of generators against the Narayana numbers
     labels = [f"{fam}{n}" for fam, (lo, hi) in _RANK_RANGE.items() for n in range(lo, hi + 1)]
     labels += [f"{fam}{n}" for fam, ranks in _FIXED_RANKS.items() for n in ranks]
     assert len(labels) == 34
     for label in labels:
         rs = build(label)
-        strict = sum(1 for c in enumerate_ideals(rs) if is_strictly_positive(c))
+        every, positive = [0] * (rs.rank + 1), [0] * (rs.rank + 1)
+        for c in enumerate_ideals(rs):
+            k = c._generator_bits().bit_count()
+            every[k] += 1
+            positive[k] += is_strictly_positive(c)
+        nar, nar_positive = _narayana(rs.family, rs.rank)
+        assert every == nar, label
+        assert nar_positive is None or positive == nar_positive, label
+        strict = sum(positive)
         assert lattice_count(rs, "min").count == ideal_count(rs), label
         assert lattice_count(rs, "max").count == strict, label
         assert lattice_count(rs, "min", off_walls=True).count == gf_count(rs, 1), label

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from adnil.affine import identity_element, in_min_simplex, star, translation_element
-from adnil.ideals import enumerate_ideals
+from adnil.ideals import close_upward, enumerate_ideals
 from adnil.linalg import adjugate
 from adnil.rootsys import (
     ConfigurationError,
@@ -134,16 +134,15 @@ def test_adjugate_of_every_cartan_matrix():
 
 
 def test_gram_is_symmetrized_cartan():
+    # the invariant form is kept once, in ints: form = e cartan diag(d), symmetric
     for label in ALL_LABELS:
         rs = build(label)
         n = rs.rank
         e = rs.form_scale
         for i in range(n):
             for j in range(n):
-                assert rs.gram[i][j] == rs.gram[j][i]
-                assert rs.gram[i][j] == rs.symmetrizer[j] * rs.cartan[i][j]
-                assert rs.form[i][j] == rs.form[j][i]
-                assert type(rs.form[i][j]) is int and rs.form[i][j] == e * rs.gram[i][j]
+                assert type(rs.form[i][j]) is int and rs.form[i][j] == rs.form[j][i]
+                assert rs.form[i][j] == e * rs.symmetrizer[j] * rs.cartan[i][j]
 
 
 def test_pairings_match_the_symmetrized_cartan():
@@ -398,10 +397,13 @@ def test_vectors_of_the_wrong_length_are_rejected():
         lambda rs, v: leq(rs, v, (1, 2)),
         lambda rs, v: root_sum(rs, v, (0, 1)),
         lambda rs, v: in_min_simplex(rs, v),
+        lambda rs, v: translation_element(rs, v),
+        lambda rs, v: close_upward(rs, [v]),
     ),
     ids=(
         "from_pairings", "pairings", "coroot_pairing", "in_coroot_lattice", "inner",
-        "in_region", "star", "leq", "root_sum", "in_min_simplex",
+        "in_region", "star", "leq", "root_sum", "in_min_simplex", "translation_element",
+        "close_upward",
     ),
 )
 def test_float_entries_are_rejected(entry):

@@ -301,10 +301,11 @@ def _positivity(n):
 
 def test_orthant_walls_match_the_free_split_solve(monkeypatch):
     # The reference is the free-split solve on the positivity rows of the
-    # kept pairings followed by the boundary rows projected onto them; a
-    # projected > row with a zero normal (0 > 1) means no wall.  For the
-    # witness, every pairing is kept and y is mapped back by the inline
-    # coweight sum.
+    # kept pairings followed by the boundary rows projected onto them, each
+    # signed row (normal, bound) given as normal.y > bound; a projected row
+    # with a zero normal reads 0 > bound and means no wall when bound >= 0.
+    # For the witness, every pairing is kept and y is mapped back by the
+    # inline coweight sum.
     samples = [
         list(enumerate_ideals(build(label)))
         for label in ("G2", "B3", "C3", "D4", "F4", "B4", "C4", "D5", "A5")
@@ -316,13 +317,14 @@ def test_orthant_walls_match_the_free_split_solve(monkeypatch):
         positive, kept = _positivity(p), _positivity(p - 1)
         for c in ideals:
             rows = _boundary_rows(c)
-            y = feasible(p, positive + rows)
+            y = feasible(p, positive + [(n, b, ">") for n, b in rows])
             assert region_witness(c).coords == _point(rs, y), c
             levi = wall_levi(c).levi
             for a in range(p):
-                projected = [(n[:a] + n[a + 1 :], b, rel) for n, b, rel in rows]
-                expected = not any(rel == ">" and not any(n) for n, _, rel in projected) and (
-                    feasible(p - 1, kept + [row for row in projected if any(row[0])]) is not None
+                projected = [(n[:a] + n[a + 1 :], b) for n, b in rows]
+                expected = not any(b >= 0 and not any(n) for n, b in projected) and (
+                    feasible(p - 1, kept + [(n, b, ">") for n, b in projected if any(n)])
+                    is not None
                 )
                 assert is_wall(c, a) == expected == (a in levi), (c, a)
 
