@@ -16,10 +16,10 @@ e = l, or l - 1 when root s is negative; k delta + gamma is inverted for
 0 <= k < -e and k delta - gamma for 1 <= k <= e, so each gamma adds at
 most one run of codes.  A matrix is built on
 the codes too: one step g <- g s_i updates the images g(alpha_j) of the
-p+1 affine simple roots and g(Lambda), and the matrix is read off them.
-`from_word` runs the step on the word and on the reversed word, and
-bi-convex peeling runs it while it peels and once more on the peeled
-word.  The translation
+p+1 affine simple roots and g(Lambda), and the matrix is read off them;
+`_inverse_of` reads the matrix of g^{-1} off the same images.
+`from_word` runs the step once, on the word, and bi-convex peeling runs
+it inline while it peels, with no replay of the peeled word.  The translation
 factorization w = t_z . v recomposes in O(p^2), and the minimal and
 maximal elements attached to an upper ideal live here too.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .ideals import (
     UpperIdeal,
@@ -144,6 +145,28 @@ def _matrix(rs: RootSystem, images) -> IntMatrix:
     return tuple(zip(*cols))
 
 
+def _inverse_of(rs: RootSystem, images) -> IntMatrix:
+    """The matrix of g^{-1}, read off the coded images of g in O(p^2) lookups.
+
+    With u the finite part of g and l its delta-level, g^{-1}(alpha_j) =
+    r_j - l(r_j) delta for the root r_j = u^{-1}(alpha_j), found by its
+    pairings (r_j, alpha_k) = (alpha_j, u(alpha_k)) in
+    rs.signed_pairing_index.  With g(Lambda) = Lambda + z' + c delta,
+    g^{-1}(Lambda) = Lambda - u^{-1}(z') + c delta: both have norm 0, and
+    u^{-1}(z') has the norm of z', so c = -|z'|^2/2 on both sides.
+    """
+    level, sign, lam = images
+    p = rs.rank
+    pairing, index, signed = rs.signed_pairing_rows, rs.signed_pairing_index, rs.signed_roots
+    roots = [signed[index[y]] for y in zip(*[pairing[s] for s in sign[1:]])]
+    z = lam[:p]
+    rows = [(*col, 0, -sum(map(mul, z, col))) for col in zip(*roots)]
+    lv = level[1:]
+    rows.append((*[-sum(map(mul, r, lv)) for r in roots], 1, lam[p]))
+    rows.append((0,) * (p + 1) + (1,))
+    return tuple(rows)
+
+
 def _image(m, level: int, finite: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(delta-level, finite part) of m applied to level*delta + finite."""
     p = len(finite)
@@ -230,14 +253,17 @@ def simple_reflection(rs: RootSystem, i: int) -> AffineWeylElement:
 
 
 def from_word(rs: RootSystem, word) -> AffineWeylElement:
-    """Compose simple reflections; word[0] is applied last."""
+    """Compose simple reflections; word[0] is applied last.
+
+    One `_images` run on the word gives the matrix, and `_inverse_of` reads
+    the inverse matrix off the same images.
+    """
     word = tuple(word)
     for i in word:
         if not isinstance(i, int) or not 0 <= i <= rs.rank:
             raise ValueError(f"affine simple index {i} out of range")
-    return AffineWeylElement(
-        rs, word, _matrix(rs, _images(rs, word)), _matrix(rs, _images(rs, word[::-1]))
-    )
+    images = _images(rs, word)
+    return AffineWeylElement(rs, word, _matrix(rs, images), _inverse_of(rs, images))
 
 
 def _inversion_codes(rs: RootSystem, m: IntMatrix) -> set[int]:
@@ -289,28 +315,51 @@ def length(w: AffineWeylElement) -> int:
 
 def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
     """Element whose inversion set has these codes; see word_from_biconvex."""
-    p = rs.rank
-    n2 = 2 * len(rs.positive_roots)
+    n = len(rs.positive_roots)
+    n2 = 2 * n
     roots = rs.signed_roots
-    level, sign, _ = images = _images(rs, ())
+    add = rs.signed_sums
+    neighbours = rs.affine_neighbours
+    level, sign, lam = images = _images(rs, ())
     left = set(codes)
+    ready = 0  # bitset of the j with code(g(alpha_j)) in left
+    for j, (lj, sj) in enumerate(zip(level, sign)):
+        if lj * n2 + sj in left:
+            ready |= 1 << j
     peeled: list[int] = []
     while left:
-        for i in range(p + 1):
-            code = level[i] * n2 + sign[i]
-            if code in left:
-                break
-        else:
-            ginv = _matrix(rs, _images(rs, peeled[::-1]))
+        if not ready:
+            ginv = _inverse_of(rs, images)
             raise ValueError(
                 "set is not bi-convex: no affine simple root left to peel "
                 f"among {sorted(_image(ginv, c // n2, roots[c % n2]) for c in left)}"
             )
-        left.remove(code)
+        i = (ready & -ready).bit_length() - 1
+        li, si = level[i], sign[i]
+        left.remove(li * n2 + si)
         peeled.append(i)
-        _images(rs, (i,), images)
+        # the step of _images, g <- g s_i; it moves only g(alpha_i) and the
+        # neighbours' images, so only their ready bits are tested again
+        if i == 0:
+            lam[:] = [x - y for x, y in zip(lam, roots[si] + (li,))]
+        neg = si + n if si < n else si - n
+        level[i], sign[i] = -li, neg
+        ready &= ~(1 << i)  # g(alpha_i) is now negative, every code left positive
+        for j, k in neighbours[i]:
+            lj = level[j] = level[j] + k * li
+            sj = sign[j]
+            if sj == neg:
+                sj = si
+            else:
+                for _ in range(k):
+                    sj = add[sj][si]
+            sign[j] = sj
+            if lj * n2 + sj in left:
+                ready |= 1 << j
+            elif ready >> j & 1:  # a bi-convex set never gets here
+                ready ^= 1 << j
     word = tuple(peeled[::-1])
-    w = AffineWeylElement(rs, word, _matrix(rs, _images(rs, word)), _matrix(rs, images))
+    w = AffineWeylElement(rs, word, _inverse_of(rs, images), _matrix(rs, images))
     if _inversion_codes(rs, w.matrix) != codes:
         raise ValueError("set is not bi-convex: reconstruction mismatch")
     return w
@@ -319,26 +368,35 @@ def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
 def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
     """Element whose inversion set is the given bi-convex set (by peeling).
 
-    Each root is checked and turned into its code k * 2N + s (module
-    docstring).  With g the product peeled so far and left the unpeeled
-    codes, a step finds the lowest i with g(alpha_i) in left and sets
-    g <- g s_i with `_images`, which keeps only the p+1 images g(alpha_j),
-    as (level, signed index) pairs, and g(Lambda).  They are the columns
-    of the result's inverse g; its matrix comes from the same step run on
-    the reversed word.  A set that is not an inversion set is rejected
-    with a diagnostic that maps the unpeeled roots back through g^{-1}
-    (built by the same step), and the inversion set of the result is
-    compared with the input, both coded.
+    Each root is checked (its finite part through `rootsys._vector`, so a
+    float entry or level is refused) and turned into its code k * 2N + s
+    (module docstring); it is positive when k > 0, or k = 0 and s < N.
+    With g the product peeled so far and left the unpeeled codes, a step
+    peels the lowest i with g(alpha_i) in left and sets g <- g s_i by the
+    step of `_images`, inline, which keeps only the p+1 images g(alpha_j),
+    as (level, signed index) pairs, and g(Lambda).  A bitset holds the i
+    with g(alpha_i) in left; a step changes only g(alpha_i) and the images
+    of its neighbours, so only their bits are tested again.  The images
+    are the columns of the result's inverse g, and `_inverse_of` reads the
+    result's matrix off them, with no replay of the word.  A set that is
+    not an inversion set is rejected with a diagnostic that maps the
+    unpeeled roots back through g^{-1} (read off the same way), and the
+    inversion set of the result is compared with the input, both coded.
     """
-    n2 = 2 * len(rs.positive_roots)
+    n = len(rs.positive_roots)
+    n2 = 2 * n
+    index = rs.signed_index
     codes = set()
     for mu in set(roots):
-        if not mu.is_positive():
-            raise ValueError(f"{mu!r} is not a positive affine root")
-        s = rs.signed_index.get(mu.finite)
+        s = index.get(_vector(rs, mu.finite))
         if s is None:
             raise ValueError(f"{mu!r} has a non-root finite part")
-        codes.add(mu.level * n2 + s)
+        k = mu.level
+        if not isinstance(k, int):
+            raise ValueError(f"{mu!r} has a level that is not an int")
+        if k < 0 or (k == 0 and s >= n):
+            raise ValueError(f"{mu!r} is not a positive affine root")
+        codes.add(k * n2 + s)
     return _peel(rs, codes)
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .rootsys import RationalVector, Root, RootSystem, _coords, _vector
+from .rootsys import RationalVector, Root, RootSystem, _vector
 
 __all__ = [
     "UpperIdeal",
@@ -93,7 +93,8 @@ class UpperIdeal:
         return tuple(self.rs.positive_roots[i] for i in _iter_bits(self.bits))
 
     def contains(self, root) -> bool:
-        k = self.rs.root_index.get(_coords(root))
+        """Whether the root is in the ideal; a float entry or a wrong length is refused."""
+        k = self.rs.root_index.get(_vector(self.rs, root))
         return k is not None and bool((self.bits >> k) & 1)
 
     def _generator_bits(self) -> int:

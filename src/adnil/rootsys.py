@@ -78,8 +78,9 @@ def _vector(rs: RootSystem, x) -> tuple:
     c = _coords(x)
     if len(c) != rs.rank:
         raise ValueError(f"vector of length {len(c)} in a rank-{rs.rank} root system")
-    if not all(isinstance(v, (int, Fraction)) for v in c):
-        raise ValueError(f"vector {c!r} has an entry that is neither an int nor a Fraction")
+    for v in c:  # about twice as fast as all() over a generator
+        if not isinstance(v, (int, Fraction)):
+            raise ValueError(f"vector {c!r} has an entry that is neither an int nor a Fraction")
     return c
 
 
@@ -184,7 +185,9 @@ class RootSystem:
     indices (s < N is gamma_s, N + g is -gamma_g, N the number of positive
     roots), signed_roots[s] (coefficients), signed_index (its inverse dict)
     and signed_sums[s] (dict t -> u with root s + root t = root u, so both
-    orders of every difference), and halves[k] (the bitsets 1 << i | 1 << j
+    orders of every difference), signed_pairing_rows[s] (the integer form
+    pairings e (root s, alpha_j), j = 1..p), signed_pairing_index (its
+    inverse dict), and halves[k] (the bitsets 1 << i | 1 << j
     with gamma_i + gamma_j = gamma_k), built on first use; for the affine layer,
     affine_cartan, affine_neighbours[i] (the (j, k) with <alpha_j,
     alpha_i^vee> = -k < 0, j != i) and two_rho_hat (2 rho_hat as integers).
@@ -329,6 +332,15 @@ class RootSystem:
                 add[k][n + i] = add[n + i][k] = j
                 add[n + k][i] = add[i][n + k] = n + j
         return tuple(add)
+
+    @cached_property
+    def signed_pairing_rows(self) -> tuple[tuple[int, ...], ...]:
+        # form is symmetric, so its row j pairs with alpha_j.
+        return tuple(tuple(sum(map(mul, c, row)) for row in self.form) for c in self.signed_roots)
+
+    @cached_property
+    def signed_pairing_index(self) -> dict[tuple[int, ...], int]:
+        return {y: s for s, y in enumerate(self.signed_pairing_rows)}
 
     @cached_property
     def halves(self) -> tuple[tuple[int, ...], ...]:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from adnil.affine import (
     AffineRoot,
     AffineWeylElement,
+    _images,
+    _matrix,
     affine_simple_root,
     alcove_barycenter,
     check_inversion_sum,
@@ -120,6 +122,8 @@ def test_group_laws_on_random_words():
             v = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(top))])
             uv = from_word(rs, u.word + v.word)
             assert uv == u * v and uv.inverse_matrix == (u * v).inverse_matrix
+            # the inverse matrix is read off u's images; the reversed word replays it
+            assert u.inverse_matrix == _matrix(rs, _images(rs, u.word[::-1]))
             assert (u * v).inverse() == v.inverse() * u.inverse()
             assert u * u.inverse() == identity_element(rs)
             assert length(u.inverse()) == length(u)
@@ -285,6 +289,7 @@ def test_word_from_biconvex_rejects_non_biconvex_sets():
         (AffineRoot(0, (-1, 0)), "is not a positive affine root"),
         (AffineRoot(1, (1, -1)), "has a non-root finite part"),
         (AffineRoot(1, (0, 0)), "has a non-root finite part"),
+        (AffineRoot(1.0, (-1, -1)), "has a level that is not an int"),
     ):
         with pytest.raises(ValueError) as exc:
             word_from_biconvex(rs, {bad})

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from adnil.affine import identity_element, in_min_simplex, star, translation_element
+from adnil.affine import (
+    AffineRoot,
+    identity_element,
+    in_min_simplex,
+    star,
+    translation_element,
+    word_from_biconvex,
+)
 from adnil.ideals import close_upward, enumerate_ideals
 from adnil.linalg import adjugate
 from adnil.rootsys import (
@@ -376,6 +383,7 @@ def test_vectors_of_the_wrong_length_are_rejected():
         lambda v: translation_element(rs, v),
         lambda v: in_min_simplex(rs, v),
         lambda v: in_region(empty, v),
+        lambda v: empty.contains(v),
     )
     for check in checks:
         check((1, 1))
@@ -399,11 +407,13 @@ def test_vectors_of_the_wrong_length_are_rejected():
         lambda rs, v: in_min_simplex(rs, v),
         lambda rs, v: translation_element(rs, v),
         lambda rs, v: close_upward(rs, [v]),
+        lambda rs, v: close_upward(rs, [(1, 0)]).contains(v),
+        lambda rs, v: word_from_biconvex(rs, [AffineRoot(0, v)]),
     ),
     ids=(
         "from_pairings", "pairings", "coroot_pairing", "in_coroot_lattice", "inner",
         "in_region", "star", "leq", "root_sum", "in_min_simplex", "translation_element",
-        "close_upward",
+        "close_upward", "contains", "word_from_biconvex",
     ),
 )
 def test_float_entries_are_rejected(entry):
