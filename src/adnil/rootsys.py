@@ -173,10 +173,11 @@ class RootSystem:
     marks (theta coefficients), f (index of connection), cartan, form (the
     invariant form in ints, form[i][j] = e (alpha_i, alpha_j)), form_scale
     (that e, the lcm of the symmetrizer denominators),
-    fundamental_weights / fundamental_coweights, rho, rho_check, and the
-    root-poset tables over root indices: sums[i] (dict j -> k with
-    gamma_i + gamma_j = gamma_k), partners[i] (bitset of the j with
-    gamma_i + gamma_j a root, the keys of sums[i]), simple_bits (bitset of
+    fundamental_weights / fundamental_coweights, coweights (their
+    coordinates in ints, over one denominator coweight_scale), rho,
+    rho_check, and the root-poset tables over root indices: sums[i] (dict
+    j -> k with gamma_i + gamma_j = gamma_k), partners[i] (bitset of the j
+    with gamma_i + gamma_j a root, the keys of sums[i]), simple_bits (bitset of
     the simple roots), up[i] (bitset of the upper covers gamma_i + alpha_a),
     upsets[i] (bitset of every root >= gamma_i, gamma_i included),
     lowers[i] (bitset of the simple indices a with gamma_i - alpha_a zero or
@@ -235,10 +236,16 @@ class RootSystem:
         self.fundamental_weights = tuple(
             RationalVector(tuple(row)) for row in self.cartan_inverse
         )
-        # form / e = cartan diag(d), so its inverse is diag(1/d) cartan^{-1}.
+        # form / e = cartan diag(d), so its inverse is diag(1/d) cartan^{-1}
+        # = diag(e / scaled) adj / det: rows of coweights over coweight_scale.
+        top = lcm(*scaled)
+        self.coweight_scale = det * top
+        self.coweights = tuple(
+            tuple(v * e * (top // s) for v in row) for row, s in zip(adj, scaled)
+        )
         self.fundamental_coweights = tuple(
-            RationalVector(tuple(v / d for v in row))
-            for row, d in zip(self.cartan_inverse, self.symmetrizer)
+            RationalVector(tuple(Fraction(v, self.coweight_scale) for v in row))
+            for row in self.coweights
         )
         rho = tuple(
             sum(w.coords[j] for w in self.fundamental_weights) for j in range(rank)
@@ -370,10 +377,18 @@ class RootSystem:
         return tuple(Fraction(v, den) for v in y)
 
     def from_pairings(self, y) -> RationalVector:
-        """The x with (x, alpha_j) = y_j, as sum(y_i * omega_i-coweight)."""
+        """The x with (x, alpha_j) = y_j, as sum(y_i * omega_i-coweight).
+
+        Summed in integers on the coweights, with the denominators of y
+        cleared by one lcm; one Fraction is built per coordinate.
+        """
         y = _vector(self, y)
-        columns = zip(*(w.coords for w in self.fundamental_coweights))
-        return RationalVector(tuple(sum(map(mul, y, col)) for col in columns))
+        den = lcm(*(v.denominator for v in y))
+        y = [v.numerator * (den // v.denominator) for v in y]
+        den *= self.coweight_scale
+        return RationalVector(
+            tuple(Fraction(sum(map(mul, y, col)), den) for col in zip(*self.coweights))
+        )
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"

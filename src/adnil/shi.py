@@ -17,8 +17,11 @@ relation, normal.y > bound, so a complement row is (-c, -1).  Every solve
 runs on one tableau form (``_max_margin``) over positive variables: it
 substitutes y = (u + t 1) / s with u >= 0, so positivity follows from the
 margin t > 0 and needs no rows.  ``region_witness`` solves the boundary
-rows on it directly; the walls come from one row set per ideal, with
-``_wall`` fixing one pairing at zero for ``is_wall`` and ``wall_levi``.
+rows on it directly; ``_wall`` fixes one pairing at zero, and ``is_wall``
+is that solve alone.  ``wall_levi(ideal, w)`` settles each wall by an exact
+certificate first: a Farkas pair of boundary rows for "no wall", or the
+minimal alcove point of w with one pairing zeroed for "wall".  It builds
+the boundary rows and solves only when neither is found.
 ``feasible`` takes free variables for general strict systems: it negates
 each "<" row once, writes x = y' - y'' with y', y'' > 0 and solves the
 same form with each normal a doubled to (a, -a).
@@ -27,14 +30,16 @@ Alcove membership is decided in integers: the barycenter of the base
 alcove is kept once per root system as integer numerators over one
 denominator, and its image is read off the finite rows of
 ``w.inverse_matrix`` and compared with the region rows on the integer
-pairings of ``RootSystem._scaled_pairings``, as in ``in_region``.
+pairings of ``RootSystem.form``, as in ``in_region``.  The row test takes
+each root's pairing as one add along ``RootSystem.split``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
+from operator import and_, mul
 
 from .affine import AffineWeylElement, alcove_barycenter, is_dominant
 from .ideals import UpperIdeal
@@ -57,12 +62,24 @@ def _rows_hold(ideal: UpperIdeal, y, d: int) -> bool:
 
     Every row is tested, not only the boundary rows: pairings with simple
     roots are positive, with ideal roots exceed one, with others below one.
+    The pairing of gamma_k = gamma_i + alpha_a (``rs.split``) is that of
+    gamma_i plus y_a, and the test stops at the first row that fails.
     """
-    bits = ideal.bits
-    values = (sum(c * v for c, v in zip(root.coeffs, y)) for root in ideal.rs.positive_roots)
-    return min(y) > 0 and all(
-        value > d if (bits >> g) & 1 else value < d for g, value in enumerate(values)
-    )
+    if min(y) <= 0:
+        return False
+    rs, bits = ideal.rs, ideal.bits
+    values = [0] * len(rs.split)
+    for g, v in zip(rs.simple_index, y):
+        values[g] = v
+    for k, pair in enumerate(rs.split):
+        if pair is None:
+            value = values[k]
+        else:
+            i, a = pair
+            value = values[k] = values[i] + y[a]
+        if not (value > d if bits >> k & 1 else value < d):
+            return False
+    return True
 
 
 def in_region(ideal: UpperIdeal, x) -> bool:
@@ -161,6 +178,12 @@ def feasible(dimension: int, rows) -> tuple[Fraction, ...] | None:
     return tuple(Fraction(value[i] - value[p + i], s) for i in range(p))
 
 
+def _complement_maximal(ideal: UpperIdeal) -> list[int]:
+    """Indices of the maximal roots outside the ideal."""
+    rs, bits = ideal.rs, ideal.bits
+    return [g for g in range(len(rs.up)) if not (bits >> g) & 1 and not rs.up[g] & ~bits]
+
+
 def _boundary_rows(ideal: UpperIdeal) -> list:
     """Generator and complement-maximal rows of the region, as _max_margin takes them.
 
@@ -168,14 +191,10 @@ def _boundary_rows(ideal: UpperIdeal) -> list:
     gives (gamma, 1) and a complement-maximal mu gives (-mu, -1), its signed
     root; ``_wall`` drops one pairing from the normals.
     """
-    rs, bits = ideal.rs, ideal.bits
+    rs = ideal.rs
     n = len(rs.positive_roots)
     rows = [(rs.positive_roots[g].coeffs, 1) for g in ideal.generator_indices()]
-    return rows + [
-        (rs.signed_roots[n + g], -1)
-        for g in range(n)
-        if not (bits >> g) & 1 and not rs.up[g] & ~bits
-    ]
+    return rows + [(rs.signed_roots[n + g], -1) for g in _complement_maximal(ideal)]
 
 
 def _wall(rows, a: int, p: int) -> bool:
@@ -219,13 +238,77 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
     return _wall(_boundary_rows(ideal), simple, rs.rank)
 
 
-def wall_levi(ideal: UpperIdeal) -> ParabolicLabel:
+@lru_cache(maxsize=None)
+def _dominated(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """dominated[a][g]: bitset of the roots mu with mu_i >= (gamma_g)_i for every i != a.
+
+    One AND per coordinate i != a of the bitsets of the roots whose
+    coefficient i is at least v, built on first use.
+    """
+    roots = [r.coeffs for r in rs.positive_roots]
+    at_least = [
+        [sum(1 << k for k, c in enumerate(roots) if c[i] >= v) for v in range(rs.marks[i] + 1)]
+        for i in range(rs.rank)
+    ]
+    every = (1 << len(roots)) - 1
+    return tuple(
+        tuple(
+            reduce(and_, (at_least[i][c[i]] for i in range(rs.rank) if i != a), every)
+            for c in roots
+        )
+        for a in range(rs.rank)
+    )
+
+
+def wall_levi(ideal: UpperIdeal, w: AffineWeylElement) -> ParabolicLabel:
     """The Levi set of the simple roots whose zero hyperplanes bound the region.
 
-    One build of the boundary rows serves the p calls to ``_wall``.
+    Each simple root alpha_a is settled by an exact certificate on the
+    boundary rows when one is found:
+
+    - no wall when alpha_a generates the ideal, or when a generator gamma
+      is dominated off coordinate a by a root mu outside the ideal
+      (``_dominated``): gamma.y > 1 and mu.y < 1 add up to
+      (gamma - mu).y > 0, which fails with y_a = 0 and y >= 0;
+    - a wall when the pairings y of d w^{-1}(b) (``_alcove_pairings``),
+      with y_a set to zero, are positive off a and the least generator
+      pairing is positive and exceeds the largest pairing of a maximal
+      complement root: a multiple of y then meets every row.
+
+    Otherwise ``_wall`` solves, on boundary rows built once per ideal.  The
+    point of w = w_min(ideal) settles almost every wall; any w of the root
+    system gives the same answer, since w only proposes the point.
     """
-    p, rows = ideal.rs.rank, _boundary_rows(ideal)
-    return ParabolicLabel(p, frozenset(a for a in range(p) if _wall(rows, a, p)))
+    rs = ideal.rs
+    if w.rs is not rs:
+        raise ValueError("elements belong to different root systems")
+    p, complement = rs.rank, ~ideal.bits
+    y, _ = _alcove_pairings(w)
+    gens = ideal.generator_indices()
+    roots = rs.positive_roots
+    gen_values = [(roots[g].coeffs, sum(map(mul, roots[g].coeffs, y))) for g in gens]
+    top_values = [
+        (roots[g].coeffs, sum(map(mul, roots[g].coeffs, y))) for g in _complement_maximal(ideal)
+    ]
+    nonpositive = {i for i, v in enumerate(y) if v <= 0}
+    dominated = _dominated(rs)
+    rows = None
+    levi = []
+    for a in range(p):
+        ya = y[a]
+        if rs.simple_index[a] in gens or any(dominated[a][g] & complement for g in gens):
+            continue
+        if nonpositive <= {a}:
+            # high >= 0 here, so a generator pairing above it is positive
+            high = max((v - c[a] * ya for c, v in top_values), default=0)
+            if all(v - c[a] * ya > high for c, v in gen_values):
+                levi.append(a)
+                continue
+        if rows is None:
+            rows = _boundary_rows(ideal)
+        if _wall(rows, a, p):
+            levi.append(a)
+    return ParabolicLabel(p, frozenset(levi))
 
 
 @lru_cache(maxsize=None)
@@ -236,18 +319,27 @@ def _barycenter_data(rs: RootSystem) -> tuple[tuple[int, ...], int]:
     return (*(v.numerator * (d // v.denominator) for v in coords), 0, d), d
 
 
+def _alcove_pairings(w: AffineWeylElement) -> tuple[list[int], int]:
+    """Integers y and d > 0 with y_j = d (w^{-1}(b), alpha_j), b the barycenter.
+
+    d w^{-1}(b) is the finite rows of ``w.inverse_matrix`` applied to
+    d (b, 0, 1), an integer vector, and its pairings sum on ``rs.form``.
+    """
+    rs = w.rs
+    b, d = _barycenter_data(rs)
+    x = [sum(map(mul, row, b)) for row in w.inverse_matrix[: rs.rank]]
+    return [sum(map(mul, x, row)) for row in rs.form], d * rs.form_scale
+
+
 def alcove_membership(w: AffineWeylElement, ideal: UpperIdeal) -> bool:
     """Whether the inverse affine action drops the base alcove in the region.
 
-    Evaluates the region conditions at d w^{-1}(b), the finite rows of
-    ``w.inverse_matrix`` applied to d (b, 0, 1) for the barycenter b;
-    true exactly when the first layer of w is the given ideal.
+    Evaluates the region conditions at d w^{-1}(b) for the barycenter b
+    (``_alcove_pairings``); true exactly when the first layer of w is the
+    given ideal.
     """
     if w.rs is not ideal.rs:
         raise ValueError("elements belong to different root systems")
     if not is_dominant(w):
         raise ValueError("alcove membership is defined for dominant elements")
-    b, d = _barycenter_data(w.rs)
-    x = [sum(a * c for a, c in zip(row, b)) for row in w.inverse_matrix[: w.rs.rank]]
-    y, den = w.rs._scaled_pairings(x)
-    return _rows_hold(ideal, y, d * den)
+    return _rows_hold(ideal, *_alcove_pairings(w))

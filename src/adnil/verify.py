@@ -16,7 +16,6 @@ from typing import Callable
 
 from . import typeac
 from .affine import (
-    affine_simple_root,
     check_inversion_sum,
     factorize,
     first_layer,
@@ -111,15 +110,21 @@ def _require(condition: bool, check: str, **payload) -> None:
 
 
 def _simple_image_levi(w) -> ParabolicLabel:
-    """Levi read off which finite simples map to affine simple roots."""
-    rs = w.rs
-    simples = {affine_simple_root(rs, i) for i in range(rs.rank + 1)}
+    """Levi read off which finite simples map to affine simple roots.
+
+    Column a of w.matrix holds w(alpha_{a+1}) as (finite part, level): it is
+    simple with level 0 and a unit finite part, or with level 1 and finite
+    part -theta (alpha_0 = delta - theta).
+    """
+    p = w.rs.rank
+    minus_theta = tuple(-c for c in w.rs.marks)
     levi = frozenset(
         a
-        for a in range(rs.rank)
-        if w.apply_root(affine_simple_root(rs, a + 1)) in simples
+        for a, (*finite, level) in enumerate(zip(*(row[:p] for row in w.matrix[: p + 1])))
+        if (level == 0 and finite.count(1) == 1 and finite.count(0) == p - 1)
+        or (level == 1 and tuple(finite) == minus_theta)
     )
-    return ParabolicLabel(rs.rank, levi)
+    return ParabolicLabel(p, levi)
 
 
 def normalizer_routes(ideal: UpperIdeal, w) -> dict[str, ParabolicLabel]:
@@ -128,7 +133,7 @@ def normalizer_routes(ideal: UpperIdeal, w) -> dict[str, ParabolicLabel]:
         "generators": normalizer(ideal),
         "weight": normalizer_by_weight(ideal),
         "minimal-element": _simple_image_levi(w),
-        "shi-walls": wall_levi(ideal),
+        "shi-walls": wall_levi(ideal, w),
         "z-walls": normalizer_by_zwall(w),
     }
 

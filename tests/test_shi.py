@@ -6,6 +6,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -17,6 +18,7 @@ from adnil.normalizers import normalizer
 from adnil.rootsys import build, inner
 from adnil.shi import (
     _boundary_rows,
+    _rows_hold,
     alcove_membership,
     feasible,
     in_region,
@@ -274,12 +276,55 @@ def test_wall_of_a_simple_root_with_a_zero_row():
 
 
 def _check_walls_and_witnesses(ideals):
+    # the certificates of wall_levi against the pure-LP is_wall, per wall
     for c in ideals:
         assert in_region(c, region_witness(c)), c
         label = normalizer(c)
-        assert wall_levi(c) == label, c
+        assert wall_levi(c, w_min(c)) == label, c
         for a in range(c.rs.rank):
             assert is_wall(c, a) == (a in label.levi), (c, a)
+
+
+def test_each_wall_certificate_alone_matches_the_lp(monkeypatch):
+    # An empty Farkas table leaves every non-wall to the point test and the
+    # LP, here with the points of w_min and of s_1, whose point leaves the
+    # dominant chamber; a candidate point at the origin leaves every wall to
+    # the LP.
+    cases = [
+        (c, w)
+        for label in ("A2", "B3", "D4", "F4")
+        for c in enumerate_ideals(build(label))
+        for w in (w_min(c), simple_reflection(c.rs, 1))
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(adnil.shi, "_dominated", lambda rs: [[0] * len(rs.up)] * rs.rank)
+        for c, w in cases:
+            assert wall_levi(c, w) == normalizer(c), c
+    monkeypatch.setattr(adnil.shi, "_alcove_pairings", lambda w: ([0] * w.rs.rank, 1))
+    for c, w in cases:
+        assert wall_levi(c, w) == normalizer(c), c
+
+
+def test_wall_levi_answers_do_not_depend_on_w():
+    # w only proposes the point of the wall certificate: the identity,
+    # other ideals' w_min and non-dominant reflections, whose points leave
+    # the dominant chamber, cost fallbacks but leave every answer
+    for label in ("D4", "F4"):
+        rs = build(label)
+        ideals = list(enumerate_ideals(rs))
+        minimal = [w_min(c) for c in ideals]
+        reflections = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+        for k, c in enumerate(ideals):
+            expected = normalizer(c)
+            others = (minimal[k - 1], minimal[(7 * k + 3) % len(ideals)])
+            for w in (identity_element(rs), *others, *reflections):
+                assert wall_levi(c, w) == expected, (label, c, w)
+
+
+def test_wall_levi_rejects_an_element_of_another_root_system():
+    c = next(iter(enumerate_ideals(build("A2"))))
+    with pytest.raises(ValueError, match="different root systems"):
+        wall_levi(c, identity_element(build("G2")))
 
 
 def test_walls_and_witnesses_on_every_e6_ideal():
@@ -319,7 +364,7 @@ def test_orthant_walls_match_the_free_split_solve(monkeypatch):
             rows = _boundary_rows(c)
             y = feasible(p, positive + [(n, b, ">") for n, b in rows])
             assert region_witness(c).coords == _point(rs, y), c
-            levi = wall_levi(c).levi
+            levi = wall_levi(c, w_min(c)).levi
             for a in range(p):
                 projected = [(n[:a] + n[a + 1 :], b) for n, b in rows]
                 expected = not any(b >= 0 and not any(n) for n, b in projected) and (
@@ -339,18 +384,75 @@ def test_orthant_walls_match_the_free_split_solve(monkeypatch):
             assert not is_wall(generated, a)
 
 
-def test_wall_levi_builds_the_rows_once_per_ideal(monkeypatch):
-    builds = []
+def test_wall_levi_builds_the_rows_only_for_an_lp(monkeypatch):
+    builds, solves = [], []
+    max_margin = adnil.shi._max_margin
 
-    def counted(ideal):
+    def counted_rows(ideal):
         builds.append(ideal)
         return _boundary_rows(ideal)
 
-    monkeypatch.setattr(adnil.shi, "_boundary_rows", counted)
-    ideals = list(enumerate_ideals(build("D4")))
-    for c in ideals:
-        assert wall_levi(c) == normalizer(c), c
-    assert builds == ideals
+    def counted_solve(rows, k):
+        solves.append(k)
+        return max_margin(rows, k)
+
+    monkeypatch.setattr(adnil.shi, "_boundary_rows", counted_rows)
+    monkeypatch.setattr(adnil.shi, "_max_margin", counted_solve)
+    # the identity proposes a poor point, so some walls fall back to the LP:
+    # the rows are then built once per ideal, and only where a solve runs
+    fallbacks = 0
+    for label in ("D4", "F4"):
+        rs = build(label)
+        for c in enumerate_ideals(rs):
+            builds.clear()
+            solves.clear()
+            assert wall_levi(c, identity_element(rs)) == normalizer(c), c
+            assert builds == ([c] if solves else []), c
+            fallbacks += bool(solves)
+    assert fallbacks > 0
+
+    def no_solve(*args):
+        raise AssertionError("every wall of D4 has a certificate at w_min")
+
+    # with w = w_min the certificates settle every wall of D4: no rows, no solve
+    monkeypatch.setattr(adnil.shi, "_max_margin", no_solve)
+    builds.clear()
+    for c in enumerate_ideals(build("D4")):
+        assert wall_levi(c, w_min(c)) == normalizer(c), c
+    assert builds == []
+
+
+def _rows_hold_by_dot_products(ideal, y, d):
+    """The region test with each root's pairing formed as a p-term dot product."""
+    bits = ideal.bits
+    values = (sum(c * v for c, v in zip(root.coeffs, y)) for root in ideal.rs.positive_roots)
+    return min(y) > 0 and all(
+        value > d if (bits >> g) & 1 else value < d for g, value in enumerate(values)
+    )
+
+
+def test_split_row_test_matches_the_dot_products():
+    # every E6 witness against its own region and against other regions,
+    # then the minimal alcove points of B3, D4 and F4 against every region,
+    # also moved onto the hyperplanes (x, gamma) = 1 by taking d = gamma.y
+    rs = build("E6")
+    ideals = list(enumerate_ideals(rs))
+    rng = random.Random(5)
+    for k, c in enumerate(ideals):
+        y, d = rs._scaled_pairings(region_witness(c))
+        for other in (c, ideals[k - 1], ideals[rng.randrange(len(ideals))]):
+            got = _rows_hold(other, y, d)
+            assert got == _rows_hold_by_dot_products(other, y, d) == (other.bits == c.bits)
+    for label in ("B3", "D4", "F4"):
+        rs = build(label)
+        ideals = list(enumerate_ideals(rs))
+        for a in ideals:
+            y, d = adnil.shi._alcove_pairings(w_min(a))
+            on_walls = {sum(map(mul, root.coeffs, y)) for root in rs.positive_roots[::4]}
+            for b in ideals:
+                assert _rows_hold(b, y, d) == _rows_hold_by_dot_products(b, y, d) == (a is b)
+                for e in on_walls:
+                    assert _rows_hold(b, y, e) == _rows_hold_by_dot_products(b, y, e)
 
 
 def test_integer_alcove_membership_matches_the_fraction_route():
