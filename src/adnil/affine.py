@@ -92,19 +92,19 @@ class AffineRoot:
 
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     """The i-th affine simple root; index 0 is delta - theta."""
-    if not isinstance(i, int) or not 0 <= i <= rs.rank:
+    if type(i) is not int or not 0 <= i <= rs.rank:
         raise ValueError(f"affine simple index {i} out of range")
     if i == 0:
         return AffineRoot(1, tuple(-c for c in rs.theta.coeffs))
     return AffineRoot(0, tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
 
 
-def _images(rs: RootSystem, word, images=None):
-    """Coded images of g s_{word[0]} ... s_{word[-1]}, updated in place.
+def _images(rs: RootSystem, word):
+    """Coded images of g = s_{word[0]} ... s_{word[-1]}.
 
-    images holds g(alpha_j) = level[j] delta + root sign[j] for j = 0..p
-    (alpha_0 = delta - theta) and g(Lambda) - Lambda as (finite..., level);
-    g is the identity when images is None.  A letter i sets g <- g s_i:
+    They are g(alpha_j) = level[j] delta + root sign[j] for j = 0..p
+    (alpha_0 = delta - theta) and g(Lambda) - Lambda as (finite..., level),
+    built from the identity one letter at a time.  A letter i sets g <- g s_i:
     g s_i(alpha_i) = -g(alpha_i), g s_0(Lambda) = g(Lambda) - g(alpha_0),
     and g s_i(alpha_j) = g(alpha_j) + k g(alpha_i) for each (j, k) in
     rs.affine_neighbours[i].  That adds the level and takes the finite part
@@ -113,9 +113,7 @@ def _images(rs: RootSystem, word, images=None):
     """
     p = rs.rank
     n = len(rs.positive_roots)
-    if images is None:
-        images = [1] + [0] * p, [2 * n - 1, *rs.simple_index], [0] * (p + 1)
-    level, sign, lam = images
+    level, sign, lam = images = [1] + [0] * p, [2 * n - 1, *rs.simple_index], [0] * (p + 1)
     add = rs.signed_sums
     neighbours = rs.affine_neighbours
     for i in word:
@@ -260,7 +258,7 @@ def from_word(rs: RootSystem, word) -> AffineWeylElement:
     """
     word = tuple(word)
     for i in word:
-        if not isinstance(i, int) or not 0 <= i <= rs.rank:
+        if type(i) is not int or not 0 <= i <= rs.rank:
             raise ValueError(f"affine simple index {i} out of range")
     images = _images(rs, word)
     return AffineWeylElement(rs, word, _matrix(rs, images), _inverse_of(rs, images))
@@ -392,7 +390,7 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
         if s is None:
             raise ValueError(f"{mu!r} has a non-root finite part")
         k = mu.level
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise ValueError(f"{mu!r} has a level that is not an int")
         if k < 0 or (k == 0 and s >= n):
             raise ValueError(f"{mu!r} is not a positive affine root")

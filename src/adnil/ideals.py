@@ -218,14 +218,13 @@ def enumerate_ideals(rs: RootSystem) -> Iterator[UpperIdeal]:
 
 
 def weight(ideal: UpperIdeal) -> RationalVector:
-    """Sum of the roots of the ideal, as an exact coefficient vector."""
-    rank = ideal.rs.rank
-    total = [0] * rank
-    for i in _iter_bits(ideal.bits):
-        c = ideal.rs.positive_roots[i].coeffs
-        for j in range(rank):
-            total[j] += c[j]
-    return RationalVector(tuple(Fraction(t) for t in total))
+    """Sum of the roots of the ideal, as an exact coefficient vector.
+
+    Coordinate i sums popcount(I & rs.at_least[i][v]) over v = 1..marks[i].
+    """
+    bits = ideal.bits
+    counts = (sum((bits & row).bit_count() for row in rows[1:]) for rows in ideal.rs.at_least)
+    return RationalVector(tuple(map(Fraction, counts)))
 
 
 def _product_bits(rs: RootSystem, left: int, right: int) -> int:

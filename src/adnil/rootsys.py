@@ -188,10 +188,11 @@ class RootSystem:
     and signed_sums[s] (dict t -> u with root s + root t = root u, so both
     orders of every difference), signed_pairing_rows[s] (the integer form
     pairings e (root s, alpha_j), j = 1..p), signed_pairing_index (its
-    inverse dict), and halves[k] (the bitsets 1 << i | 1 << j
-    with gamma_i + gamma_j = gamma_k), built on first use; for the affine layer,
-    affine_cartan, affine_neighbours[i] (the (j, k) with <alpha_j,
-    alpha_i^vee> = -k < 0, j != i) and two_rho_hat (2 rho_hat as integers).
+    inverse dict), halves[k] (the bitsets 1 << i | 1 << j with gamma_i +
+    gamma_j = gamma_k) and at_least[i][v] (bitset of the roots whose
+    coefficient i is at least v, v = 0..marks[i]), built on first use; for
+    the affine layer, affine_cartan, affine_neighbours[i] (the (j, k) with
+    <alpha_j, alpha_i^vee> = -k < 0, j != i) and two_rho_hat (2 rho_hat as integers).
     """
 
     def __init__(self, label: str, family: str, rank: int):
@@ -357,6 +358,14 @@ class RootSystem:
                 if i < j:
                     pairs[k].append(1 << i | 1 << j)
         return tuple(map(tuple, pairs))
+
+    @cached_property
+    def at_least(self) -> tuple[tuple[int, ...], ...]:
+        roots = [r.coeffs for r in self.positive_roots]
+        return tuple(
+            tuple(sum(1 << k for k, c in enumerate(roots) if c[i] >= v) for v in range(m + 1))
+            for i, m in enumerate(self.marks)
+        )
 
     def coroot_pairing(self, x, j: int):
         """<x, alpha_j-coroot> = 2 (x, alpha_j) / (alpha_j, alpha_j)."""

@@ -233,7 +233,7 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
     which ``_wall`` decides.  ``wall_levi`` decides all p from one row set.
     """
     rs = ideal.rs
-    if not isinstance(simple, int) or not 0 <= simple < rs.rank:
+    if type(simple) is not int or not 0 <= simple < rs.rank:
         raise ValueError(f"simple root index {simple} out of range")
     return _wall(_boundary_rows(ideal), simple, rs.rank)
 
@@ -242,19 +242,13 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
 def _dominated(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """dominated[a][g]: bitset of the roots mu with mu_i >= (gamma_g)_i for every i != a.
 
-    One AND per coordinate i != a of the bitsets of the roots whose
-    coefficient i is at least v, built on first use.
+    One AND per coordinate i != a of the rows ``rs.at_least[i][(gamma_g)_i]``.
     """
-    roots = [r.coeffs for r in rs.positive_roots]
-    at_least = [
-        [sum(1 << k for k, c in enumerate(roots) if c[i] >= v) for v in range(rs.marks[i] + 1)]
-        for i in range(rs.rank)
-    ]
-    every = (1 << len(roots)) - 1
+    at_least, every = rs.at_least, (1 << len(rs.positive_roots)) - 1
     return tuple(
         tuple(
-            reduce(and_, (at_least[i][c[i]] for i in range(rs.rank) if i != a), every)
-            for c in roots
+            reduce(and_, (at_least[i][r.coeffs[i]] for i in range(rs.rank) if i != a), every)
+            for r in rs.positive_roots
         )
         for a in range(rs.rank)
     )

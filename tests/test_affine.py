@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -99,14 +100,17 @@ def test_simple_reflection_action_on_simple_roots():
 
 
 def test_affine_simple_index_must_be_an_int():
-    # 1.5 passed the range check alone and gave the zero affine root
-    rs = build("A2")
-    for bad in (1.5, 1.0, Fraction(1)):
-        with pytest.raises(ValueError, match="out of range"):
-            affine_simple_root(rs, bad)
-        with pytest.raises(ValueError, match="out of range"):
-            from_word(rs, (0, bad))
-    assert affine_simple_root(rs, True) == affine_simple_root(rs, 1)
+    # 1.5 passed the range check alone and gave the zero affine root; True
+    # passed isinstance(i, int) and gave words such as (True, 2)
+    for label in ("A2", "B2"):
+        rs = build(label)
+        for bad in (1.5, 1.0, Fraction(1), True, False):
+            with pytest.raises(ValueError, match="out of range"):
+                affine_simple_root(rs, bad)
+            with pytest.raises(ValueError, match="out of range"):
+                from_word(rs, (0, bad))
+            with pytest.raises(ValueError, match="out of range"):
+                from_word(rs, (bad, 2))
 
 
 def test_group_laws_on_random_words():
@@ -250,6 +254,54 @@ def test_peeled_inverse_matrix_matches_the_word():
             assert first_layer(w).bits == _slow_first_layer(w) == ideal.bits, w
 
 
+def _alcove_facets(ideal):
+    """The walls of {x : k_g < g(x) < k_g + 1} as (level, finite) affine roots, with no peel.
+
+    k_g counts the powers of the ideal that hold the root g.  The carry
+    k_{b+b'} - k_b - k_b' of each root sum is 0 or 1 (Shi).  g - k_g delta is
+    a floor when every decomposition g = b + b' carries 1 and every sum g + b
+    carries 0; (k_g + 1) delta - g is a ceiling when the carries are the other
+    way round.
+    """
+    rs = ideal.rs
+    n = len(rs.positive_roots)
+    powers = [term.bits for term in ideal_powers(ideal).powers]
+    k = [sum(bits >> g & 1 for bits in powers) for g in range(n)]
+    floor, ceiling = [True] * n, [True] * n
+    for i, row in enumerate(rs.sums):
+        for j, s in row.items():  # gamma_i + gamma_j = gamma_s, both orders
+            carry = k[s] - k[i] - k[j]
+            assert carry in (0, 1), (ideal, i, j)
+            if carry:
+                ceiling[s] = floor[i] = False
+            else:
+                floor[s] = ceiling[i] = False
+    roots = rs.signed_roots
+    return [(-k[g], roots[g]) for g in range(n) if floor[g]] + [
+        (k[g] + 1, roots[n + g]) for g in range(n) if ceiling[g]
+    ]
+
+
+def test_w_min_inverse_matrix_matches_the_alcove_facets():
+    # the columns g(alpha_hat_j) of w_min(I)^{-1}, alpha_hat_0 = delta - theta,
+    # are the p + 1 facets read off the power chain alone
+    start = time.monotonic()
+    for label, step in (
+        ("G2", 1), ("B3", 1), ("C4", 1), ("F4", 1), ("D5", 1), ("E6", 1), ("E7", 5), ("E8", 50),
+    ):
+        rs = build(label)
+        p = rs.rank
+        for ideal in islice(enumerate_ideals(rs), 0, None, step):
+            columns = list(zip(*w_min(ideal).inverse_matrix))[:p]
+            images = [(col[p], col[:p]) for col in columns]  # g(alpha_1), ..., g(alpha_p)
+            level0 = 1 - sum(m * level for m, (level, _) in zip(rs.marks, images))
+            finite0 = tuple(-sum(m * c[i] for m, (_, c) in zip(rs.marks, images)) for i in range(p))
+            facets = _alcove_facets(ideal)
+            assert len(facets) == p + 1, ideal
+            assert sorted(facets) == sorted(images + [(level0, finite0)]), ideal
+    assert time.monotonic() - start < 10
+
+
 def test_factorize_rejects_a_tampered_matrix():
     # every entry of the delta-row (incl. -|z|^2/2), the delta-column and the Lambda-row
     for label, generators in (("F4", [(0, 2, 2, 1), (2, 2, 1, 0)]), ("G2", [(2, 1)])):
@@ -290,6 +342,7 @@ def test_word_from_biconvex_rejects_non_biconvex_sets():
         (AffineRoot(1, (1, -1)), "has a non-root finite part"),
         (AffineRoot(1, (0, 0)), "has a non-root finite part"),
         (AffineRoot(1.0, (-1, -1)), "has a level that is not an int"),
+        (AffineRoot(True, (-1, -1)), "has a level that is not an int"),
     ):
         with pytest.raises(ValueError) as exc:
             word_from_biconvex(rs, {bad})

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -279,20 +281,22 @@ def test_meet_rejects_mixed_systems():
 
 
 def test_weight_is_root_sum_and_injective():
-    for label in ("A3", "B3", "G2"):
+    # weight reads popcounts off rs.at_least; the manual root sum is the reference
+    labels = (("A3", 1), ("B3", 1), ("G2", 1), ("F4", 1), ("E6", 1), ("E7", 1), ("E8", 10))
+    for label, step in labels:
         rs = build(label)
         seen = set()
-        for c in enumerate_ideals(rs):
+        for c in itertools.islice(enumerate_ideals(rs), 0, None, step):
             w = weight(c).coords
             manual = [0] * rs.rank
             for r in c.roots():
                 for k in range(rs.rank):
                     manual[k] += r.coeffs[k]
-            assert w == tuple(manual)
+            assert w == tuple(manual) and all(type(v) is Fraction for v in w)
             assert w not in seen
             seen.add(w)
-            for j in range(rs.rank):
-                assert rs.coroot_pairing(w, j) >= 0, "weights are dominant"
+            for j in range(rs.rank):  # on the equal int vector, to skip Fraction sums
+                assert rs.coroot_pairing(manual, j) >= 0, "weights are dominant"
 
 
 def _sums(rs, left, right):

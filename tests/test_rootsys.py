@@ -288,6 +288,13 @@ def test_halves_match_coefficient_arithmetic():
         assert len(rs.halves) == len(coeffs)
         for k, c in enumerate(coeffs):
             assert sorted(rs.halves[k]) == sorted(want[c]), (label, k)
+        assert rs.at_least == tuple(
+            tuple(
+                sum(1 << k for k, c in enumerate(coeffs) if c[i] >= v)
+                for v in range(max(c[i] for c in coeffs) + 1)
+            )
+            for i in range(rs.rank)
+        ), label
 
 
 def test_split_and_affine_tables():

@@ -484,14 +484,14 @@ def test_is_wall_rejects_bad_index():
 
 
 def test_is_wall_rejects_non_integer_index():
-    # 0.5 passed the range check alone and gave a wrong answer
+    # 0.5 passed the range check alone and gave a wrong answer; True passed
+    # isinstance(simple, int)
     rs = build("A2")
     c = list(enumerate_ideals(rs))[2]
     assert not is_wall(c, 0)
-    for bad in (0.5, 1.0, Fraction(1)):
+    for bad in (0.5, 1.0, Fraction(1), True, False):
         with pytest.raises(ValueError, match="out of range"):
             is_wall(c, bad)
-    assert is_wall(c, True) == is_wall(c, 1)
 
 
 def test_minimal_alcove_sits_in_its_region():
