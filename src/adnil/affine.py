@@ -5,23 +5,23 @@ delta is the null root and (delta, Lambda) = 1, (delta, delta) =
 (Lambda, Lambda) = 0.  Group elements act by exact integer matrices on
 that basis; words are witnesses only, equality is equality of actions.
 
-Inside the module a real affine root k delta + root s is the integer
-k * 2N + s, N the number of positive roots and s a signed root index
-(s < N is gamma_s, N + g is -gamma_g).  Peeling and the inversion set
-N(w) work on these codes: adding two roots is one lookup in
-`RootSystem.signed_sums`, and `AffineRoot` objects are built only at the
-public boundary (`n_set`, `word_from_biconvex`).  N(w) is read off one
-shifted level per positive root gamma: with w(gamma) = l delta + root s,
-e = l, or l - 1 when root s is negative; k delta + gamma is inverted for
-0 <= k < -e and k delta - gamma for 1 <= k <= e, so each gamma adds at
-most one run of codes.  A matrix is built on
-the codes too: one step g <- g s_i updates the images g(alpha_j) of the
-p+1 affine simple roots and g(Lambda), and the matrix is read off them;
-`_inverse_of` reads the matrix of g^{-1} off the same images.
-`from_word` runs the step once, on the word, and bi-convex peeling runs
-it inline while it peels, with no replay of the peeled word.  The translation
-factorization w = t_z . v recomposes in O(p^2), and the minimal and
-maximal elements attached to an upper ideal live here too.
+Inside the module a set of real affine roots is a list of per-level
+bitsets with no zero entry past the first: k delta + root s is bit s of
+entry k, N the number of positive roots and s a signed root index (s < N
+is gamma_s, N + g is -gamma_g).  Peeling and N(w) work on these levels: a
+test is one shift, a removal one XOR, a root sum one `RootSystem.signed_sums`
+lookup, and `AffineRoot` objects are built only at the public boundary
+(`n_set`, `word_from_biconvex`).  N(w) is read off one shifted level per
+positive root gamma: with w(gamma) = l delta + root s, e = l, or l - 1
+when root s is negative; k delta + gamma is inverted for 0 <= k < -e and
+k delta - gamma for 1 <= k <= e, so each gamma sets one run of levels.  A
+matrix is built on the same indices: one step g <- g s_i updates the
+images g(alpha_j) of the p+1 affine simple roots and g(Lambda), and the
+matrix is read off them; `_inverse_of` reads the matrix of g^{-1} off the
+same images.  `from_word` runs the step once, on the word, and bi-convex
+peeling runs it inline while it peels, with no replay of the peeled word.
+The translation factorization w = t_z . v recomposes in O(p^2), and the
+minimal and maximal elements attached to an upper ideal live here too.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class AffineRoot:
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     """The i-th affine simple root; index 0 is delta - theta."""
     if type(i) is not int or not 0 <= i <= rs.rank:
-        raise ValueError(f"affine simple index {i} out of range")
+        why = "out of range" if type(i) is int else "is not an int"
+        raise ValueError(f"affine simple index {i!r} {why}")
     if i == 0:
         return AffineRoot(1, tuple(-c for c in rs.theta.coeffs))
     return AffineRoot(0, tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
@@ -108,8 +109,8 @@ def _images(rs: RootSystem, word):
     g s_i(alpha_i) = -g(alpha_i), g s_0(Lambda) = g(Lambda) - g(alpha_0),
     and g s_i(alpha_j) = g(alpha_j) + k g(alpha_i) for each (j, k) in
     rs.affine_neighbours[i].  That adds the level and takes the finite part
-    by one signed_sums lookup per unit of k (alpha_j + m alpha_i is a root
-    for m <= k), except in affine A1 (k = 2), where the finite parts cancel.
+    by one lookup per unit of k in the (symmetric) signed_sums row of
+    g(alpha_i), except in affine A1 (k = 2), where the finite parts cancel.
     """
     p = rs.rank
     n = len(rs.positive_roots)
@@ -122,14 +123,17 @@ def _images(rs: RootSystem, word):
             lam[:] = [x - y for x, y in zip(lam, rs.signed_roots[si] + (li,))]
         neg = si + n if si < n else si - n
         level[i], sign[i] = -li, neg
+        row = add[si]
         for j, k in neighbours[i]:
             level[j] += k * li
             sj = sign[j]
             if sj == neg:
-                sign[j] = si
-                continue
-            for _ in range(k):
-                sj = add[sj][si]
+                sj = si
+            elif k == 1:
+                sj = row[sj]
+            else:
+                for _ in range(k):
+                    sj = row[sj]
             sign[j] = sj
     return images
 
@@ -259,21 +263,22 @@ def from_word(rs: RootSystem, word) -> AffineWeylElement:
     word = tuple(word)
     for i in word:
         if type(i) is not int or not 0 <= i <= rs.rank:
-            raise ValueError(f"affine simple index {i} out of range")
+            why = "out of range" if type(i) is int else "is not an int"
+            raise ValueError(f"affine simple index {i!r} {why}")
     images = _images(rs, word)
     return AffineWeylElement(rs, word, _matrix(rs, images), _inverse_of(rs, images))
 
 
-def _inversion_codes(rs: RootSystem, m: IntMatrix) -> set[int]:
-    """N(w) as codes k * 2N + s (see the module docstring), m the matrix of w.
+def _inversion_levels(rs: RootSystem, m: IntMatrix) -> list[int]:
+    """N(w) as per-level bitsets (see the module docstring), m the matrix of w.
 
     The image of each positive root gamma_k = gamma_i + alpha_a (rs.split) is
     image(gamma_i) + image(alpha_a): a level add and one signed_sums lookup,
     starting from the simple-root columns of m, then the shifted level e.
+    Each gamma sets the top level of its run, and one suffix OR the rest.
     """
     p = rs.rank
     n = len(rs.positive_roots)
-    n2 = 2 * n
     add = rs.signed_sums
     level = [0] * n
     sign = [0] * n
@@ -281,7 +286,7 @@ def _inversion_codes(rs: RootSystem, m: IntMatrix) -> set[int]:
         level[g], sign[g] = lv, rs.signed_index.get(col)
         if sign[g] is None:
             raise AssertionError("image of a root is not a root")
-    out: set[int] = set()
+    out = [0]
     for g, pair in enumerate(rs.split):
         if pair is None:
             e, s = level[g], sign[g]
@@ -293,48 +298,65 @@ def _inversion_codes(rs: RootSystem, m: IntMatrix) -> set[int]:
         if s >= n:
             e -= 1
         if e < 0:
-            out.update(range(g, -e * n2, n2))  # k delta + gamma, 0 <= k < -e
+            e, bit = -e - 1, 1 << g  # k delta + gamma, 0 <= k < -e
         elif e:
-            out.update(range(n2 + n + g, (e + 1) * n2, n2))  # k delta - gamma, 1 <= k <= e
+            bit = 1 << (n + g)  # k delta - gamma, 1 <= k <= e
+        else:
+            continue
+        if e >= len(out):
+            out += [0] * (e + 1 - len(out))
+        out[e] |= bit
+    for k in range(len(out) - 2, -1, -1):
+        out[k] |= out[k + 1]
+    out[0] &= (1 << n) - 1  # the k delta - gamma runs start at level 1
     return out
 
 
 def n_set(w: AffineWeylElement) -> frozenset[AffineRoot]:
     """Positive affine roots sent to negative ones by w (decoded N(w))."""
-    n2 = 2 * len(w.rs.positive_roots)
     roots = w.rs.signed_roots
-    return frozenset(AffineRoot(c // n2, roots[c % n2]) for c in _inversion_codes(w.rs, w.matrix))
+    levels = _inversion_levels(w.rs, w.matrix)
+    return frozenset(AffineRoot(k, roots[s]) for k, t in enumerate(levels) for s in _iter_bits(t))
+
+
+def _length_and_layer(w: AffineWeylElement) -> tuple[int, int]:
+    """The size of N(w) and the bits of the gamma with delta - gamma in it."""
+    levels = _inversion_levels(w.rs, w.matrix)
+    layer = levels[1] >> len(w.rs.positive_roots) if len(levels) > 1 else 0
+    return sum(map(int.bit_count, levels)), layer
 
 
 def length(w: AffineWeylElement) -> int:
     """Coxeter length, computed as the size of the inversion set."""
-    return len(_inversion_codes(w.rs, w.matrix))
+    return _length_and_layer(w)[0]
 
 
-def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
-    """Element whose inversion set has these codes; see word_from_biconvex."""
+def _peel(rs: RootSystem, levels: list[int], stray=()) -> AffineWeylElement:
+    """Element whose inversion set is levels; see word_from_biconvex for stray."""
     n = len(rs.positive_roots)
-    n2 = 2 * n
     roots = rs.signed_roots
     add = rs.signed_sums
     neighbours = rs.affine_neighbours
     level, sign, lam = images = _images(rs, ())
-    left = set(codes)
-    ready = 0  # bitset of the j with code(g(alpha_j)) in left
+    left, top = list(levels), len(levels)
+    count = sum(map(int.bit_count, left)) + len(stray)
+    ready = 0  # bitset of the j with g(alpha_j) in left
     for j, (lj, sj) in enumerate(zip(level, sign)):
-        if lj * n2 + sj in left:
+        if 0 <= lj < top and left[lj] >> sj & 1:
             ready |= 1 << j
     peeled: list[int] = []
-    while left:
+    while count:
         if not ready:
             ginv = _inverse_of(rs, images)
+            unpeeled = [(k, s) for k, t in enumerate(left) for s in _iter_bits(t)]
             raise ValueError(
                 "set is not bi-convex: no affine simple root left to peel "
-                f"among {sorted(_image(ginv, c // n2, roots[c % n2]) for c in left)}"
+                f"among {sorted(_image(ginv, k, roots[s]) for k, s in [*unpeeled, *stray])}"
             )
         i = (ready & -ready).bit_length() - 1
         li, si = level[i], sign[i]
-        left.remove(li * n2 + si)
+        left[li] ^= 1 << si
+        count -= 1
         peeled.append(i)
         # the step of _images, g <- g s_i; it moves only g(alpha_i) and the
         # neighbours' images, so only their ready bits are tested again
@@ -342,23 +364,26 @@ def _peel(rs: RootSystem, codes: set[int]) -> AffineWeylElement:
             lam[:] = [x - y for x, y in zip(lam, roots[si] + (li,))]
         neg = si + n if si < n else si - n
         level[i], sign[i] = -li, neg
-        ready &= ~(1 << i)  # g(alpha_i) is now negative, every code left positive
+        ready &= ~(1 << i)  # g(alpha_i) is now negative, every root left positive
+        row = add[si]
         for j, k in neighbours[i]:
             lj = level[j] = level[j] + k * li
             sj = sign[j]
             if sj == neg:
                 sj = si
+            elif k == 1:
+                sj = row[sj]
             else:
                 for _ in range(k):
-                    sj = add[sj][si]
+                    sj = row[sj]
             sign[j] = sj
-            if lj * n2 + sj in left:
+            if 0 <= lj < top and left[lj] >> sj & 1:
                 ready |= 1 << j
             elif ready >> j & 1:  # a bi-convex set never gets here
                 ready ^= 1 << j
     word = tuple(peeled[::-1])
     w = AffineWeylElement(rs, word, _inverse_of(rs, images), _matrix(rs, images))
-    if _inversion_codes(rs, w.matrix) != codes:
+    if _inversion_levels(rs, w.matrix) != levels:
         raise ValueError("set is not bi-convex: reconstruction mismatch")
     return w
 
@@ -367,25 +392,27 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
     """Element whose inversion set is the given bi-convex set (by peeling).
 
     Each root is checked (its finite part through `rootsys._vector`, so a
-    float entry or level is refused) and turned into its code k * 2N + s
-    (module docstring); it is positive when k > 0, or k = 0 and s < N.
-    With g the product peeled so far and left the unpeeled codes, a step
-    peels the lowest i with g(alpha_i) in left and sets g <- g s_i by the
-    step of `_images`, inline, which keeps only the p+1 images g(alpha_j),
-    as (level, signed index) pairs, and g(Lambda).  A bitset holds the i
-    with g(alpha_i) in left; a step changes only g(alpha_i) and the images
-    of its neighbours, so only their bits are tested again.  The images
-    are the columns of the result's inverse g, and `_inverse_of` reads the
-    result's matrix off them, with no replay of the word.  A set that is
-    not an inversion set is rejected with a diagnostic that maps the
-    unpeeled roots back through g^{-1} (read off the same way), and the
-    inversion set of the result is compared with the input, both coded.
+    float entry or level is refused) and set as bit s of level k (module
+    docstring); it is positive when k > 0, or k = 0 and s < N.  A root above
+    level len(roots) goes to stray, never peeled: an inversion set holds a
+    run of k levels below each of its roots.  With g the product peeled so
+    far and left the unpeeled levels, a step peels the lowest i with
+    g(alpha_i) in left and sets g <- g s_i by the step of `_images`, inline,
+    which keeps only the p+1 images g(alpha_j), as (level, signed index)
+    pairs, and g(Lambda).  A bitset holds the i with g(alpha_i) in left; a
+    step changes only g(alpha_i) and the images of its neighbours, so only
+    their bits are tested again.  The images are the columns of the
+    result's inverse g, and `_inverse_of` reads the result's matrix off
+    them, with no replay of the word.  A set that is not an inversion set is
+    rejected with a diagnostic that maps the unpeeled roots back through
+    g^{-1} (read off the same way), and the inversion set of the result is
+    compared with the input, level by level.
     """
     n = len(rs.positive_roots)
-    n2 = 2 * n
     index = rs.signed_index
-    codes = set()
-    for mu in set(roots):
+    roots = set(roots)
+    levels, stray, top = [0], [], len(roots)
+    for mu in roots:
         s = index.get(_vector(rs, mu.finite))
         if s is None:
             raise ValueError(f"{mu!r} has a non-root finite part")
@@ -394,15 +421,20 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
             raise ValueError(f"{mu!r} has a level that is not an int")
         if k < 0 or (k == 0 and s >= n):
             raise ValueError(f"{mu!r} is not a positive affine root")
-        codes.add(k * n2 + s)
-    return _peel(rs, codes)
+        if k > top:
+            if (k, s) not in stray:  # a Root and a tuple finite part give one (k, s)
+                stray.append((k, s))
+            continue
+        if k >= len(levels):
+            levels += [0] * (k + 1 - len(levels))
+        levels[k] |= 1 << s
+    return _peel(rs, levels, stray)
 
 
 def _peel_chain(rs: RootSystem, terms) -> AffineWeylElement:
-    """Peel bitset terms stacked by level: level k holds k delta - gamma, gamma in term k."""
+    """Peel terms that end on an empty one: level k holds k delta - gamma, gamma in term k."""
     n = len(rs.positive_roots)
-    codes = {k * 2 * n + n + g for k, t in enumerate(terms, 1) for g in _iter_bits(t)}
-    return _peel(rs, codes)
+    return _peel(rs, [0, *(t << n for t in terms if t)])
 
 
 def w_min(ideal: UpperIdeal) -> AffineWeylElement:
@@ -482,12 +514,13 @@ class AffineFactorization:
 
 def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Integer z, its pairings ((z, alpha_j))_j and |z|^2/2, for z in the coroot lattice."""
-    coords = _coords(z)
-    if not in_coroot_lattice(rs, coords):
+    z = _coords(z)
+    if not in_coroot_lattice(rs, z):
         raise ValueError("translation vector is not in the coroot lattice")
-    if any(c.denominator != 1 for c in coords):
-        raise AssertionError("coroot-lattice vector with non-integral data")
-    z = tuple(c.numerator for c in coords)
+    if any(type(c) is not int for c in z):
+        if any(c.denominator != 1 for c in z):
+            raise AssertionError("coroot-lattice vector with non-integral data")
+        z = tuple(c.numerator for c in z)
     y, den = rs._scaled_pairings(z)
     if any(v % den for v in y):
         raise AssertionError("non-integral pairing with a simple root")
@@ -514,7 +547,7 @@ def _translation_matrix(rs: RootSystem, z) -> IntMatrix:
 def translation_element(rs: RootSystem, z) -> AffineWeylElement:
     """The translation t_z, with a peeled reduced word; z is validated once, in its matrix."""
     m = _translation_matrix(rs, z)
-    out = _peel(rs, _inversion_codes(rs, m))
+    out = _peel(rs, _inversion_levels(rs, m))
     if out.matrix != m:
         raise AssertionError("translation reconstruction mismatch")
     return out
@@ -603,13 +636,12 @@ def check_inversion_sum(w: AffineWeylElement) -> bool:
     Compared doubled, in integers: 2 rho_hat - w^{-1}(2 rho_hat) = 2 sum N(w).
     """
     rs = w.rs
-    n2 = 2 * len(rs.positive_roots)
     r = rs.two_rho_hat
     diff = tuple(a - sum(x * y for x, y in zip(row, r)) for a, row in zip(r, w.inverse_matrix))
-    codes = _inversion_codes(rs, w.matrix)
-    roots = (rs.signed_roots[c % n2] for c in codes)
+    levels = _inversion_levels(rs, w.matrix)
+    roots = (rs.signed_roots[s] for t in levels for s in _iter_bits(t))
     finite = (sum(col) for col in zip((0,) * rs.rank, *roots))  # p sums when N(w) is empty too
-    total = (*finite, sum(c // n2 for c in codes), 0)
+    total = (*finite, sum(k * t.bit_count() for k, t in enumerate(levels)), 0)
     return diff == tuple(2 * t for t in total)
 
 
@@ -655,8 +687,4 @@ def first_layer(w: AffineWeylElement) -> UpperIdeal:
     """
     if not is_dominant(w):
         raise ValueError("first layer is defined for dominant elements only")
-    rs = w.rs
-    n = len(rs.positive_roots)
-    low = 3 * n  # delta - gamma_g is 2n + n + g
-    codes = _inversion_codes(rs, w.matrix)
-    return _trusted(rs, sum(1 << (c - low) for c in codes if low <= c < low + n))
+    return _trusted(w.rs, _length_and_layer(w)[1])

@@ -375,8 +375,10 @@ class RootSystem:
     def _scaled_pairings(self, x) -> tuple[list[int], int]:
         """Integers y and den > 0 with y_j = den (x, alpha_j), summed in ints."""
         c = _vector(self, x)
-        den = lcm(*(v.denominator for v in c))  # sum den * x in integers
-        c = [v.numerator * (den // v.denominator) for v in c]
+        den = 1
+        if any(type(v) is not int for v in c):
+            den = lcm(*(v.denominator for v in c))  # sum den * x in integers
+            c = [v.numerator * (den // v.denominator) for v in c]
         # form is symmetric, so its row j pairs with alpha_j.
         return [sum(map(mul, c, row)) for row in self.form], den * self.form_scale
 

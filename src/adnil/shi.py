@@ -234,7 +234,8 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
     """
     rs = ideal.rs
     if type(simple) is not int or not 0 <= simple < rs.rank:
-        raise ValueError(f"simple root index {simple} out of range")
+        why = "out of range" if type(simple) is int else "is not an int"
+        raise ValueError(f"simple root index {simple!r} {why}")
     return _wall(_boundary_rows(ideal), simple, rs.rank)
 
 

@@ -16,6 +16,7 @@ from typing import Callable
 
 from . import typeac
 from .affine import (
+    _length_and_layer,
     check_inversion_sum,
     factorize,
     first_layer,
@@ -24,7 +25,6 @@ from .affine import (
     is_maximal_representative,
     is_minimal_representative,
     is_minimax,
-    length,
     n_set,
     normalizer_by_zwall,
     translation_element,
@@ -219,10 +219,10 @@ def suite_affine(tables, seed: int) -> list[tuple[str, str]]:
 
         z_points = set()
         for ideal, w in zip(ideals, minimal):
-            n = length(w)
+            n, layer = _length_and_layer(w)
             ok = (
                 is_minimal_representative(w)
-                and first_layer(w).bits == ideal.bits
+                and layer == ideal.bits
                 and len(w.word) == n
                 and n == sum(p.size for p in ideal_powers(ideal).powers)
             )
@@ -243,11 +243,8 @@ def suite_affine(tables, seed: int) -> list[tuple[str, str]]:
         y_points = set()
         for ideal, wmin in strict:
             w = w_max(ideal)
-            ok = (
-                is_maximal_representative(w)
-                and first_layer(w).bits == ideal.bits
-                and len(w.word) == length(w)
-            )
+            n, layer = _length_and_layer(w)
+            ok = is_maximal_representative(w) and layer == ideal.bits and len(w.word) == n
             _require(ok, "maximal-element-flags", type=label, ideal=ideal)
             _require(
                 _simple_image_levi(w) == _simple_image_levi(wmin) == normalizer(ideal),

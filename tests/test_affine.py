@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import islice
@@ -15,6 +17,7 @@ from adnil.affine import (
     AffineRoot,
     AffineWeylElement,
     _images,
+    _inversion_levels,
     _matrix,
     affine_simple_root,
     alcove_barycenter,
@@ -105,12 +108,16 @@ def test_affine_simple_index_must_be_an_int():
     for label in ("A2", "B2"):
         rs = build(label)
         for bad in (1.5, 1.0, Fraction(1), True, False):
-            with pytest.raises(ValueError, match="out of range"):
+            why = re.escape(f"affine simple index {bad!r} is not an int")
+            with pytest.raises(ValueError, match=f"^{why}$"):
                 affine_simple_root(rs, bad)
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=f"^{why}$"):
                 from_word(rs, (0, bad))
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=f"^{why}$"):
                 from_word(rs, (bad, 2))
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match=f"^affine simple index {bad} out of range$"):
+                from_word(rs, (0, bad))
 
 
 def test_group_laws_on_random_words():
@@ -213,6 +220,32 @@ def test_n_set_matches_the_per_root_reference():
             assert slow == frozenset()
 
 
+def _levels_by_apply_root(w, top):
+    """N(w) as per-level bitsets: every positive affine root up to level top through w.apply_root."""
+    levels = [0] * (top + 1)
+    for k in range(top + 1):
+        for s, finite in enumerate(w.rs.signed_roots):
+            mu = AffineRoot(k, finite)
+            if mu.is_positive() and not w.apply_root(mu).is_positive():
+                levels[k] |= 1 << s
+    while len(levels) > 1 and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+def test_inversion_levels_match_apply_root():
+    # a word of l letters inverts no root above level l, so level l + 1 is
+    # scanned too, and the list must end on its last nonzero level
+    start = time.monotonic()
+    rng = random.Random(29)
+    for label in ("A2", "B3", "C3", "G2", "F4", "D4"):
+        rs = build(label)
+        for _ in range(200):
+            w = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(14))])
+            assert _inversion_levels(rs, w.matrix) == _levels_by_apply_root(w, len(w.word) + 1), w
+    assert time.monotonic() - start < 6
+
+
 def _stacked_chain(chain):
     """The chain as affine roots: level k holds k delta - gamma for gamma in term k."""
     return frozenset(
@@ -302,6 +335,27 @@ def test_w_min_inverse_matrix_matches_the_alcove_facets():
     assert time.monotonic() - start < 10
 
 
+# One SHA-256 of repr((word, matrix, inverse_matrix)) over w_min and w_max,
+# recorded with the code-set peel that the per-level peel replaced.
+EXTREMAL_DIGEST = "d6f0b48c910ba2895d5e7df9ee45acf6654f68441f531329332dcc482fbf92c1"
+
+
+def test_extremal_elements_match_the_pinned_digest():
+    start = time.monotonic()
+    digest = hashlib.sha256()
+    for label, step in (
+        ("G2", 1), ("B3", 1), ("C4", 1), ("F4", 1), ("D5", 1), ("E6", 1), ("E7", 20),
+    ):
+        for ideal in islice(enumerate_ideals(build(label)), 0, None, step):
+            elements = [w_min(ideal)]
+            if is_strictly_positive(ideal):
+                elements.append(w_max(ideal))
+            for w in elements:
+                digest.update(repr((w.word, w.matrix, w.inverse_matrix)).encode())
+    assert digest.hexdigest() == EXTREMAL_DIGEST
+    assert time.monotonic() - start < 3
+
+
 def test_factorize_rejects_a_tampered_matrix():
     # every entry of the delta-row (incl. -|z|^2/2), the delta-column and the Lambda-row
     for label, generators in (("F4", [(0, 2, 2, 1), (2, 2, 1, 0)]), ("G2", [(2, 1)])):
@@ -337,6 +391,24 @@ def test_word_from_biconvex_rejects_non_biconvex_sets():
     with pytest.raises(ValueError) as exc:
         word_from_biconvex(build("G2"), stuck)
     assert str(exc.value) == prefix + "[(1, (2, 1))]"
+    # a root above level len(set) lies in no inversion set; it is rejected
+    # at once, with no level list up to it, and the message maps it back too
+    for label, roots, rest in (
+        ("A2", {AffineRoot(10**7, (1, 1))}, "[(10000000, (1, 1))]"),
+        ("A2", {AffineRoot(0, (1, 0)), AffineRoot(10**7, (0, 1))}, "[(10000000, (1, 1))]"),
+        (
+            "G2",
+            {AffineRoot(0, (0, 1)), AffineRoot(0, (1, 1)), AffineRoot(3, (1, 0)),
+             AffineRoot(10**7, (-1, 0))},
+            "[(3, (2, 1)), (10000000, (-2, -1))]",
+        ),
+    ):
+        system = build(label)
+        start = time.monotonic()
+        with pytest.raises(ValueError) as exc:
+            word_from_biconvex(system, roots)
+        assert time.monotonic() - start < 0.05
+        assert str(exc.value) == prefix + rest
     for bad, why in (
         (AffineRoot(0, (-1, 0)), "is not a positive affine root"),
         (AffineRoot(1, (1, -1)), "has a non-root finite part"),

@@ -275,6 +275,13 @@ def test_sum_index_is_exact():
         assert len(rs.signed_sums) == 2 * n
 
 
+def test_signed_sums_are_symmetric():
+    # the affine step reads g(alpha_j) + g(alpha_i) off the row of g(alpha_i)
+    for label in ALL_LABELS:
+        add = build(label).signed_sums
+        assert all(add[t].get(s) == u for s, row in enumerate(add) for t, u in row.items()), label
+
+
 def test_halves_match_coefficient_arithmetic():
     for label in ALL_LABELS:
         rs = build(label)

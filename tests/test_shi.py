@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -490,8 +491,11 @@ def test_is_wall_rejects_non_integer_index():
     c = list(enumerate_ideals(rs))[2]
     assert not is_wall(c, 0)
     for bad in (0.5, 1.0, Fraction(1), True, False):
-        with pytest.raises(ValueError, match="out of range"):
+        why = re.escape(f"simple root index {bad!r} is not an int")
+        with pytest.raises(ValueError, match=f"^{why}$"):
             is_wall(c, bad)
+    with pytest.raises(ValueError, match="^simple root index 2 out of range$"):
+        is_wall(c, 2)
 
 
 def test_minimal_alcove_sits_in_its_region():
