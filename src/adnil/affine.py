@@ -39,7 +39,7 @@ from .ideals import (
     is_strictly_positive,
 )
 from .normalizers import ParabolicLabel
-from .rootsys import RationalVector, RootSystem, _coords, _vector, in_coroot_lattice
+from .rootsys import RationalVector, RootSystem, _check_indices, _coords, _vector, in_coroot_lattice
 
 __all__ = [
     "AffineRoot",
@@ -92,9 +92,7 @@ class AffineRoot:
 
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     """The i-th affine simple root; index 0 is delta - theta."""
-    if type(i) is not int or not 0 <= i <= rs.rank:
-        why = "out of range" if type(i) is int else "is not an int"
-        raise ValueError(f"affine simple index {i!r} {why}")
+    _check_indices((i,), rs.rank + 1, "affine simple index")
     if i == 0:
         return AffineRoot(1, tuple(-c for c in rs.theta.coeffs))
     return AffineRoot(0, tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
@@ -261,10 +259,7 @@ def from_word(rs: RootSystem, word) -> AffineWeylElement:
     the inverse matrix off the same images.
     """
     word = tuple(word)
-    for i in word:
-        if type(i) is not int or not 0 <= i <= rs.rank:
-            why = "out of range" if type(i) is int else "is not an int"
-            raise ValueError(f"affine simple index {i!r} {why}")
+    _check_indices(word, rs.rank + 1, "affine simple index")
     images = _images(rs, word)
     return AffineWeylElement(rs, word, _matrix(rs, images), _inverse_of(rs, images))
 
@@ -505,7 +500,7 @@ def is_minimax(ideal: UpperIdeal) -> bool:
 
 @dataclass(frozen=True)
 class AffineFactorization:
-    """w = t_z . v, v finite and z in the coroot lattice, with pairings ((z, alpha_j))_j."""
+    """w = t_z . v, v finite and z in the coroot lattice (ints), with pairings ((z, alpha_j))_j."""
 
     finite_part: IntMatrix
     translation: RationalVector
@@ -574,13 +569,13 @@ def factorize(w: AffineWeylElement) -> AffineFactorization:
         or m[p + 1] != (0,) * (p + 1) + (1,)
     ):
         raise AssertionError("translation factorization does not recompose")
-    return AffineFactorization(v, RationalVector(tuple(Fraction(c) for c in z)), pairs)
+    return AffineFactorization(v, RationalVector(z), pairs)
 
 
 def star(w: AffineWeylElement, x) -> RationalVector:
-    """Affine action on the finite space: x maps to v(x) + z."""
+    """Affine action on the finite space: x maps to v(x) + z, ints for an int x."""
     fac = factorize(w)
-    coords = tuple(Fraction(c) for c in _vector(w.rs, x))
+    coords = _vector(w.rs, x)
     v, z = fac.finite_part, fac.translation.coords
     return RationalVector(tuple(sum(a * b for a, b in zip(r, coords)) + t for r, t in zip(v, z)))
 
@@ -603,6 +598,14 @@ def in_max_simplex(rs: RootSystem, x) -> bool:
     return max(y) <= 1 and sum(c * v for c, v in zip(rs.marks, y)) >= 0
 
 
+def _wall_preimage(w: AffineWeylElement, i: int) -> tuple[int, tuple[int, ...]]:
+    """(delta-level, finite part) of w^{-1}(alpha_i): column i - 1 of w.inverse_matrix,
+    and for alpha_0 = delta - theta, delta minus the theta-sum of those columns."""
+    rows = w.inverse_matrix[:-1]  # the finite rows, then the delta-level row
+    *finite, level = (row[i - 1] if i else -sum(map(mul, w.rs.marks, row)) for row in rows)
+    return level + (i == 0), tuple(finite)
+
+
 def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:
     """Parabolic label read off the walls through z, for w = w_min(ideal).
 
@@ -618,10 +621,10 @@ def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:
         walls.append(0)
     levi = set()
     for i in walls:
-        mu = w.apply_root_inverse(affine_simple_root(rs, i))
-        if mu.level != 0 or sum(abs(c) for c in mu.finite) != 1 or max(mu.finite) != 1:
+        level, finite = _wall_preimage(w, i)
+        if level != 0 or sum(map(abs, finite)) != 1 or max(finite) != 1:
             raise AssertionError("wall does not pull back to a finite simple root")
-        levi.add(mu.finite.index(1))
+        levi.add(finite.index(1))
     return ParabolicLabel(rs.rank, frozenset(levi))
 
 

@@ -23,7 +23,7 @@ from .ideals import (
 )
 from .normalizers import ParabolicLabel, normalizer
 from .rootsys import ConfigurationError, RationalVector, build
-from .verify import SUITES, VerificationFailure, run_table7, suite_runners
+from .verify import SUITES, run_suites, run_table7
 
 __all__ = [
     "main",
@@ -147,16 +147,11 @@ def render(report: Report, fmt: str) -> str:
 # ---------- commands ----------
 
 
-def _require_enumerable(rs) -> None:
-    """Refuse a root system with too many ideals to enumerate."""
+def cmd_enumerate(args) -> tuple[Report, int]:
+    rs = build(args.type)
     skip = enumeration_skip(rs)
     if skip:
         raise ConfigurationError(skip)
-
-
-def cmd_enumerate(args) -> tuple[Report, int]:
-    rs = build(args.type)
-    _require_enumerable(rs)
     columns = ("generators", "weight", "levi", "w_min", "z")
     rows = []
     json_rows = []
@@ -235,51 +230,22 @@ def cmd_count(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
-    if args.type and args.suite in ("typeAC", "identities"):
-        raise ConfigurationError(f"verify {args.suite} does not take --type")
-    label = None
-    if args.type:
-        rs = build(args.type)
-        label = rs.label
-        if args.suite in ("normalizer-oracles", "affine", "shi", "all"):
-            _require_enumerable(rs)
-    runners = suite_runners(label, args.seed, args.n_max)
-    names = list(runners) if args.suite == "all" else [args.suite]
+    passed, failed = run_suites(args.suite, args.type, args.seed, args.n_max)
+    label = build(args.type).label if args.type else None
     columns = ("suite", "check", "detail", "status")
-    rows: list[tuple[str, str, str, str]] = []
-    json_rows: list[dict] = []
-    for name in names:
-        try:
-            outcome = runners[name]()
-        except VerificationFailure as failure:
-            payload = _jsonable(failure.payload)
-            rows.append((name, failure.check, "counterexample found", "FAIL"))
-            json_rows.append(
-                {
-                    "suite": name,
-                    "check": failure.check,
-                    "status": "FAIL",
-                    "counterexample": payload,
-                }
-            )
-            footer = (
-                ("status", "fail"),
-                ("counterexample", json.dumps(payload, sort_keys=True)),
-            )
-            return (
-                Report("verify", label, columns, tuple(rows), tuple(json_rows), footer),
-                1,
-            )
-        for check, detail in outcome:
-            rows.append((name, check, detail, "ok"))
-            json_rows.append(
-                {"suite": name, "check": check, "detail": detail, "status": "ok"}
-            )
+    rows = [(*row, "ok") for row in passed]
+    json_rows = [dict(zip(columns, row)) for row in rows]
     footer = (("status", "ok"), ("checks", str(len(rows))))
-    return (
-        Report("verify", label, columns, tuple(rows), tuple(json_rows), footer),
-        0,
-    )
+    if failed:
+        name, failure = failed
+        payload = _jsonable(failure.payload)
+        rows.append((name, failure.check, "counterexample found", "FAIL"))
+        json_rows.append(
+            {"suite": name, "check": failure.check, "status": "FAIL", "counterexample": payload}
+        )
+        footer = (("status", "fail"), ("counterexample", json.dumps(payload, sort_keys=True)))
+    report = Report("verify", label, columns, tuple(rows), tuple(json_rows), footer)
+    return report, 1 if failed else 0
 
 
 # ---------- argument parsing ----------

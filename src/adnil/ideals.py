@@ -43,7 +43,6 @@ walk then ends after its last term: one that ends nonempty has stalled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator
 
 from .rootsys import RationalVector, Root, RootSystem, _vector
@@ -218,13 +217,13 @@ def enumerate_ideals(rs: RootSystem) -> Iterator[UpperIdeal]:
 
 
 def weight(ideal: UpperIdeal) -> RationalVector:
-    """Sum of the roots of the ideal, as an exact coefficient vector.
+    """Sum of the roots of the ideal, as an integer coefficient vector.
 
     Coordinate i sums popcount(I & rs.at_least[i][v]) over v = 1..marks[i].
     """
     bits = ideal.bits
     counts = (sum((bits & row).bit_count() for row in rows[1:]) for rows in ideal.rs.at_least)
-    return RationalVector(tuple(map(Fraction, counts)))
+    return RationalVector(tuple(counts))
 
 
 def _product_bits(rs: RootSystem, left: int, right: int) -> int:

@@ -71,7 +71,7 @@ def normalizer(ideal: UpperIdeal) -> ParabolicLabel:
 def normalizer_by_weight(ideal: UpperIdeal) -> ParabolicLabel:
     """Parabolic label by orthogonality of the ideal weight to simple roots."""
     rs = ideal.rs
-    y, _ = rs._scaled_pairings([c.numerator for c in weight(ideal).coords])  # an integral weight
+    y, _ = rs._scaled_pairings(weight(ideal).coords)
     return ParabolicLabel(rs.rank, frozenset(a for a, v in enumerate(y) if v == 0))
 
 

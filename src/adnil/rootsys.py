@@ -56,9 +56,9 @@ class Root:
 
 @dataclass(frozen=True)
 class RationalVector:
-    """A vector in the span of the simple roots, exact coordinates."""
+    """A vector in the span of the simple roots; each coordinate is an int or a Fraction."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __repr__(self) -> str:
         return "RationalVector(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -82,6 +82,14 @@ def _vector(rs: RootSystem, x) -> tuple:
         if not isinstance(v, (int, Fraction)):
             raise ValueError(f"vector {c!r} has an entry that is neither an int nor a Fraction")
     return c
+
+
+def _check_indices(indices, stop: int, what: str) -> None:
+    """Refuse the first index that is not an int in range(stop); `what` names it."""
+    for i in indices:
+        if type(i) is not int or not 0 <= i < stop:
+            why = "out of range" if type(i) is int else "is not an int"
+            raise ValueError(f"{what} {i!r} {why}")
 
 
 def _cartan_entries(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -368,7 +376,8 @@ class RootSystem:
         )
 
     def coroot_pairing(self, x, j: int):
-        """<x, alpha_j-coroot> = 2 (x, alpha_j) / (alpha_j, alpha_j)."""
+        """<x, alpha_j-coroot> = 2 (x, alpha_j) / (alpha_j, alpha_j), j = 0..p-1."""
+        _check_indices((j,), self.rank, "simple root index")
         c = _vector(self, x)
         return sum(c[k] * self.cartan[k][j] for k in range(self.rank))
 

@@ -45,7 +45,7 @@ from .affine import AffineWeylElement, alcove_barycenter, is_dominant
 from .ideals import UpperIdeal
 from .linalg import pivot
 from .normalizers import ParabolicLabel
-from .rootsys import RationalVector, RootSystem
+from .rootsys import RationalVector, RootSystem, _check_indices
 
 __all__ = [
     "in_region",
@@ -233,9 +233,7 @@ def is_wall(ideal: UpperIdeal, simple: int) -> bool:
     which ``_wall`` decides.  ``wall_levi`` decides all p from one row set.
     """
     rs = ideal.rs
-    if type(simple) is not int or not 0 <= simple < rs.rank:
-        why = "out of range" if type(simple) is int else "is not an int"
-        raise ValueError(f"simple root index {simple!r} {why}")
+    _check_indices((simple,), rs.rank, "simple root index")
     return _wall(_boundary_rows(ideal), simple, rs.rank)
 
 

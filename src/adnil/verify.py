@@ -38,6 +38,7 @@ from .counting import (
     count_so2n_borel,
     count_sp2n_borel,
     directed_animals,
+    enumeration_skip,
     extended_marks,
     gf_count_from_marks,
     lattice_count,
@@ -55,12 +56,13 @@ from .ideals import (
     weight,
 )
 from .normalizers import ParabolicLabel, fibers, nilradical, normalizer, normalizer_by_weight
-from .rootsys import build, in_coroot_lattice
+from .rootsys import ConfigurationError, build, in_coroot_lattice
 from .shi import alcove_membership, in_region, region_witness, wall_levi
 
 __all__ = [
     "VerificationFailure",
     "run_table7",
+    "run_suites",
     "suite_runners",
     "ideal_table",
     "normalizer_routes",
@@ -633,3 +635,25 @@ def suite_runners(
         "typeAC": suite_typeac,
         "identities": lambda: suite_identities(n_max),
     }
+
+
+def run_suites(
+    suite: str, label: str | None, seed: int, n_max: int
+) -> tuple[list[tuple[str, str, str]], tuple[str, VerificationFailure] | None]:
+    """Run one suite, or all: the (suite, check, detail) rows that passed, and the
+    first (suite, failure) or None.  typeAC and identities refuse a label, and the
+    per-ideal suites and all a type with over `ENUMERATION_LIMIT` ideals."""
+    if label and suite in ("typeAC", "identities"):
+        raise ConfigurationError(f"verify {suite} does not take --type")
+    skip = label and suite != "counting" and enumeration_skip(build(label))
+    if skip:
+        raise ConfigurationError(skip)
+    runners = suite_runners(label, seed, n_max)
+    rows: list[tuple[str, str, str]] = []
+    for name in list(runners) if suite == "all" else [suite]:
+        try:
+            outcome = runners[name]()
+        except VerificationFailure as failure:
+            return rows, (name, failure)
+        rows += [(name, check, detail) for check, detail in outcome]
+    return rows, None

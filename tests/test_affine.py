@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adnil import affine
 from adnil.affine import (
     AffineRoot,
     AffineWeylElement,
     _images,
     _inversion_levels,
     _matrix,
+    _wall_preimage,
     affine_simple_root,
     alcove_barycenter,
     check_inversion_sum,
@@ -52,7 +54,7 @@ from adnil.ideals import (
     is_strictly_positive,
 )
 from adnil.rootsys import RationalVector, Root, build, in_coroot_lattice, inner
-from adnil.verify import normalizer_routes
+from adnil.verify import ORACLE_TYPES, ideal_table, normalizer_routes, suite_normalizer_oracles
 
 DUAL_COXETER = {
     "A3": 4, "A5": 6, "B3": 5, "B4": 7, "C3": 4, "C4": 5,
@@ -573,6 +575,8 @@ def test_star_is_an_action():
         v = from_word(rs, [rng.randrange(3) for _ in range(rng.randrange(8))])
         assert star(u * v, x).coords == star(u, star(v, x)).coords
     assert star(identity_element(rs), x).coords == x.coords
+    # an integral x maps to ints, as z is stored
+    assert all(type(c) is int for c in star(u, (1, -2)).coords)
     # a vector of the wrong length is rejected, not cut short by zip
     w = from_word(build("A2"), (0, 1))
     for bad in ((1,), (1, 0, 0, 5)):
@@ -607,6 +611,7 @@ def test_factorize_z_pairs_to_the_delta_row():
             for i in range(p):
                 e_i = tuple(1 if t == i else 0 for t in range(p))
                 assert inner(rs, z, e_i) == w.inverse_matrix[p][i], (label, w.word, i)
+            assert all(type(c) is int for c in z.coords), (label, w.word)
             # the integer pairings factorize returns are the same delta row
             assert all(type(q) is int for q in fac.pairings), (label, w.word)
             assert fac.pairings == rs.pairings(z) == w.inverse_matrix[p][:p], (label, w.word)
@@ -620,6 +625,46 @@ def test_normalizer_by_zwall_needs_a_minimal_element():
     assert is_dominant(far) and not is_minimal_representative(far)
     with pytest.raises(ValueError):
         normalizer_by_zwall(far)
+
+
+def _zwall_by_apply_root(w):
+    """Reference z-wall route: each wall pulled back through AffineRoot objects."""
+    rs = w.rs
+    y = factorize(w).pairings
+    walls = [i + 1 for i, v in enumerate(y) if v == 0]
+    walls += [0] if sum(c * v for c, v in zip(rs.marks, y)) == 1 else []
+    levi = set()
+    for i in walls:
+        mu = w.apply_root_inverse(affine_simple_root(rs, i))
+        assert mu.level == 0 and sum(map(abs, mu.finite)) == 1 and max(mu.finite) == 1
+        levi.add(mu.finite.index(1))
+    return frozenset(levi)
+
+
+def test_wall_preimages_match_apply_root_inverse():
+    # every affine simple root, not only the walls through z, on every ideal
+    # of ORACLE_TYPES and E6 and on every 5th E7 ideal
+    start = time.monotonic()
+    for label, step in [(t, 1) for t in ORACLE_TYPES] + [("E6", 1), ("E7", 5)]:
+        rs = build(label)
+        for ideal in islice(enumerate_ideals(rs), 0, None, step):
+            w = w_min(ideal)
+            for i in range(rs.rank + 1):
+                level, finite = _wall_preimage(w, i)
+                assert AffineRoot(level, finite) == w.apply_root_inverse(affine_simple_root(rs, i))
+            assert normalizer_by_zwall(w).levi == _zwall_by_apply_root(w), (label, ideal)
+    assert time.monotonic() - start < 10
+
+
+def test_normalizer_oracles_build_no_affine_root(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle route built an affine root")
+
+    monkeypatch.setattr(affine, "_image", refuse)
+    monkeypatch.setattr(affine, "AffineRoot", refuse)
+    assert suite_normalizer_oracles([ideal_table("F4")]) == [
+        ("five-way-normalizer[F4]", "105 ideals")
+    ]
 
 
 def test_coordinates_live_in_their_simplices():

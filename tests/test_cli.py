@@ -11,7 +11,7 @@ import pytest
 from adnil import counting, verify
 from adnil.cli import main, parse_ideal, serialize_ideal
 from adnil.ideals import enumerate_ideals
-from adnil.rootsys import build
+from adnil.rootsys import ConfigurationError, build
 
 
 def run(capsys, *args):
@@ -241,6 +241,28 @@ def test_verify_builds_w_min_once_per_ideal(monkeypatch):
     for name in ("normalizer-oracles", "affine", "shi"):
         runners[name]()
     assert len(calls) == 8  # G2 has 8 ideals
+
+
+def test_run_suites_refuses_a_type_it_cannot_take(monkeypatch):
+    for suite in ("typeAC", "identities"):
+        with pytest.raises(ConfigurationError, match=f"^verify {suite} does not take --type$"):
+            verify.run_suites(suite, "A2", 0, 12)
+    monkeypatch.setenv("ADNIL_MAX_RANK", "15")
+    for suite in ("normalizer-oracles", "affine", "shi", "all"):
+        with pytest.raises(ConfigurationError, match="A15 has 35357670 ideals.*limit of 100000"):
+            verify.run_suites(suite, "A15", 0, 12)
+
+
+def test_run_suites_returns_passed_rows_and_the_first_failure(monkeypatch):
+    assert verify.run_suites("normalizer-oracles", "G2", 0, 12) == (
+        [("normalizer-oracles", "five-way-normalizer[G2]", "8 ideals")],
+        None,
+    )
+    fake = SimpleNamespace(name="fake", argument=3, lhs=1, rhs=2, passed=False)
+    monkeypatch.setattr(verify, "verify_identities", lambda n_max: (fake,))
+    rows, (name, failure) = verify.run_suites("all", "G2", 0, 12)
+    assert rows[-1][0] == "typeAC" and name == "identities"
+    assert failure.check == "identity" and failure.payload["name"] == "fake"
 
 
 def test_verify_reports_first_counterexample(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,21 @@ def test_coroot_pairing_against_cartan():
             alpha = rs.positive_roots[rs.simple_index[i]]
             for j in range(rs.rank):
                 assert rs.coroot_pairing(alpha.coeffs, j) == rs.cartan[i][j]
+
+
+def test_coroot_pairing_refuses_a_bad_index():
+    # on B3, alpha_3 pairs to [0, -1, 2]; j = -1 used to answer 2 (alpha_3's)
+    # and j = True -1 (alpha_2's)
+    for label, x, want in (("A2", (1, 0), [2, -1]), ("B3", (0, 0, 1), [0, -1, 2])):
+        rs = build(label)
+        assert [rs.coroot_pairing(x, j) for j in range(rs.rank)] == want
+        for bad in (-1, rs.rank):
+            with pytest.raises(ValueError, match=f"^simple root index {bad} out of range$"):
+                rs.coroot_pairing(x, bad)
+        for bad in (True, False, 1.0, Fraction(1)):
+            why = re.escape(f"simple root index {bad!r} is not an int")
+            with pytest.raises(ValueError, match=f"^{why}$"):
+                rs.coroot_pairing(x, bad)
 
 
 def test_rho_pairs_to_one_with_every_simple_coroot():
