@@ -194,6 +194,28 @@ class LatticeCount:
     points: tuple[tuple[int, ...], ...]
 
 
+def _step_table(adj: list[list[int]], f: int) -> list[list[int]]:
+    """step[k][c]: the class of y + e_k for y of class c.
+
+    The class of y is adj y mod f, a vector in (Z/f)^p; the map has kernel
+    C Z^p, so there are exactly f classes.  They are numbered by a
+    breadth-first search from 0 along the columns of adj, which generate
+    the image; class 0 is the coroot lattice.
+    """
+    cols = [[row[k] for row in adj] for k in range(len(adj))]
+    number = {(0,) * len(adj): 0}
+    order = list(number)
+    step: list[list[int]] = [[] for _ in cols]
+    for v in order:  # grows while it is read; row k gets v + e_k at index number[v]
+        for row, col in zip(step, cols):
+            w = tuple((a + b) % f for a, b in zip(v, col))
+            if w not in number:
+                number[w] = len(order)
+                order.append(w)
+            row.append(number[w])
+    return step
+
+
 def lattice_count(
     rs: RootSystem, which: str, off_walls: bool = False, lattice: str = "coroot"
 ) -> LatticeCount:
@@ -205,9 +227,17 @@ def lattice_count(
     lattice="coroot" keeps only points in the integer coroot span;
     lattice="coweight" keeps every integer y vector.
     Points are the pairing vectors y as int tuples (x = sum y_i omega_i-coweight).
-    One walk serves both: y' = +-y with y'_i >= -1, sum c_i y'_i <= 2 or 0.
+    One walk serves both: y' = +-y with y'_i >= -1, sum c_i y'_i <= 2 or 0,
+    in lexicographic order of y'.
+
     y = C n has an integral n exactly when adj y = 0 mod f, adj = f C^-1
-    (integral, as det C = f).
+    (integral, as det C = f).  Rather than test that at every point, the
+    walk carries the class (numbered by `_step_table`) of y + (1, ..., 1),
+    where y is the current prefix padded with -1.  A coordinate enters at
+    y_k = -1 with no change and each y_k += 1 is one `step` lookup, so a
+    node costs O(1); a point is in the coroot lattice exactly when its class
+    is that of (1, ..., 1).  The coweight lattice has one class.  The last
+    coordinate runs inline over y_p = -1..(top - partial) // c_p.
     """
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
@@ -215,33 +245,33 @@ def lattice_count(
         raise ValueError("lattice must be 'coroot' or 'coweight'")
     top, sign = (2, 1) if which == "min" else (0, -1)
     marks = rs.marks
-    rank = rs.rank
-    f = rs.f
-    adj = adjugate(rs.cartan)[1]
-    check = lattice == "coroot" and f > 1
+    last = rs.rank - 1
+    f = rs.f if lattice == "coroot" else 1
+    step = _step_table(adjugate(rs.cartan)[1], f)
+    ones = 0  # the class of (1, ..., 1)
+    for up in step:
+        ones = up[ones]
     # suffix[k] = sum of marks from position k on.
-    suffix = [0] * (rank + 1)
-    for k in range(rank - 1, -1, -1):
+    suffix = [0] * (rs.rank + 1)
+    for k in range(last, -1, -1):
         suffix[k] = suffix[k + 1] + marks[k]
     points: list[tuple[int, ...]] = []
 
-    def walk(k: int, partial: int, ys: list[int]) -> None:
-        if k == rank:
-            if off_walls and partial == top - 1:
-                return
-            if check and any(sum(a * y for a, y in zip(row, ys)) % f for row in adj):
-                return
-            points.append(tuple(sign * y for y in ys))
+    def walk(k: int, partial: int, c: int, prefix: tuple[int, ...]) -> None:
+        up = step[k]
+        mark = marks[k]
+        if k == last:
+            for y in range(-1, (top - partial) // mark + 1):
+                if c == ones and not (off_walls and (y == 0 or partial + mark * y == top - 1)):
+                    points.append(prefix + (sign * y,))
+                c = up[c]
             return
-        y = -1
-        while partial + marks[k] * y <= top + suffix[k + 1]:
+        for y in range(-1, (top + suffix[k + 1] - partial) // mark + 1):
             if not (off_walls and y == 0):
-                ys.append(y)
-                walk(k + 1, partial + marks[k] * y, ys)
-                ys.pop()
-            y += 1
+                walk(k + 1, partial + mark * y, c, prefix + (sign * y,))
+            c = up[c]
 
-    walk(0, 0, [])
+    walk(0, 0, 0, ())
     return LatticeCount(len(points), tuple(points))
 
 

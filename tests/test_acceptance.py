@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from math import comb
 
+import pytest
+
 from adnil.affine import (
     affine_simple_root,
     factorize,
@@ -193,6 +195,34 @@ def test_criterion_4_five_way_normalizer_agreement_on_every_e7_ideal():
     results = suite_normalizer_oracles([ideal_table("E7")])  # raises on any discrepancy
     assert results == [("five-way-normalizer[E7]", "4160 ideals")]
     assert time.monotonic() - start < 30
+
+
+@pytest.fixture(scope="module")
+def e8_sample():
+    """Every 10th E8 ideal in walk order, 2508 of 25080, with its w_min."""
+    start = time.monotonic()
+    rs = build("E8")
+    ideals = list(enumerate_ideals(rs))[::10]
+    table = rs, ideals, [w_min(c) for c in ideals]
+    assert time.monotonic() - start < 15
+    return table
+
+
+def test_criterion_4_five_way_normalizer_agreement_on_sampled_e8_ideals(e8_sample):
+    start = time.monotonic()
+    results = suite_normalizer_oracles([e8_sample])  # raises on any discrepancy
+    assert results == [("five-way-normalizer[E8]", "2508 ideals")]
+    assert time.monotonic() - start < 10
+
+
+def test_shi_regions_on_sampled_e8_ideals(e8_sample):
+    start = time.monotonic()
+    results = suite_shi([e8_sample], seed=0)  # raises on any discrepancy
+    assert [name for name, _ in results] == [
+        "regions[E8]", "region-exclusivity[E8]", "dominant-translations[E8]",
+    ]
+    assert results[0] == ("regions[E8]", "2508 ideals")
+    assert time.monotonic() - start < 15
 
 
 def test_criterion_5_lattice_point_bijections_and_index_law():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from adnil import counting, verify
+from adnil import counting, ideals, normalizers, verify
 from adnil.cli import main, parse_ideal, serialize_ideal
 from adnil.ideals import enumerate_ideals
 from adnil.rootsys import ConfigurationError, build
@@ -177,8 +177,19 @@ def test_count_note_does_not_depend_on_the_label_case(capsys):
     assert "note: computed output; no reference value" in out
 
 
+def _forbid_ideal_walks(monkeypatch):
+    """Make every walk over upper sets raise, so a lost refusal fails, not hangs."""
+
+    def refuse(above):
+        raise AssertionError("walked the upper sets beyond the enumeration limit")
+
+    monkeypatch.setattr(ideals, "_upper_sets", refuse)
+    monkeypatch.setattr(normalizers, "_upper_sets", refuse)
+
+
 def test_count_skips_enumeration_beyond_the_limit(capsys, monkeypatch):
     monkeypatch.setenv("ADNIL_MAX_RANK", "15")
+    _forbid_ideal_walks(monkeypatch)
     start = time.monotonic()
     code, out, err = run(capsys, "count", "A15")  # 35,357,670 ideals
     assert time.monotonic() - start < 10
@@ -197,6 +208,7 @@ def test_count_skips_enumeration_beyond_the_limit(capsys, monkeypatch):
 
 def test_enumerating_commands_refuse_beyond_the_limit(capsys, monkeypatch):
     monkeypatch.setenv("ADNIL_MAX_RANK", "15")
+    _forbid_ideal_walks(monkeypatch)
     for args in (
         ("enumerate", "A15"),
         ("verify", "normalizer-oracles", "--type", "A15"),
@@ -248,6 +260,7 @@ def test_run_suites_refuses_a_type_it_cannot_take(monkeypatch):
         with pytest.raises(ConfigurationError, match=f"^verify {suite} does not take --type$"):
             verify.run_suites(suite, "A2", 0, 12)
     monkeypatch.setenv("ADNIL_MAX_RANK", "15")
+    _forbid_ideal_walks(monkeypatch)
     for suite in ("normalizer-oracles", "affine", "shi", "all"):
         with pytest.raises(ConfigurationError, match="A15 has 35357670 ideals.*limit of 100000"):
             verify.run_suites(suite, "A15", 0, 12)

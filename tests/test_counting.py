@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -26,6 +27,7 @@ from adnil.counting import (
     verify_identities,
 )
 from adnil.ideals import enumerate_ideals, is_strictly_positive
+from adnil.linalg import adjugate
 from adnil.normalizers import ParabolicLabel, fibers
 from adnil.affine import in_max_simplex, in_min_simplex
 from adnil.rootsys import _FIXED_RANKS, _RANK_RANGE, build, in_coroot_lattice
@@ -190,6 +192,25 @@ def test_index_connectedness_factor():
             coroot = lattice_count(rs, which).count
             coweight = lattice_count(rs, which, lattice="coweight").count
             assert coweight == rs.f * coroot, (label, which)
+
+
+def test_carried_classes_match_the_per_point_coroot_test():
+    # the walk's class tables against adj y = 0 mod f at every coweight point,
+    # in walk order; D4 and D6 have the non-cyclic class group Z2 x Z2
+    start = time.monotonic()
+    labels = [f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 7)]
+    labels += [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(4, 8)]
+    for label in labels + ["E6", "E7", "F4", "G2"]:
+        rs = build(label)
+        f, adj = adjugate(rs.cartan)
+        for which, off_walls in product(("min", "max"), (False, True)):
+            coweight = lattice_count(rs, which, off_walls, lattice="coweight").points
+            expected = tuple(
+                y for y in coweight
+                if not any(sum(a * yi for a, yi in zip(row, y)) % f for row in adj)
+            )
+            assert lattice_count(rs, which, off_walls).points == expected, (label, which)
+    assert time.monotonic() - start < 10
 
 
 def test_integer_coroot_test_matches_the_fraction_definition():
