@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .affine import factorize, is_minimax, w_min
-from .counting import count_routes, enumeration_skip, route_pairs
+from .counting import count_routes, enumeration_skip
 from .ideals import (
     UpperIdeal,
     close_upward,
@@ -211,10 +211,13 @@ def cmd_count(args) -> tuple[Report, int]:
     skip = enumeration_skip(rs)
     if skip:
         print(f"note: {skip}", file=sys.stderr)
-    counts = count_routes(rs)
-    routes = route_pairs(counts)
-    agree = all(ok for _, ok in routes.values())
-    footer = [(k, str(v)) for k, v in counts.items()]
+    routes, ideals = count_routes(rs)
+    agree = all(pair == routes["gf"] for pair in routes.values())
+    footer = []
+    for route, (n, n_strict) in routes.items():
+        footer += [(f"borel_fiber_{route}", str(n)), (f"strict_borel_fiber_{route}", str(n_strict))]
+    if ideals:
+        footer += [("ideals", str(ideals[0])), ("strict_ideals", str(ideals[1]))]
     if len(routes) < 2:
         footer.append(("routes_agree", "n/a (one route)"))
     else:

@@ -33,7 +33,6 @@ __all__ = [
     "ideal_count",
     "enumeration_skip",
     "count_routes",
-    "route_pairs",
     "IdentityCheck",
     "verify_identities",
 ]
@@ -307,53 +306,37 @@ def enumeration_skip(rs: RootSystem) -> str | None:
     return None
 
 
-def count_routes(rs: RootSystem) -> dict[str, int]:
-    """Borel-fiber counts (all, then strictly positive) by every feasible route.
+def count_routes(
+    rs: RootSystem,
+) -> tuple[dict[str, tuple[int, int]], tuple[int, int] | None]:
+    """Borel-fiber counts (all, strictly positive) by every feasible route,
+    and the (all, strict) ideal counts, or None when they were not walked.
 
-    The generating function always runs; the lattice count through rank 8;
-    enumeration, which also gives the total and strict ideal counts, unless
-    `enumeration_skip` gives a reason.  Keys are in report order.
+    The routes come in report order: "gf" (the generating function) always,
+    "lattice" through rank 8, and "enumeration" unless `enumeration_skip`
+    gives a reason.  The routes agree when every pair equals the "gf" pair.
     Enumeration streams the ideals once and keeps none of them; it tallies
     on their bits and generators, building no normalizer labels.
     """
-    counts = {
-        "borel_fiber_gf": gf_count(rs, 1),
-        "strict_borel_fiber_gf": gf_count(rs, -1),
-    }
+    routes = {"gf": (gf_count(rs, 1), gf_count(rs, -1))}
     if rs.rank <= 8:
-        counts["borel_fiber_lattice"] = lattice_count(rs, "min", off_walls=True).count
-        counts["strict_borel_fiber_lattice"] = lattice_count(rs, "max", off_walls=True).count
-    if enumeration_skip(rs) is None:
-        n_all = n_strict = n_b = n_b_strict = 0
-        simple_bits, borel = rs.simple_bits, (1 << rs.rank) - 1
-        for ideal in enumerate_ideals(rs):
-            n_all += 1
-            strict = not ideal.bits & simple_bits
-            n_strict += strict
-            if _removed_simples(rs, ideal._generator_bits()) == borel:
-                n_b += 1
-                n_b_strict += strict
-        counts["borel_fiber_enumeration"] = n_b
-        counts["strict_borel_fiber_enumeration"] = n_b_strict
-        counts["ideals"] = n_all
-        counts["strict_ideals"] = n_strict
-    return counts
-
-
-def route_pairs(counts: dict[str, int]) -> dict[str, tuple[tuple[int, int], bool]]:
-    """Each route's (all, strict) Borel-fiber counts from `count_routes`, in
-    report order, and whether they equal the generating function's.
-
-    The routes agree when every flag is true; this is the one place that
-    compares them.
-    """
-    gf = (counts["borel_fiber_gf"], counts["strict_borel_fiber_gf"])
-    routes = {}
-    for key, n in counts.items():
-        if key.startswith("borel_fiber_"):
-            pair = (n, counts["strict_" + key])
-            routes[key.removeprefix("borel_fiber_")] = (pair, pair == gf)
-    return routes
+        routes["lattice"] = (
+            lattice_count(rs, "min", off_walls=True).count,
+            lattice_count(rs, "max", off_walls=True).count,
+        )
+    if enumeration_skip(rs) is not None:
+        return routes, None
+    n_all = n_strict = n_b = n_b_strict = 0
+    simple_bits, borel = rs.simple_bits, (1 << rs.rank) - 1
+    for ideal in enumerate_ideals(rs):
+        n_all += 1
+        strict = not ideal.bits & simple_bits
+        n_strict += strict
+        if _removed_simples(rs, ideal._generator_bits()) == borel:
+            n_b += 1
+            n_b_strict += strict
+    routes["enumeration"] = (n_b, n_b_strict)
+    return routes, (n_all, n_strict)
 
 
 @dataclass(frozen=True)

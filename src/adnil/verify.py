@@ -44,7 +44,6 @@ from .counting import (
     lattice_count,
     motzkin,
     riordan,
-    route_pairs,
     verify_identities,
 )
 from .ideals import (
@@ -154,16 +153,15 @@ def run_table7() -> tuple[list[tuple[str, str, int, int, str, str]], list[str]]:
     for algebra, label, want_mm, want_b in TABLE_ROWS:
         rs = build(label)
         n_mm = sum(1 for ideal in enumerate_ideals(rs) if is_minimax(ideal))
-        counts = count_routes(rs)
-        n_b = counts["borel_fiber_enumeration"]
+        routes, _ = count_routes(rs)
+        n_b = routes["enumeration"][0]
         bad = []
         if n_mm != want_mm:
             bad.append(f"{label} minimax: computed {n_mm}, expected {want_mm}")
         if n_b != want_b:
             bad.append(f"{label} borel-fiber: computed {n_b}, expected {want_b}")
-        routes = route_pairs(counts)
-        if not all(ok for _, ok in routes.values()):
-            pairs = ", ".join(f"{r} {a}/{s}" for r, ((a, s), _) in routes.items())
+        if any(pair != routes["gf"] for pair in routes.values()):
+            pairs = ", ".join(f"{r} {a}/{s}" for r, (a, s) in routes.items())
             bad.append(f"{label} borel-fiber routes disagree (all/strict): {pairs}")
         failures += bad
         status = "MISMATCH" if bad else "ok"
@@ -380,22 +378,16 @@ def suite_counting(types) -> list[tuple[str, str]]:
     results = []
     for label in types:
         rs = build(label)
-        counts = count_routes(rs)
-        routes = route_pairs(counts)
-        gf = routes.pop("gf")[0]
+        routes, ideals = count_routes(rs)
+        gf = routes.pop("gf")
         details = [f"gf={gf[0]}/{gf[1]}"]
-        for route, (pair, ok) in routes.items():
-            _require(ok, f"{route}-vs-gf", type=label, gf=gf, **{route: pair})
+        for route, pair in routes.items():
+            _require(pair == gf, f"{route}-vs-gf", type=label, gf=gf, **{route: pair})
             details.append(f"{route} ok")
-        if "lattice" in routes and "enumeration" in routes:
-            totals = [lattice_count(rs, "min").count, lattice_count(rs, "max").count]
-            enumerated = [counts["ideals"], counts["strict_ideals"]]
+        if "lattice" in routes and ideals:
+            totals = (lattice_count(rs, "min").count, lattice_count(rs, "max").count)
             _require(
-                totals == enumerated,
-                "lattice-totals",
-                type=label,
-                lattice=totals,
-                enumeration=enumerated,
+                totals == ideals, "lattice-totals", type=label, lattice=totals, enumeration=ideals
             )
         results.append((f"three-route[{label}]", "; ".join(details)))
 

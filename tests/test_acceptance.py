@@ -11,6 +11,7 @@ from adnil.affine import (
     affine_simple_root,
     factorize,
     first_layer,
+    is_maximal_representative,
     is_minimax,
     length,
     simple_reflection,
@@ -190,11 +191,58 @@ def test_criterion_4_five_way_normalizer_agreement_on_e6():
     assert results == [("five-way-normalizer[E6]", "833 ideals")]
 
 
-def test_criterion_4_five_way_normalizer_agreement_on_every_e7_ideal():
+@pytest.fixture(scope="module")
+def e7_table():
+    """Every E7 ideal, 4160, in walk order with its w_min."""
     start = time.monotonic()
-    results = suite_normalizer_oracles([ideal_table("E7")])  # raises on any discrepancy
+    table = ideal_table("E7")
+    assert time.monotonic() - start < 10
+    return table
+
+
+def test_criterion_4_five_way_normalizer_agreement_on_every_e7_ideal(e7_table):
+    start = time.monotonic()
+    results = suite_normalizer_oracles([e7_table])  # raises on any discrepancy
     assert results == [("five-way-normalizer[E7]", "4160 ideals")]
     assert time.monotonic() - start < 30
+
+
+def test_shi_regions_on_every_e7_ideal(e7_table):
+    start = time.monotonic()
+    results = suite_shi([e7_table], seed=0)  # raises on any discrepancy
+    assert results == [
+        ("regions[E7]", "4160 ideals"),
+        ("region-exclusivity[E7]", "40 pairs"),
+        ("dominant-translations[E7]", "7 elements"),
+    ]
+    assert time.monotonic() - start < 10
+
+
+def test_affine_laws_on_every_e7_ideal(e7_table):
+    start = time.monotonic()
+    results = suite_affine([e7_table], seed=0)  # raises on any discrepancy
+    assert results == [
+        ("weights[E7]", "4160 ideals"),
+        ("z-lattice-bijection[E7]", "4160 points"),
+        ("y-lattice-bijection[E7]", "2431 points"),
+        ("index-factor[E7]", "f=2"),
+        ("random-words[E7]", "1000 words"),
+    ]
+    assert time.monotonic() - start < 10
+
+
+def _minimax_matches_the_w_min_facets(table):
+    """`is_minimax` against the alcove facets of w_min, as proved in
+    tests/test_affine.py::test_minimax_is_read_off_the_alcove_facets_of_w_min."""
+    rs, ideals, minimal = table
+    for ideal, w in zip(ideals, minimal):
+        assert is_minimax(ideal) == is_maximal_representative(w), (rs.label, ideal)
+
+
+def test_minimax_is_read_off_the_w_min_facets_on_every_e7_ideal(e7_table):
+    start = time.monotonic()
+    _minimax_matches_the_w_min_facets(e7_table)
+    assert time.monotonic() - start < 3
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +271,12 @@ def test_shi_regions_on_sampled_e8_ideals(e8_sample):
     ]
     assert results[0] == ("regions[E8]", "2508 ideals")
     assert time.monotonic() - start < 15
+
+
+def test_minimax_is_read_off_the_w_min_facets_on_sampled_e8_ideals(e8_sample):
+    start = time.monotonic()
+    _minimax_matches_the_w_min_facets(e8_sample)
+    assert time.monotonic() - start < 3
 
 
 def test_criterion_5_lattice_point_bijections_and_index_law():

@@ -508,6 +508,32 @@ def test_lockstep_minimax_matches_the_full_chains():
             assert is_minimax(c) == want, (label, c)
 
 
+def test_minimax_is_read_off_the_alcove_facets_of_w_min():
+    """is_minimax(I) holds exactly when w_min(I) is a maximal representative.
+
+    The facets of the alcove of w lie on the zero sets of w^{-1}(alpha_i),
+    i = 0..p.  An affine root k delta +- gamma that vanishes on a facet of
+    a dominant alcove vanishes on a Shi hyperplane, (x, gamma) in {0, 1},
+    exactly when |k| <= 1, and w_min already has every level >= -1; so
+    `is_maximal_representative(w_min(I))` says that every facet of the
+    w_min alcove lies on a Shi hyperplane.  Then the Shi region of I is
+    that one alcove, and w_max = w_min.  Otherwise the alcove across a
+    non-Shi facet lies in the region too.  Every alcove of the region has
+    its floor counts k(gamma) = floor((x, gamma)) between the power-chain
+    count and the complement-chain count, and an alcove is fixed by its
+    floor counts, so two alcoves force w_min != w_max.  A non-strict ideal
+    has an unbounded region, so both sides are False.  (Shi, J. London
+    Math. Soc. 35, 1987; Sommers, Canad. Math. Bull. 48, 2005.)
+
+    The check uses neither chain and no w_max.
+    """
+    start = time.monotonic()
+    for label in ("G2", "B3", "C4", "F4", "D4", "D5", "E6"):
+        for ideal in enumerate_ideals(build(label)):
+            assert is_minimax(ideal) == is_maximal_representative(w_min(ideal)), (label, ideal)
+    assert time.monotonic() - start < 3
+
+
 def test_minimax_counts_on_e7_e8():
     # computed values, no published reference; E6's 67 is pinned by Table 7
     for label, want in (("E7", 217), ("E8", 834)):

@@ -290,35 +290,42 @@ def test_verify_reports_first_counterexample(capsys, monkeypatch):
     assert example["name"] == "fake" and example["argument"] == 3
 
 
-def _routes_with(monkeypatch, key, value):
-    """Make `verify.count_routes` report `value` under `key`."""
+def _routes_with(monkeypatch, route, side, value):
+    """Make `verify.count_routes` report `value` on one side (0 all, 1 strict)
+    of one route's pair."""
     real = verify.count_routes
 
     def fake(rs):
-        counts = real(rs)
-        counts[key] = value
-        return counts
+        routes, ideals = real(rs)
+        pair = list(routes[route])
+        pair[side] = value
+        routes[route] = tuple(pair)
+        return routes, ideals
 
     monkeypatch.setattr(verify, "count_routes", fake)
 
 
 @pytest.mark.parametrize(
-    "key, check, payload",
+    "route, side, check, payload",
     [
         (
-            "strict_borel_fiber_lattice",
+            "lattice",
+            1,
             "lattice-vs-gf",
             {"type": "G2", "gf": [2, 1], "lattice": [2, 7]},
         ),
         (
-            "borel_fiber_enumeration",
+            "enumeration",
+            0,
             "enumeration-vs-gf",
             {"type": "G2", "gf": [2, 1], "enumeration": [7, 1]},
         ),
     ],
 )
-def test_verify_counting_reports_a_disagreeing_route(capsys, monkeypatch, key, check, payload):
-    _routes_with(monkeypatch, key, 7)
+def test_verify_counting_reports_a_disagreeing_route(
+    capsys, monkeypatch, route, side, check, payload
+):
+    _routes_with(monkeypatch, route, side, 7)
     code, out, _ = run(capsys, "verify", "counting", "--type", "G2")
     assert code == 1
     assert out.splitlines()[2].split() == ["counting", check, "counterexample", "found", "FAIL"]

@@ -12,6 +12,7 @@ import pytest
 from adnil.counting import (
     catalan,
     central_trinomial,
+    count_routes,
     count_so2n_borel,
     count_sp2n_borel,
     directed_animals,
@@ -23,7 +24,6 @@ from adnil.counting import (
     motzkin,
     next_to_central_trinomial,
     riordan,
-    route_pairs,
     verify_identities,
 )
 from adnil.ideals import enumerate_ideals, is_strictly_positive
@@ -31,6 +31,7 @@ from adnil.linalg import adjugate
 from adnil.normalizers import ParabolicLabel, fibers
 from adnil.affine import in_max_simplex, in_min_simplex
 from adnil.rootsys import _FIXED_RANKS, _RANK_RANGE, build, in_coroot_lattice
+from test_cli import _forbid_ideal_walks
 
 SEQUENCES = {
     catalan: (1, 1, 2, 5, 14, 42, 132, 429),
@@ -271,22 +272,25 @@ def test_ideal_count_from_exponents():
         assert ideal_count(rs) == sum(1 for _ in enumerate_ideals(rs)), label
 
 
-def test_route_pairs_compare_every_route_with_the_generating_function():
-    counts = {
-        "borel_fiber_gf": 11,
-        "strict_borel_fiber_gf": 4,
-        "borel_fiber_lattice": 11,
-        "strict_borel_fiber_lattice": 5,
-        "borel_fiber_enumeration": 11,
-        "strict_borel_fiber_enumeration": 4,
-        "ideals": 50,
-        "strict_ideals": 20,
-    }
-    assert route_pairs(counts) == {
-        "gf": ((11, 4), True),
-        "lattice": ((11, 5), False),
-        "enumeration": ((11, 4), True),
-    }
-    assert route_pairs({"borel_fiber_gf": 2, "strict_borel_fiber_gf": 1}) == {
-        "gf": ((2, 1), True)
-    }
+@pytest.mark.parametrize("label, fiber", [("G2", (2, 1)), ("D4", (11, 4)), ("E6", (111, 53))])
+def test_count_routes_pair_every_route_and_the_ideal_counts(label, fiber):
+    rs = build(label)
+    routes, ideals = count_routes(rs)
+    assert routes == {"gf": fiber, "lattice": fiber, "enumeration": fiber}
+    assert list(routes) == ["gf", "lattice", "enumeration"]
+    strict = sum(1 for ideal in enumerate_ideals(rs) if is_strictly_positive(ideal))
+    assert ideals == (ideal_count(rs), strict)
+
+
+def test_count_routes_drop_the_lattice_beyond_rank_8(monkeypatch):
+    monkeypatch.setenv("ADNIL_MAX_RANK", "10")
+    routes, ideals = count_routes(build("A10"))
+    assert list(routes) == ["gf", "enumeration"]
+    assert routes["enumeration"] == routes["gf"] == (motzkin(10), riordan(10))
+    assert ideals == (catalan(11), catalan(10))
+
+
+def test_count_routes_skip_the_walk_beyond_the_enumeration_limit(monkeypatch):
+    monkeypatch.setenv("ADNIL_MAX_RANK", "15")
+    _forbid_ideal_walks(monkeypatch)  # 35,357,670 ideals
+    assert count_routes(build("A15")) == ({"gf": (310572, 83097)}, None)
