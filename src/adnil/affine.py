@@ -586,46 +586,47 @@ def alcove_barycenter(rs: RootSystem) -> RationalVector:
     return rs.from_pairings(tuple(Fraction(1, m * n) for m in rs.marks))
 
 
+def _affine_levels(rs: RootSystem, y) -> tuple:
+    """Levels (1 - sum c_j y_j, y_1, ..., y_p) of the p+1 affine simple roots,
+    alpha_0 = delta - theta first, at the point x with pairings y_j = (x, alpha_j)."""
+    return (1 - sum(map(mul, rs.marks, y)), *y)
+
+
 def in_min_simplex(rs: RootSystem, x) -> bool:
-    """(x, alpha) >= -1 on all simples and (x, theta) <= 2."""
-    y = rs.pairings(x)
-    return min(y) >= -1 and sum(c * v for c, v in zip(rs.marks, y)) <= 2
+    """(x, alpha) >= -1 on all simples and (x, theta) <= 2: every affine level >= -1."""
+    return min(_affine_levels(rs, rs.pairings(x))) >= -1
 
 
 def in_max_simplex(rs: RootSystem, x) -> bool:
-    """(x, alpha) <= 1 on all simples and (x, theta) >= 0."""
-    y = rs.pairings(x)
-    return max(y) <= 1 and sum(c * v for c, v in zip(rs.marks, y)) >= 0
+    """(x, alpha) <= 1 on all simples and (x, theta) >= 0: every affine level <= 1."""
+    return max(_affine_levels(rs, rs.pairings(x))) <= 1
 
 
-def _wall_preimage(w: AffineWeylElement, i: int) -> tuple[int, tuple[int, ...]]:
-    """(delta-level, finite part) of w^{-1}(alpha_i): column i - 1 of w.inverse_matrix,
-    and for alpha_0 = delta - theta, delta minus the theta-sum of those columns."""
-    rows = w.inverse_matrix[:-1]  # the finite rows, then the delta-level row
-    *finite, level = (row[i - 1] if i else -sum(map(mul, w.rs.marks, row)) for row in rows)
-    return level + (i == 0), tuple(finite)
+def _wall_preimage(w: AffineWeylElement, i: int) -> tuple[int, ...]:
+    """Finite part of w^{-1}(alpha_i): column i - 1 of the finite rows of
+    w.inverse_matrix, and for alpha_0 = delta - theta minus the theta-sum of
+    those columns.  Its delta-level is inverse_simple_levels(w)[i]."""
+    rows = w.inverse_matrix[: w.rs.rank]
+    return tuple(row[i - 1] if i else -sum(map(mul, w.rs.marks, row)) for row in rows)
 
 
 def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:
     """Parabolic label read off the walls through z, for w = w_min(ideal).
 
-    Each affine wall containing z (a vanishing simple pairing, or pairing
-    one with theta) pulls back through w to a finite simple root of the Levi.
+    The walls through z, the affine simple roots of level 0 in
+    `inverse_simple_levels(w)`, pull back through w to Levi simple roots.
     """
     if not is_minimal_representative(w):
         raise ValueError("z-walls are read off a minimal element only")
-    rs = w.rs
-    y = factorize(w).pairings
-    walls = [i + 1 for i, v in enumerate(y) if v == 0]
-    if sum(c * v for c, v in zip(rs.marks, y)) == 1:
-        walls.append(0)
     levi = set()
-    for i in walls:
-        level, finite = _wall_preimage(w, i)
-        if level != 0 or sum(map(abs, finite)) != 1 or max(finite) != 1:
+    for i, level in enumerate(inverse_simple_levels(w)):
+        if level:
+            continue
+        finite = _wall_preimage(w, i)
+        if sum(map(abs, finite)) != 1 or max(finite) != 1:
             raise AssertionError("wall does not pull back to a finite simple root")
         levi.add(finite.index(1))
-    return ParabolicLabel(rs.rank, frozenset(levi))
+    return ParabolicLabel(w.rs.rank, frozenset(levi))
 
 
 def rho_hat(rs: RootSystem) -> tuple[Fraction, ...]:
@@ -649,12 +650,10 @@ def check_inversion_sum(w: AffineWeylElement) -> bool:
 
 
 def inverse_simple_levels(w: AffineWeylElement) -> tuple[int, ...]:
-    """Delta-levels of w^{-1} on the affine simple roots, index 0 first."""
-    rs = w.rs
-    p = rs.rank
-    minv = w.inverse_matrix
-    level0 = 1 - sum(minv[p][j] * rs.theta.coeffs[j] for j in range(p))
-    return (level0,) + tuple(minv[p][a] for a in range(p))
+    """Delta-levels of w^{-1} on the affine simple roots, index 0 first: the affine
+    levels at z, as w^{-1}(alpha_j) = v^{-1}(alpha_j) + (z, alpha_j) delta for w = t_z . v."""
+    p = w.rs.rank
+    return _affine_levels(w.rs, w.inverse_matrix[p][:p])
 
 
 def is_dominant(w: AffineWeylElement) -> bool:

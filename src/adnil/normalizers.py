@@ -35,7 +35,7 @@ class ParabolicLabel:
     levi: frozenset[int]
 
     def __post_init__(self):
-        if not all(isinstance(a, int) and 0 <= a < self.rank for a in self.levi):
+        if not all(type(a) is int and 0 <= a < self.rank for a in self.levi):
             raise ValueError("Levi indices out of range")
 
     def levi_sorted(self) -> tuple[int, ...]:

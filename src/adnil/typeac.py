@@ -46,7 +46,7 @@ def _check_pairs(pairs, ok_pair, what: str) -> None:
     """Each pair a root and both coordinate sequences strictly increasing."""
     last_i, last_j = 0, 1
     for i, j in pairs:
-        if not (isinstance(i, int) and isinstance(j, int) and ok_pair(i, j)):
+        if not (type(i) is int and type(j) is int and ok_pair(i, j)):
             raise ValueError(f"pair {(i, j)} is not a root of {what}")
         if i <= last_i or j <= last_j:
             raise ValueError("generator pairs must increase strictly in both slots")
@@ -61,8 +61,8 @@ class FerrersIdeal:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("rank must be at least 1")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError("rank must be an int of at least 1")
         _check_pairs(
             self.pairs,
             lambda i, j: 1 <= i < j <= self.n + 1,
@@ -91,8 +91,8 @@ class SymplecticIdeal:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("rank must be at least 1")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError("rank must be an int of at least 1")
         _check_pairs(
             self.pairs,
             lambda i, j: 1 <= i < j and i + j <= 2 * self.n + 1,
@@ -118,7 +118,7 @@ class SignedWord:
     def __post_init__(self):
         total = 0
         for v in self.letters:
-            if v not in (-1, 0, 1):
+            if type(v) is not int or v not in (-1, 0, 1):
                 raise ValueError("letters must be -1, 0, or +1")
             total += v
             if total < 0:
@@ -186,7 +186,7 @@ def _removed_set_A(c: FerrersIdeal) -> set[int]:
 def _removed_members(removed, top: int, span: str) -> list[int]:
     """The removed indices in increasing order, each an int in 1..top."""
     members = set(removed)
-    if any(not isinstance(l, int) or not 1 <= l <= top for l in members):
+    if any(type(l) is not int or not 1 <= l <= top for l in members):
         raise ValueError(f"removed indices must lie in {span}")
     return sorted(members)
 

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adnil import affine
+from adnil import affine, verify
 from adnil.affine import (
     AffineRoot,
     AffineWeylElement,
     _images,
     _inversion_levels,
     _matrix,
+    _affine_levels,
     _wall_preimage,
     affine_simple_root,
     alcove_barycenter,
@@ -46,6 +47,7 @@ from adnil.affine import (
     w_min,
     word_from_biconvex,
 )
+from adnil.counting import lattice_count
 from adnil.ideals import (
     close_upward,
     complement_chain,
@@ -53,6 +55,7 @@ from adnil.ideals import (
     ideal_powers,
     is_strictly_positive,
 )
+from adnil.normalizers import normalizer
 from adnil.rootsys import RationalVector, Root, build, in_coroot_lattice, inner
 from adnil.verify import ORACLE_TYPES, ideal_table, normalizer_routes, suite_normalizer_oracles
 
@@ -675,9 +678,10 @@ def test_wall_preimages_match_apply_root_inverse():
         rs = build(label)
         for ideal in islice(enumerate_ideals(rs), 0, None, step):
             w = w_min(ideal)
+            levels = inverse_simple_levels(w)
             for i in range(rs.rank + 1):
-                level, finite = _wall_preimage(w, i)
-                assert AffineRoot(level, finite) == w.apply_root_inverse(affine_simple_root(rs, i))
+                mu = AffineRoot(levels[i], _wall_preimage(w, i))
+                assert mu == w.apply_root_inverse(affine_simple_root(rs, i))
             assert normalizer_by_zwall(w).levi == _zwall_by_apply_root(w), (label, ideal)
     assert time.monotonic() - start < 10
 
@@ -691,6 +695,37 @@ def test_normalizer_oracles_build_no_affine_root(monkeypatch):
     assert suite_normalizer_oracles([ideal_table("F4")]) == [
         ("five-way-normalizer[F4]", "105 ideals")
     ]
+
+
+def test_zwall_route_builds_no_factorization(monkeypatch):
+    # the walls come off w^{-1}'s delta-row, not off a validated t_z . v split
+    def refuse(*args):
+        raise AssertionError("the z-wall route built a factorization")
+
+    monkeypatch.setattr(affine, "factorize", refuse)
+    monkeypatch.setattr(verify, "factorize", refuse)
+    assert suite_normalizer_oracles([ideal_table("F4")]) == [
+        ("five-way-normalizer[F4]", "105 ideals")
+    ]
+    rs = build("E6")
+    for ideal in enumerate_ideals(rs):
+        assert normalizer_by_zwall(w_min(ideal)) == normalizer(ideal), ideal
+
+
+def test_affine_levels_bound_the_lattice_simplices():
+    # every coweight point of each simplex has its affine levels >= -1 ("min")
+    # or <= 1 ("max"), and the off-wall points are those with no zero level
+    for label in ("A3", "B3", "C3", "G2", "F4"):
+        rs = build(label)
+        for which, inside in (("min", in_min_simplex), ("max", in_max_simplex)):
+            points = lattice_count(rs, which, lattice="coweight").points
+            for y in points:
+                levels = _affine_levels(rs, y)
+                assert len(levels) == rs.rank + 1 and levels[1:] == y
+                assert min(levels) >= -1 if which == "min" else max(levels) <= 1, (label, y)
+                assert inside(rs, rs.from_pairings(y)), (label, which, y)
+            off = lattice_count(rs, which, off_walls=True, lattice="coweight").points
+            assert off == tuple(y for y in points if 0 not in _affine_levels(rs, y)), label
 
 
 def test_coordinates_live_in_their_simplices():

@@ -36,7 +36,14 @@ def test_parabolic_label_rejects_non_integer_indices():
     for bad in (0.5, 1.0):
         with pytest.raises(ValueError, match="out of range"):
             ParabolicLabel(2, frozenset({bad}))
-    assert ParabolicLabel(2, frozenset({True})) == ParabolicLabel(2, frozenset({1}))
+
+
+def test_parabolic_label_refuses_bool_indices():
+    # {True} would pass the range check as {a2}; bools are refused as rootsys._check_indices does
+    with pytest.raises(ValueError, match="out of range"):
+        ParabolicLabel(3, frozenset({True}))
+    with pytest.raises(ValueError, match="out of range"):
+        ParabolicLabel(3, frozenset({False}))
 
 
 def test_sl5_example_normalizer():

@@ -80,7 +80,27 @@ def test_indices_and_pairs_must_be_ints():
         fiber_C(3, [4])
     with pytest.raises(ValueError, match=r"1\.\.n-1$"):
         decode_word(4, [4], SignedWord((1,)))
-    assert fiber_A(3, [True, 2]) == fiber_A(3, [1, 2])
+
+
+# Each entry point refuses a bool where it takes an int index or rank, as
+# rootsys._check_indices does: True == 1 would pass a range check as index 1.
+BOOL_CASES = {
+    "FerrersIdeal-pair": (lambda: FerrersIdeal(3, ((True, 3),)), "not a root of sl_4"),
+    "FerrersIdeal-rank": (lambda: FerrersIdeal(True, ((1, 2),)), "rank must be an int"),
+    "SymplecticIdeal-pair": (lambda: SymplecticIdeal(3, ((True, 3),)), "not a root of sp_6"),
+    "SymplecticIdeal-rank": (lambda: SymplecticIdeal(True, ()), "rank must be an int"),
+    "SignedWord": (lambda: SignedWord((True, False)), "letters must be"),
+    "fiber_A": (lambda: fiber_A(3, {True, 2}), r"1\.\.n$"),
+    "fiber_C": (lambda: fiber_C(3, {True}), r"1\.\.n$"),
+    "decode_word": (lambda: decode_word(3, {True}, SignedWord((1,))), r"1\.\.n-1$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_CASES))
+def test_bools_are_refused_as_indices(case):
+    call, message = BOOL_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_symplectic_validation():
