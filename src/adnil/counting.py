@@ -14,7 +14,7 @@ from math import comb
 from .ideals import enumerate_ideals
 from .linalg import adjugate
 from .normalizers import _removed_simples
-from .rootsys import RootSystem
+from .rootsys import RootSystem, _check_int
 
 __all__ = [
     "catalan",
@@ -47,36 +47,31 @@ def _guarded_binom(a: int, b: int) -> int:
 
 def catalan(i: int) -> int:
     """1/(i+1) * binom(2i, i)."""
-    if i < 0:
-        raise ValueError("argument must be nonnegative")
+    _check_int(i, 0, "argument must be nonnegative")
     return comb(2 * i, i) // (i + 1)
 
 
 def motzkin(s: int) -> int:
     """Sum over r of binom(s, 2r) * catalan(r)."""
-    if s < 0:
-        raise ValueError("argument must be nonnegative")
+    _check_int(s, 0, "argument must be nonnegative")
     return sum(comb(s, 2 * r) * catalan(r) for r in range(s // 2 + 1))
 
 
 def riordan(n: int) -> int:
     """Alternating sum over j of binom(n, j) * catalan(j)."""
-    if n < 0:
-        raise ValueError("argument must be nonnegative")
+    _check_int(n, 0, "argument must be nonnegative")
     return sum((-1) ** (n - j) * comb(n, j) * catalan(j) for j in range(n + 1))
 
 
 def central_trinomial(n: int) -> int:
     """Sum over k of n! / (k! k! (n-2k)!)."""
-    if n < 0:
-        raise ValueError("argument must be nonnegative")
+    _check_int(n, 0, "argument must be nonnegative")
     return sum(comb(n, 2 * k) * comb(2 * k, k) for k in range(n // 2 + 1))
 
 
 def next_to_central_trinomial(n: int) -> int:
     """Sum over k of n! / (k! (k+1)! (n-2k-1)!)."""
-    if n < 0:
-        raise ValueError("argument must be nonnegative")
+    _check_int(n, 0, "argument must be nonnegative")
     return sum(
         comb(n, 2 * k + 1) * comb(2 * k + 1, k) for k in range((n + 1) // 2)
     )
@@ -84,8 +79,7 @@ def next_to_central_trinomial(n: int) -> int:
 
 def directed_animals(n: int) -> int:
     """Sum over q of binom(q, floor(q/2)) * binom(n-1, q)."""
-    if n < 1:
-        raise ValueError("argument must be at least 1")
+    _check_int(n, 1, "argument must be at least 1")
     return sum(comb(q, q // 2) * comb(n - 1, q) for q in range(n))
 
 
@@ -95,6 +89,7 @@ def extended_marks(family: str, rank: int) -> tuple[int, ...]:
     Closed forms for the four classical families at any rank, so counts can
     be produced beyond the rank caps of build().
     """
+    _check_int(rank, 1, f"no closed-form marks for family {family!r} rank {rank}")
     if family == "A" and rank >= 1:
         return (1,) * (rank + 1)
     if family == "B" and rank >= 2:
@@ -152,8 +147,8 @@ def gf_count(rs: RootSystem, target: int) -> int:
 
 def count_sp2n_borel(n: int, target: int) -> int:
     """Closed forms shared by sp_2n and so_{2n+1} for the Borel-normalizer counts."""
-    if n < 2:
-        raise ValueError("closed forms require n >= 2")
+    _check_int(n, 2, "closed forms require n >= 2")
+    _check_int(target, -1, "target degree must be +1 or -1")
     if target == 1:
         return sum(
             (-1) ** (n - 1 - i) * comb(n - 1, i) * comb(2 * i + 1, i)
@@ -166,8 +161,8 @@ def count_sp2n_borel(n: int, target: int) -> int:
 
 def count_so2n_borel(n: int, target: int) -> int:
     """Closed-form alternating sums for so_2n, n >= 4."""
-    if n < 4:
-        raise ValueError("closed forms require n >= 4")
+    _check_int(n, 4, "closed forms require n >= 4")
+    _check_int(target, -1, "target degree must be +1 or -1")
     if target == 1:
         return sum(
             (-1) ** (n - 3 - i)

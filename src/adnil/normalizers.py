@@ -35,6 +35,8 @@ class ParabolicLabel:
     levi: frozenset[int]
 
     def __post_init__(self):
+        if type(self.rank) is not int:
+            raise ValueError(f"rank {self.rank!r} is not an int")
         if not all(type(a) is int and 0 <= a < self.rank for a in self.levi):
             raise ValueError("Levi indices out of range")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .linalg import adjugate
 
@@ -92,6 +92,14 @@ def _check_indices(indices, stop: int, what: str) -> None:
             raise ValueError(f"{what} {i!r} {why}")
 
 
+def _check_int(x, low: int, why: str) -> None:
+    """Refuse x unless it is an int (a bool is not one) of at least low; `why` says so."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an int")
+    if x < low:
+        raise ValueError(why)
+
+
 def _cartan_entries(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with entry [i][j] = <alpha_i, alpha_j-coroot>."""
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -149,29 +157,34 @@ def _symmetrizer(family: str, rank: int) -> tuple[Fraction, ...]:
 
 
 def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Closure of the simple roots under root strings, as coefficient tuples."""
+    """Closure of the simple roots under root strings, as coefficient tuples.
+
+    It runs on packed roots (coefficient i in bits 4i..4i+3 of one int), each with
+    its coroot pairings; a probe below zero borrows and leaves a 15 no root has.
+    """
     rank = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    known = set(simples)
-    frontier = list(simples)
+    unit = [1 << 4 * i for i in range(rank)]
+    rows = dict(zip(unit, cartan))  # packed root -> (<gamma, alpha_i-coroot>)_i
+    frontier = list(unit)
     while frontier:
         nxt = []
         for gamma in frontier:
-            for i in range(rank):
+            row = rows[gamma]
+            for i, step in enumerate(unit):
                 # p = how far the alpha_i-string extends below gamma.
-                p = 0
-                probe = tuple(g - (p + 1) * s for g, s in zip(gamma, simples[i]))
-                while probe in known:
+                p, probe = 0, gamma - step
+                while probe in rows:
                     p += 1
-                    probe = tuple(g - (p + 1) * s for g, s in zip(gamma, simples[i]))
-                pairing = sum(gamma[k] * cartan[k][i] for k in range(rank))
-                if p - pairing >= 1:
-                    up = tuple(g + s for g, s in zip(gamma, simples[i]))
-                    if up not in known:
-                        known.add(up)
-                        nxt.append(up)
+                    probe -= step
+                up = gamma + step
+                if p - row[i] >= 1 and up not in rows:
+                    rows[up] = tuple(map(add, row, cartan[i]))
+                    nxt.append(up)
         frontier = nxt
-    return sorted(known, key=lambda t: (sum(t), tuple(-x for x in t)))
+    roots = [tuple(g >> 4 * i & 15 for i in range(rank)) for g in rows]
+    if any(c > 7 for t in roots for c in t):
+        raise AssertionError("a root coefficient exceeds 7, so packed sums could carry")
+    return sorted(roots, key=lambda t: (sum(t), tuple(-x for x in t)))
 
 
 class RootSystem:
@@ -273,12 +286,14 @@ class RootSystem:
             raise AssertionError("(alpha_j, theta) not integral")
         self.theta_pairing = tuple(v // den for v in y)
 
+        # Packed as in _positive_roots; coefficients <= 7, so no sum carries.
         n = len(coeff_list)
+        packed = [sum(c << 4 * i for i, c in enumerate(t)) for t in coeff_list]
+        at = {g: k for k, g in enumerate(packed)}
         sums: list[dict[int, int]] = [{} for _ in range(n)]
-        for i in range(n):
-            ci = coeff_list[i]
+        for i, gi in enumerate(packed):
             for j in range(i, n):
-                k = self.root_index.get(tuple(a + b for a, b in zip(ci, coeff_list[j])))
+                k = at.get(gi + packed[j])
                 if k is not None:
                     sums[i][j] = k
                     sums[j][i] = k

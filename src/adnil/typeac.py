@@ -14,7 +14,7 @@ from math import comb
 
 from .ideals import UpperIdeal, close_upward
 from .normalizers import ParabolicLabel
-from .rootsys import Root, build
+from .rootsys import Root, _check_int, build
 
 __all__ = [
     "FerrersIdeal",
@@ -393,8 +393,7 @@ def ballot(s: int) -> int:
     ends[h] counts the prefixes with partial sum h; each letter moves a
     prefix one step up or, above zero, one step down.
     """
-    if s < 0:
-        raise ValueError("length must be nonnegative")
+    _check_int(s, 0, "length must be nonnegative")
     ends = [1]
     for _ in range(s):
         ends = [low + high for low, high in zip([0] + ends, ends[1:] + [0, 0])]
@@ -403,13 +402,11 @@ def ballot(s: int) -> int:
 
 def minimax_fiber_count_C(s: int) -> int:
     """binom(s, floor(s/2)): minimax ideals over one normalizer with s removed simples."""
-    if s < 0:
-        raise ValueError("argument must be nonnegative")
+    _check_int(s, 0, "argument must be nonnegative")
     return comb(s, s // 2)
 
 
 def minimax_fiber_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (constant first) counting sp_{2n} minimax ideals by corank."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_int(n, 1, "n must be at least 1")
     return tuple(comb(n - 1, s) * comb(s, s // 2) for s in range(n))

@@ -68,6 +68,31 @@ def test_sequence_prefixes():
         catalan(-1)
 
 
+# Every integer argument refuses a bool or a float: catalan(True) used to
+# answer catalan(1), count_sp2n_borel(4, True) the target-1 count, and
+# catalan(2.0) raised a TypeError.
+INT_ARGUMENT_CASES = {
+    "catalan": lambda bad: catalan(bad),
+    "motzkin": lambda bad: motzkin(bad),
+    "riordan": lambda bad: riordan(bad),
+    "central_trinomial": lambda bad: central_trinomial(bad),
+    "next_to_central_trinomial": lambda bad: next_to_central_trinomial(bad),
+    "directed_animals": lambda bad: directed_animals(bad),
+    "count_sp2n_borel-n": lambda bad: count_sp2n_borel(bad, 1),
+    "count_sp2n_borel-target": lambda bad: count_sp2n_borel(4, bad),
+    "count_so2n_borel-n": lambda bad: count_so2n_borel(bad, 1),
+    "count_so2n_borel-target": lambda bad: count_so2n_borel(4, bad),
+    "extended_marks": lambda bad: extended_marks("A", bad),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT_ARGUMENT_CASES))
+def test_int_arguments_refuse_a_bool_or_a_float(case):
+    for bad in (True, False, 4.0):
+        with pytest.raises(ValueError, match=f"^{bad!r} is not an int$"):
+            INT_ARGUMENT_CASES[case](bad)
+
+
 def test_gf_counts():
     for label, (b, b0) in GF_TABLE.items():
         rs = build(label)

@@ -46,6 +46,13 @@ def test_parabolic_label_refuses_bool_indices():
         ParabolicLabel(3, frozenset({False}))
 
 
+def test_parabolic_label_refuses_a_bool_rank():
+    # ParabolicLabel(True, {0}) used to build ParabolicLabel({a1}), as for rank 1
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^rank {bad!r} is not an int$"):
+            ParabolicLabel(bad, frozenset({0}))
+
+
 def test_sl5_example_normalizer():
     rs = build("A4")
     c = close_upward(rs, [_pair_root(4, 1, 3), _pair_root(4, 2, 5)])

@@ -341,6 +341,87 @@ def test_split_and_affine_tables():
         assert rs.two_rho_hat == tuple(2 * c for c in rs.rho.coords) + (0, 2 * h_check)
 
 
+def _tuple_positive_roots(cartan):
+    """The root-string closure on coefficient tuples, the reference for the packed one."""
+    rank = len(cartan)
+    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    known = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for gamma in frontier:
+            for i in range(rank):
+                # p = how far the alpha_i-string extends below gamma.
+                p = 0
+                probe = tuple(g - (p + 1) * s for g, s in zip(gamma, simples[i]))
+                while probe in known:
+                    p += 1
+                    probe = tuple(g - (p + 1) * s for g, s in zip(gamma, simples[i]))
+                pairing = sum(gamma[k] * cartan[k][i] for k in range(rank))
+                if p - pairing >= 1:
+                    up = tuple(g + s for g, s in zip(gamma, simples[i]))
+                    if up not in known:
+                        known.add(up)
+                        nxt.append(up)
+        frontier = nxt
+    return sorted(known, key=lambda t: (sum(t), tuple(-x for x in t)))
+
+
+def _tuple_sums(coeffs):
+    """sums[i][j] = k with gamma_i + gamma_j = gamma_k, by a pair scan on tuples."""
+    index = {c: k for k, c in enumerate(coeffs)}
+    sums = [{} for _ in coeffs]
+    for i in range(len(coeffs)):
+        for j in range(i, len(coeffs)):
+            k = index.get(tuple(a + b for a, b in zip(coeffs[i], coeffs[j])))
+            if k is not None:
+                sums[i][j] = sums[j][i] = k
+    return sums
+
+
+def _assert_poset_matches_tuple_arithmetic(rs):
+    coeffs = _tuple_positive_roots(rs.cartan)
+    index = {c: k for k, c in enumerate(coeffs)}
+    assert [r.coeffs for r in rs.positive_roots] == coeffs
+    assert rs.root_index == index
+    # E8's 6 is the largest coefficient, so packed sums (4 bits a field) never carry
+    assert max(max(c) for c in coeffs) <= 6
+    sums = _tuple_sums(coeffs)
+    assert [list(row.items()) for row in rs.sums] == [list(row.items()) for row in sums]
+    assert rs.partners == tuple(sum(1 << j for j in row) for row in sums)
+    n, rank = len(coeffs), rs.rank
+    minus = [[tuple(c - (j == a) for j, c in enumerate(t)) for a in range(rank)] for t in coeffs]
+    plus = [[tuple(c + (j == a) for j, c in enumerate(t)) for a in range(rank)] for t in coeffs]
+    assert rs.up == tuple(sum(1 << index[u] for u in row if u in index) for row in plus)
+    assert rs.lowers == tuple(
+        sum(1 << a for a, m in enumerate(row) if m in index or not any(m)) for row in minus
+    )
+    assert rs.upsets == tuple(
+        sum(1 << j for j in range(n) if all(map(int.__le__, coeffs[i], coeffs[j])))
+        for i in range(n)
+    )
+    assert rs.split == tuple(
+        next(((index[m], a) for a, m in enumerate(row) if m in index), None) for row in minus
+    )
+
+
+def test_packed_build_matches_tuple_arithmetic(monkeypatch):
+    for label in ALL_LABELS:
+        _assert_poset_matches_tuple_arithmetic(build(label))
+    monkeypatch.setenv("ADNIL_MAX_RANK", "12")
+    for label in ("A12", "B12", "C12", "D12"):
+        _assert_poset_matches_tuple_arithmetic(build(label))
+
+
+def test_positive_root_counts_at_raised_ranks(monkeypatch):
+    # A n(n+1)/2, B/C n^2, D n(n-1) roots; Coxeter numbers n+1, 2n, 2n, 2n-2
+    monkeypatch.setenv("ADNIL_MAX_RANK", "20")
+    for label, n, h in (("A20", 210, 21), ("B20", 400, 40), ("C20", 400, 40), ("D20", 380, 38)):
+        rs = build(label)
+        assert len(rs.positive_roots) == len(rs.root_index) == n, label
+        assert rs.coxeter_number == h, label
+
+
 def test_root_sum_and_leq():
     rs = build("A3")
     a1 = Root((1, 0, 0))

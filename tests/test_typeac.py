@@ -103,6 +103,22 @@ def test_bools_are_refused_as_indices(case):
         call()
 
 
+# Counts refuse a bool or a float as rootsys._check_int does: ballot(True)
+# used to answer ballot(1), and ballot(2.0) raised a TypeError.
+COUNT_CASES = {
+    "ballot": ballot,
+    "minimax_fiber_count_C": minimax_fiber_count_C,
+    "minimax_fiber_polynomial": minimax_fiber_polynomial,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_counts_refuse_a_bool_or_a_float(name):
+    for bad in (True, False, 2.0):
+        with pytest.raises(ValueError, match=f"^{bad!r} is not an int$"):
+            COUNT_CASES[name](bad)
+
+
 def test_symplectic_validation():
     SymplecticIdeal(2, ((1, 3),))
     SymplecticIdeal(3, ((1, 4), (2, 5)))
