@@ -26,7 +26,6 @@ minimal and maximal elements attached to an upper ideal live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -39,7 +38,16 @@ from .ideals import (
     is_strictly_positive,
 )
 from .normalizers import ParabolicLabel
-from .rootsys import RationalVector, RootSystem, _check_indices, _coords, _vector, in_coroot_lattice
+from .rootsys import (
+    RationalVector,
+    RootSystem,
+    _check_indices,
+    _coords,
+    _setters,
+    _Value,
+    _vector,
+    in_coroot_lattice,
+)
 
 __all__ = [
     "AffineRoot",
@@ -74,12 +82,22 @@ __all__ = [
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(_Value):
     """A real affine root level*delta + finite, with finite a nonzero root."""
 
-    level: int
-    finite: tuple[int, ...]
+    __slots__ = ("level", "finite")
+
+    def __init__(self, level: int, finite: tuple[int, ...]):
+        _set_level(self, level)
+        _set_finite(self, finite)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.level == other.level and self.finite == other.finite
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.finite))
 
     def is_positive(self) -> bool:
         if self.level != 0:
@@ -88,6 +106,9 @@ class AffineRoot:
 
     def __repr__(self) -> str:
         return f"AffineRoot({self.level}d+{list(self.finite)})"
+
+
+_set_level, _set_finite = _setters(AffineRoot)
 
 
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
@@ -182,8 +203,7 @@ def _imat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class AffineWeylElement:
+class AffineWeylElement(_Value):
     """Affine Weyl group element: exact integer action plus a word witness.
 
     Two elements are equal iff their action matrices agree; the stored
@@ -191,10 +211,15 @@ class AffineWeylElement:
     by bi-convex peeling.
     """
 
-    rs: RootSystem
-    word: tuple[int, ...]
-    matrix: IntMatrix
-    inverse_matrix: IntMatrix
+    __slots__ = ("rs", "word", "matrix", "inverse_matrix")
+
+    def __init__(
+        self, rs: RootSystem, word: tuple[int, ...], matrix: IntMatrix, inverse_matrix: IntMatrix
+    ):
+        _set_rs(self, rs)
+        _set_word(self, word)
+        _set_matrix(self, matrix)
+        _set_inverse(self, inverse_matrix)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineWeylElement):
@@ -241,6 +266,9 @@ class AffineWeylElement:
     def __repr__(self) -> str:
         name = "*".join(f"s{i}" for i in self.word) if self.word else "e"
         return f"AffineWeylElement({self.rs.label}, {name})"
+
+
+_set_rs, _set_word, _set_matrix, _set_inverse = _setters(AffineWeylElement)
 
 
 def identity_element(rs: RootSystem) -> AffineWeylElement:
@@ -498,13 +526,20 @@ def is_minimax(ideal: UpperIdeal) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AffineFactorization:
+class AffineFactorization(_Value):
     """w = t_z . v, v finite and z in the coroot lattice (ints), with pairings ((z, alpha_j))_j."""
 
-    finite_part: IntMatrix
-    translation: RationalVector
-    pairings: tuple[int, ...]
+    __slots__ = ("finite_part", "translation", "pairings")
+
+    def __init__(
+        self, finite_part: IntMatrix, translation: RationalVector, pairings: tuple[int, ...]
+    ):
+        _set_finite_part(self, finite_part)
+        _set_translation(self, translation)
+        _set_pairings(self, pairings)
+
+
+_set_finite_part, _set_translation, _set_pairings = _setters(AffineFactorization)
 
 
 def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ...], int]:

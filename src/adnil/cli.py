@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .affine import factorize, is_minimax, w_min
 from .counting import count_routes, enumeration_skip
@@ -22,7 +21,7 @@ from .ideals import (
     weight,
 )
 from .normalizers import ParabolicLabel, normalizer
-from .rootsys import ConfigurationError, RationalVector, build
+from .rootsys import ConfigurationError, RationalVector, _setters, _Value, build
 from .verify import SUITES, run_suites, run_table7
 
 __all__ = [
@@ -82,20 +81,33 @@ def _jsonable(value):
 # ---------- report rendering ----------
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Value):
     """Tabular command output with a named-value footer.
 
     A footer value is a string, or a tuple of strings: one line each in text
     output, a list in JSON.
     """
 
-    command: str
-    label: str | None
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    json_rows: tuple[dict, ...]
-    footer: tuple[tuple[str, str | tuple[str, ...]], ...]
+    __slots__ = ("command", "label", "columns", "rows", "json_rows", "footer")
+
+    def __init__(
+        self,
+        command: str,
+        label: str | None,
+        columns: tuple[str, ...],
+        rows: tuple[tuple[str, ...], ...],
+        json_rows: tuple[dict, ...],
+        footer: tuple[tuple[str, str | tuple[str, ...]], ...],
+    ):
+        _set_command(self, command)
+        _set_label(self, label)
+        _set_columns(self, columns)
+        _set_rows(self, rows)
+        _set_json_rows(self, json_rows)
+        _set_footer(self, footer)
+
+
+_set_command, _set_label, _set_columns, _set_rows, _set_json_rows, _set_footer = _setters(Report)
 
 
 def _footer_lines(footer):

@@ -8,13 +8,12 @@ and brute-force enumeration of lattice points in two bounded simplices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .ideals import enumerate_ideals
 from .linalg import adjugate
 from .normalizers import _removed_simples
-from .rootsys import RootSystem, _check_int
+from .rootsys import RootSystem, _check_int, _setters, _Value
 
 __all__ = [
     "catalan",
@@ -180,12 +179,17 @@ def count_so2n_borel(n: int, target: int) -> int:
     raise ValueError("target degree must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class LatticeCount:
+class LatticeCount(_Value):
     """Result of a simplex lattice-point enumeration."""
 
-    count: int
-    points: tuple[tuple[int, ...], ...]
+    __slots__ = ("count", "points")
+
+    def __init__(self, count: int, points: tuple[tuple[int, ...], ...]):
+        _set_count(self, count)
+        _set_points(self, points)
+
+
+_set_count, _set_points = _setters(LatticeCount)
 
 
 def _step_table(adj: list[list[int]], f: int) -> list[list[int]]:
@@ -334,18 +338,23 @@ def count_routes(
     return routes, (n_all, n_strict)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Value):
     """One instance of a named integer identity, with both sides evaluated."""
 
-    name: str
-    argument: int
-    lhs: int
-    rhs: int
+    __slots__ = ("name", "argument", "lhs", "rhs")
+
+    def __init__(self, name: str, argument: int, lhs: int, rhs: int):
+        _set_name(self, name)
+        _set_argument(self, argument)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
+
+
+_set_name, _set_argument, _set_lhs, _set_rhs = _setters(IdentityCheck)
 
 
 def verify_identities(n_max: int) -> tuple[IdentityCheck, ...]:

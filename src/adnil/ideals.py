@@ -9,7 +9,7 @@ root system's per-root tables.
 `UpperIdeal(rs, bits)` checks that bits is in range and upward closed.
 Bitsets closed by construction (the walk, closures, meets, joins, chain
 terms, nilradicals, first layers) go through `_trusted` instead, which
-fills the slots directly and skips the dataclass `__init__` and its checks;
+fills the slots directly and skips the checks of `UpperIdeal.__init__`;
 equality, hash and repr are the same either way.
 
 `_upper_sets` is the one walk over the upward-closed sets of a poset,
@@ -42,10 +42,9 @@ walk then ends after its last term: one that ends nonempty has stalled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
-from .rootsys import RationalVector, Root, RootSystem, _vector
+from .rootsys import RationalVector, Root, RootSystem, _setters, _Value, _vector
 
 __all__ = [
     "UpperIdeal",
@@ -62,27 +61,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class UpperIdeal:
+class UpperIdeal(_Value):
     """An upward-closed set of positive roots, as a bitset of root indices."""
 
-    rs: RootSystem
-    bits: int
-    # Bitset of the generators, when the enumeration walk carried them.
-    _gens: int | None = field(default=None, repr=False, compare=False)
+    # _gens: bitset of the generators, when the enumeration walk carried them; not compared.
+    __slots__ = ("rs", "bits", "_gens")
 
-    def __post_init__(self):
-        n = len(self.rs.positive_roots)
-        if self.bits < 0 or self.bits >> n:
+    def __init__(self, rs: RootSystem, bits: int, _gens: int | None = None):
+        if bits < 0 or bits >> len(rs.positive_roots):
             raise ValueError("bitset out of range for this root system")
-        roots, up = self.rs.positive_roots, self.rs.up
-        for i in _iter_bits(self.bits):
-            missing = up[i] & ~self.bits
+        roots, up = rs.positive_roots, rs.up
+        for i in _iter_bits(bits):
+            missing = up[i] & ~bits
             if missing:
                 j = (missing & -missing).bit_length() - 1
                 raise ValueError(
                     f"not upward closed: {roots[i]} is in but {roots[j]} is out"
                 )
+        _set_rs(self, rs)
+        _set_bits(self, bits)
+        _set_gens(self, _gens)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rs == other.rs and self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rs, self.bits))
 
     @property
     def size(self) -> int:
@@ -122,7 +128,7 @@ class UpperIdeal:
 
 
 _new = object.__new__
-_set_rs, _set_bits, _set_gens = (UpperIdeal.__dict__[f].__set__ for f in ("rs", "bits", "_gens"))
+_set_rs, _set_bits, _set_gens = _setters(UpperIdeal)
 
 
 def _trusted(rs: RootSystem, bits: int, gens: int | None = None) -> UpperIdeal:
@@ -138,12 +144,17 @@ def _trusted(rs: RootSystem, bits: int, gens: int | None = None) -> UpperIdeal:
     return ideal
 
 
-@dataclass(frozen=True)
-class IdealChain:
+class IdealChain(_Value):
     """A weakly descending chain of ideals; stalled means it never reached empty."""
 
-    powers: tuple[UpperIdeal, ...]
-    stalled: bool = False
+    __slots__ = ("powers", "stalled")
+
+    def __init__(self, powers: tuple[UpperIdeal, ...], stalled: bool = False):
+        _set_powers(self, powers)
+        _set_stalled(self, stalled)
+
+
+_set_powers, _set_stalled = _setters(IdealChain)
 
 
 def _iter_bits(bits: int) -> Iterator[int]:

@@ -12,10 +12,8 @@ the ideals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ideals import UpperIdeal, _iter_bits, _trusted, _upper_sets, enumerate_ideals, weight
-from .rootsys import RootSystem
+from .rootsys import RootSystem, _setters, _Value
 
 __all__ = [
     "ParabolicLabel",
@@ -27,18 +25,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParabolicLabel:
+class ParabolicLabel(_Value):
     """A standard parabolic, named by its Levi set of simple-root indices (0-based)."""
 
-    rank: int
-    levi: frozenset[int]
+    __slots__ = ("rank", "levi")
 
-    def __post_init__(self):
-        if type(self.rank) is not int:
-            raise ValueError(f"rank {self.rank!r} is not an int")
-        if not all(type(a) is int and 0 <= a < self.rank for a in self.levi):
-            raise ValueError("Levi indices out of range")
+    def __init__(self, rank: int, levi: frozenset[int]):
+        if type(rank) is not int:
+            raise ValueError(f"rank {rank!r} is not an int")
+        if rank < 1:
+            raise ValueError(f"rank {rank} is below 1")
+        for a in levi:
+            if type(a) is not int or not 0 <= a < rank:
+                raise ValueError("Levi indices out of range")
+        _set_rank(self, rank)
+        _set_levi(self, levi)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.levi == other.levi
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.levi))
 
     def levi_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.levi))
@@ -46,6 +55,9 @@ class ParabolicLabel:
     def __repr__(self) -> str:
         inside = ",".join(f"a{a + 1}" for a in sorted(self.levi))
         return f"ParabolicLabel({{{inside}}})"
+
+
+_set_rank, _set_levi = _setters(ParabolicLabel)
 
 
 def _removed_simples(rs: RootSystem, gens: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -40,11 +40,62 @@ class ConfigurationError(ValueError):
     """Unsupported type label or rank."""
 
 
-@dataclass(frozen=True)
-class Root:
+class _Value:
+    """Base of the immutable value classes, whose fields are their __slots__.
+
+    Equality (same class, equal fields), hash (of the field tuple) and repr
+    are those of a frozen dataclass, and a field cannot be assigned or
+    deleted.  __init__ sets the fields through the slot descriptors (see
+    _setters), and copies and pickles go through the constructor.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inside = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({inside})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+def _setters(cls) -> tuple:
+    """The __set__ of each slot descriptor of cls, in slot order."""
+    return tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+
+class Root(_Value):
     """A positive or negative root as integer simple-root coefficients."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        _set_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def height(self) -> int:
@@ -54,14 +105,27 @@ class Root:
         return f"Root{self.coeffs}"
 
 
-@dataclass(frozen=True)
-class RationalVector:
+class RationalVector(_Value):
     """A vector in the span of the simple roots; each coordinate is an int or a Fraction."""
 
-    coords: tuple[int | Fraction, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int | Fraction, ...]):
+        _set_coords(self, coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __repr__(self) -> str:
         return "RationalVector(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+(_set_coeffs,), (_set_coords,) = _setters(Root), _setters(RationalVector)
 
 
 def _coords(x) -> tuple:
@@ -287,12 +351,13 @@ class RootSystem:
         self.theta_pairing = tuple(v // den for v in y)
 
         # Packed as in _positive_roots; coefficients <= 7, so no sum carries.
-        n = len(coeff_list)
+        # Row i stops where the two heights add to more than theta's height.
+        n, heights = len(coeff_list), self.heights
         packed = [sum(c << 4 * i for i, c in enumerate(t)) for t in coeff_list]
         at = {g: k for k, g in enumerate(packed)}
         sums: list[dict[int, int]] = [{} for _ in range(n)]
         for i, gi in enumerate(packed):
-            for j in range(i, n):
+            for j in range(i, bisect_right(heights, heights[-1] - heights[i])):
                 k = at.get(gi + packed[j])
                 if k is not None:
                     sums[i][j] = k

@@ -9,12 +9,11 @@ converters produce the 0-based Levi labels used elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .ideals import UpperIdeal, close_upward
 from .normalizers import ParabolicLabel
-from .rootsys import Root, _check_int, build
+from .rootsys import Root, _check_int, _setters, _Value, build
 
 __all__ = [
     "FerrersIdeal",
@@ -53,21 +52,17 @@ def _check_pairs(pairs, ok_pair, what: str) -> None:
         last_i, last_j = i, j
 
 
-@dataclass(frozen=True)
-class FerrersIdeal:
+class FerrersIdeal(_Value):
     """An upper ideal of sl_{n+1} named by its generator pairs (i, j)."""
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "pairs")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
+    def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
+        if type(n) is not int or n < 1:
             raise ValueError("rank must be an int of at least 1")
-        _check_pairs(
-            self.pairs,
-            lambda i, j: 1 <= i < j <= self.n + 1,
-            f"sl_{self.n + 1}",
-        )
+        _check_pairs(pairs, lambda i, j: 1 <= i < j <= n + 1, f"sl_{n + 1}")
+        _set_ferrers_n(self, n)
+        _set_ferrers_pairs(self, pairs)
 
     def member_pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs of the ideal: (i, j) lies above a generator (a, b) iff i<=a, j>=b."""
@@ -83,21 +78,17 @@ class FerrersIdeal:
         return close_upward(rs, [_root_A(self.n, i, j) for i, j in self.pairs])
 
 
-@dataclass(frozen=True)
-class SymplecticIdeal:
+class SymplecticIdeal(_Value):
     """An upper ideal of sp_{2n} named by its generator pairs (i, j)."""
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "pairs")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
+    def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
+        if type(n) is not int or n < 1:
             raise ValueError("rank must be an int of at least 1")
-        _check_pairs(
-            self.pairs,
-            lambda i, j: 1 <= i < j and i + j <= 2 * self.n + 1,
-            f"sp_{2 * self.n}",
-        )
+        _check_pairs(pairs, lambda i, j: 1 <= i < j and i + j <= 2 * n + 1, f"sp_{2 * n}")
+        _set_symplectic_n(self, n)
+        _set_symplectic_pairs(self, pairs)
 
     def member_pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs of the ideal, through the symmetrized picture."""
@@ -109,20 +100,25 @@ class SymplecticIdeal:
         return close_upward(rs, [_root_C(self.n, i, j) for i, j in self.pairs])
 
 
-@dataclass(frozen=True)
-class SignedWord:
+class SignedWord(_Value):
     """Letters from {-1, 0, +1} whose partial sums stay nonnegative."""
 
-    letters: tuple[int, ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[int, ...]):
         total = 0
-        for v in self.letters:
+        for v in letters:
             if type(v) is not int or v not in (-1, 0, 1):
                 raise ValueError("letters must be -1, 0, or +1")
             total += v
             if total < 0:
                 raise ValueError("partial sums must stay nonnegative")
+        _set_letters(self, letters)
+
+
+_set_ferrers_n, _set_ferrers_pairs = _setters(FerrersIdeal)
+_set_symplectic_n, _set_symplectic_pairs = _setters(SymplecticIdeal)
+(_set_letters,) = _setters(SignedWord)
 
 
 def _root_A(n: int, i: int, j: int) -> Root:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import adnil
 from adnil import counting, ideals, normalizers, verify
 from adnil.cli import main, parse_ideal, serialize_ideal
 from adnil.ideals import enumerate_ideals
@@ -18,6 +23,20 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_stays_light():
+    # dataclasses and the inspect module it pulls in were a quarter of the
+    # import time; -S keeps site from importing either before the check
+    script = (
+        "import sys; before = set(sys.modules); import adnil.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(adnil.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_enumerate_row_counts(capsys):

@@ -53,6 +53,14 @@ def test_parabolic_label_refuses_a_bool_rank():
             ParabolicLabel(bad, frozenset({0}))
 
 
+def test_parabolic_label_refuses_a_rank_below_one():
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=f"^rank {bad} is below 1$"):
+            ParabolicLabel(bad, frozenset())
+    with pytest.raises(ValueError, match="^rank True is not an int$"):
+        ParabolicLabel(True, frozenset({0}))
+
+
 def test_sl5_example_normalizer():
     rs = build("A4")
     c = close_upward(rs, [_pair_root(4, 1, 3), _pair_root(4, 2, 5)])
