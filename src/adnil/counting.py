@@ -104,10 +104,15 @@ def gf_count_from_marks(marks, target: int) -> int:
     """Coefficient of x^target in prod_c (x^-c + x^c + x^2c + ...), over the 1-count.
 
     The coefficient counts exponent vectors e with every e_i in
-    {-1, 1, 2, ...} and sum c_i e_i = target; it is summed mark by mark over
-    the partial sums d.  marks must list every node of the extended diagram,
-    so it contains at least one 1 and the divisor (the number of 1s) is
-    positive.
+    {-1, 1, 2, ...} and sum c_i e_i = target.  With f_i = e_i + 1 in
+    {0, 2, 3, ...} that is the number of ways to write target + sum(marks)
+    as sum c_i f_i.  One list counts[0..target + sum(marks)] takes the
+    marks one at a time: a mark c adds run[i] = counts[i - 2c] +
+    counts[i - 3c] + ... to counts[i], where run[i] = run[i - c] +
+    counts[i - 2c] is a running sum along the stride c, so a mark costs one
+    pass over the list.  marks must list every node of the extended
+    diagram, so it contains at least one 1 and the divisor (the number of
+    1s) is positive.
     """
     marks = tuple(marks)
     if target not in (1, -1):
@@ -117,20 +122,15 @@ def gf_count_from_marks(marks, target: int) -> int:
     ones = marks.count(1)
     if ones == 0:
         raise ValueError("marks must include the extra node's mark 1")
-    # Each later factor lowers d by at most its mark, so d above target plus
-    # the marks still to come can never return to target.
-    rest = sum(marks)
-    counts = {0: 1}
+    size = target + sum(marks) + 1
+    counts = [1] + [0] * (size - 1)
     for c in marks:
-        rest -= c
-        top = target + rest
-        step: dict[int, int] = {}
-        for d, n in counts.items():
-            step[d - c] = step.get(d - c, 0) + n
-            for v in range(d + c, top + 1, c):
-                step[v] = step.get(v, 0) + n
-        counts = step
-    value = counts.get(target, 0)
+        run = [0] * size
+        for i in range(2 * c, size):
+            run[i] = run[i - c] + counts[i - 2 * c]
+        for i in range(2 * c, size):
+            counts[i] += run[i]
+    value = counts[-1]
     if value % ones:
         raise AssertionError(f"coefficient {value} is not divisible by {ones}")
     return value // ones

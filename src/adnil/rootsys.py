@@ -493,6 +493,10 @@ class RootSystem:
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"
 
+    def __reduce__(self):
+        # copies and pickles resolve to the cached instance that build returns
+        return _build_cached, (self.family, self.rank)
+
 
 def _parse_label(label: str) -> tuple[str, int]:
     match = re.fullmatch(r"([A-Za-z])([1-9][0-9]*)", label)

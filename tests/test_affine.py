@@ -498,6 +498,7 @@ def test_extremal_element_flags_exhaustive():
 def test_lockstep_minimax_matches_the_full_chains():
     for label, step in (
         ("G2", 1), ("B4", 1), ("C4", 1), ("D5", 1), ("F4", 1), ("E6", 1), ("E7", 1), ("E8", 10),
+        ("D8", 10), ("B8", 10),
     ):
         rs = build(label)
         for c in islice(enumerate_ideals(rs), 0, None, step):
@@ -544,14 +545,16 @@ def test_minimax_counts_on_e7_e8():
 
 
 def test_minimax_raises_when_the_complement_chain_stalls(monkeypatch):
-    # with every root sum removed, m^2 is empty and the complement chain
-    # stops at the ideal itself
+    # with every root sum removed (sums, partners and the halves that
+    # is_minimax reads), m^2 is empty and the complement chain stops at the
+    # ideal itself
     rs = build("B3")
     c = close_upward(rs, [rs.theta])
     assert is_strictly_positive(c)
     n = len(rs.positive_roots)
     monkeypatch.setattr(rs, "partners", (0,) * n)
     monkeypatch.setattr(rs, "sums", ({},) * n)
+    monkeypatch.setattr(rs, "halves", ((),) * n)
     assert complement_chain(c).stalled
     with pytest.raises(AssertionError, match="complement chain stalled"):
         is_minimax(c)

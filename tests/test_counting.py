@@ -113,6 +113,38 @@ def test_gf_count_from_marks_matches_brute_force():
             assert gf_count_from_marks(marks, t) * marks.count(1) == direct, (label, t)
 
 
+def _dict_gf_count(marks, target):
+    """The earlier dict DP over the partial sums d of c_i e_i, kept as a reference.
+
+    Each later factor lowers d by at most its mark, so d above target plus
+    the marks still to come can never return to target.
+    """
+    rest = sum(marks)
+    counts = {0: 1}
+    for c in marks:
+        rest -= c
+        top = target + rest
+        step: dict[int, int] = {}
+        for d, n in counts.items():
+            step[d - c] = step.get(d - c, 0) + n
+            for v in range(d + c, top + 1, c):
+                step[v] = step.get(v, 0) + n
+        counts = step
+    return counts.get(target, 0) // marks.count(1)
+
+
+def test_gf_count_from_marks_matches_the_dict_dp():
+    cases = [
+        extended_marks(family, n)
+        for family, low, high in (("A", 1, 60), ("B", 2, 40), ("C", 2, 40), ("D", 3, 40))
+        for n in range(low, high + 1)
+    ]
+    cases += [(1,) + build(label).marks for label in ("G2", "F4", "E6", "E7", "E8")]
+    for marks in cases:
+        for t in (1, -1):
+            assert gf_count_from_marks(marks, t) == _dict_gf_count(marks, t), (marks, t)
+
+
 def test_gf_count_from_marks_rejects_bad_input():
     for marks, target in (((1, 1), 0), ((1, 0), 1), ((), 1), ((2, 2), 1)):
         with pytest.raises(ValueError):
