@@ -487,27 +487,21 @@ def w_max(ideal: UpperIdeal) -> AffineWeylElement:
 def is_minimax(ideal: UpperIdeal) -> bool:
     """Whether the minimal and maximal elements of the ideal coincide.
 
-    Equivalent to equality of the power chain P_0 = I, P_1 = I^2, ... and
-    the complement chain, which is how it is decided, with no words and no
-    complement products: each complement term is read off
-    `RootSystem.halves` (the pairs that sum to each root), and the first
-    term that differs answers False.
+    Equivalent to equality of the power chain and the complement chain,
+    which is how it is decided (no words are built): the two term walks
+    are read in lockstep, and the first pair of terms that differs answers
+    False.  A complement chain that ends on a nonempty term has stalled.
 
-    Term 1 is tested first.  With m the complement of I, term 1 of the
-    complement chain is I minus m^2 and term 1 of the power chain is I^2,
-    so for a minimax ideal every root of I is the sum of two roots of I or
-    of two roots of m; the first root with neither kind of pair answers
-    False.  The generators of I need no test: a generator g of a strictly
-    positive I is not simple, so g = beta + alpha_a for a simple alpha_a
-    and a positive root beta; alpha_a is outside I because I is strictly
-    positive and beta because g is minimal, so g is in m^2.
-
-    Then the lockstep: while the chains agree through term k, the union of
-    m, ..., m^(k+1) is the complement of P_k, so complement term k + 1 is
-    P_k minus the roots with a pair in halves that has one root in m and
-    the other outside P_k; the terms agree exactly when those roots are P_k
-    minus P_(k+1).  A term with no such root means a stalled complement
-    chain, which ends nonempty.
+    Term 1 is tested first, with no product.  With m the complement of I,
+    term 1 of the complement chain is I minus m^2 and term 1 of the power
+    chain is I^2, so for a minimax ideal every root of I lies in I^2 or in
+    m^2: it is the sum of two roots of I or of two roots outside I.
+    `RootSystem.halves` lists the pairs that sum to each root, and the first
+    root with neither kind of pair answers False.  The generators of I need
+    no test: a generator g of a strictly positive I is not simple, so g =
+    beta + alpha_a for a simple alpha_a and a positive root beta; alpha_a
+    is outside I because I is strictly positive and beta because g is
+    minimal, so g is in m^2.  An ideal that passes goes on to the lockstep.
     """
     if not is_strictly_positive(ideal):
         return False
@@ -523,23 +517,12 @@ def is_minimax(ideal: UpperIdeal) -> bool:
                 break
         else:
             return False
-    m = ((1 << len(rs.positive_roots)) - 1) & ~bits
-    terms = _power_terms(rs, ideal.generator_indices(), bits)
-    term = next(terms)
-    for lower in terms:
-        hit, rest = 0, term
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for pair in halves[low.bit_length() - 1]:
-                if pair & m and not pair & term:
-                    hit |= low
-                    break
-        if not hit:
-            raise AssertionError("complement chain stalled on a strictly positive ideal")
-        if hit != term & ~lower:
+    powers = _power_terms(rs, ideal.generator_indices(), bits)
+    for lower, upper in zip(powers, _complement_terms(rs, bits)):
+        if lower != upper:
             return False
-        term = lower
+    if upper:
+        raise AssertionError("complement chain stalled on a strictly positive ideal")
     return True
 
 

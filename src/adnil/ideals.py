@@ -237,30 +237,6 @@ def weight(ideal: UpperIdeal) -> RationalVector:
     return RationalVector(tuple(counts))
 
 
-def _product_bits(rs: RootSystem, left: int, right: int) -> int:
-    """Bitset of all root sums mu + nu with mu in left, nu in right.
-
-    Needed only where left is not an upper ideal (the complement chain);
-    `_generated_product` is the fast route for upper ideals.  A square
-    pairs each mu only with the nu of smaller index still in left, since
-    sums commute and 2 mu is never a root.
-    """
-    sums, partners = rs.sums, rs.partners
-    square = left == right
-    out = 0
-    while left:  # inline bit loops: this is the hot path
-        i = left.bit_length() - 1
-        left ^= 1 << i
-        hit = partners[i] & (left if square else right)  # the nu with mu + nu a root
-        if hit:
-            s = sums[i]
-            while hit:
-                j = hit.bit_length() - 1
-                hit ^= 1 << j
-                out |= 1 << s[j]
-    return out
-
-
 def _generated_product(rs: RootSystem, gens, right: int) -> int:
     """Bitset of [I, J] for upper ideals I, J: the upward closure of g + nu.
 
@@ -294,17 +270,27 @@ def _complement_terms(rs: RootSystem, bits: int) -> Iterator[int]:
     """Terms of the complement chain of I as bitsets, ending as the module docstring says.
 
     With m the complement of I, term k is the complement of the union
-    U_k = m union ... union m^k.  U_{k+1} = m union (U_k + m), and the sums
-    from U_{k-1} already lie in U_k, so each step adds only the sums from
-    the roots new in U_k: every root is a left operand at most once.
+    U_{k+1} = m union ... union m^{k+1}, and U_{k+2} = m union (U_{k+1} + m).
+    So term k + 1 is term k minus the roots that are the sum of a root of m
+    and a root outside term k: each root of term k is tested against its
+    pairs in `RootSystem.halves`, and a step that removes no root stalls.
     """
-    full = (1 << len(rs.positive_roots)) - 1
-    m = full & ~bits
-    used = new = m
+    halves = rs.halves
+    m = ((1 << len(rs.positive_roots)) - 1) & ~bits
     yield bits
-    while used != full and (new := _product_bits(rs, new, m) & ~used):
-        used |= new
-        yield full & ~used
+    while bits:
+        hit, rest = 0, bits
+        while rest:  # inline bit loops: this is the hot path
+            low = rest & -rest
+            rest ^= low
+            for pair in halves[low.bit_length() - 1]:
+                if pair & m and not pair & bits:
+                    hit |= low
+                    break
+        if not hit:
+            return
+        bits ^= hit
+        yield bits
 
 
 def ideal_powers(ideal: UpperIdeal) -> IdealChain:

@@ -495,6 +495,32 @@ def test_extremal_element_flags_exhaustive():
                     w_max(c)
 
 
+def _product_bits(rs, left, right):
+    """Bitset of all root sums mu + nu with mu in left, nu in right, kept as a reference."""
+    out = 0
+    for i in range(len(rs.positive_roots)):
+        if left >> i & 1:
+            for j, k in rs.sums[i].items():
+                if right >> j & 1:
+                    out |= 1 << k
+    return out
+
+
+def _product_complement_terms(rs, bits):
+    """The complement chain built from products, term k the complement of m, ..., m^(k+1).
+
+    The earlier product form of `ideals._complement_terms`, kept as a
+    reference: each step adds the sums of the roots new in the union with m.
+    """
+    full = (1 << len(rs.positive_roots)) - 1
+    m = full & ~bits
+    used = new = m
+    yield bits
+    while used != full and (new := _product_bits(rs, new, m) & ~used):
+        used |= new
+        yield full & ~used
+
+
 def test_lockstep_minimax_matches_the_full_chains():
     for label, step in (
         ("G2", 1), ("B4", 1), ("C4", 1), ("D5", 1), ("F4", 1), ("E6", 1), ("E7", 1), ("E8", 10),
@@ -502,13 +528,13 @@ def test_lockstep_minimax_matches_the_full_chains():
     ):
         rs = build(label)
         for c in islice(enumerate_ideals(rs), 0, None, step):
+            chain = list(_product_complement_terms(rs, c.bits))
+            assert [t.bits for t in complement_chain(c).powers] == chain, (label, c)
             if not is_strictly_positive(c):
                 assert not is_minimax(c)
                 continue
-            powers = ideal_powers(c)
-            chain = complement_chain(c)
-            assert not chain.stalled
-            want = [t.bits for t in powers.powers] == [t.bits for t in chain.powers]
+            assert not chain[-1]
+            want = [t.bits for t in ideal_powers(c).powers] == chain
             assert is_minimax(c) == want, (label, c)
 
 

@@ -150,5 +150,3 @@ def test_value_class_contract(name):
         assert c == obj  # B3 compares by identity, so a copy holding it shares it
     if name == "UpperIdeal":
         assert all(c._gens == obj._gens and meet(obj, c) == obj for c in copies)
-
-
