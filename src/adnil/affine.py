@@ -42,11 +42,9 @@ from .rootsys import (
     RationalVector,
     RootSystem,
     _check_indices,
-    _coords,
     _setters,
     _Value,
     _vector,
-    in_coroot_lattice,
 )
 
 __all__ = [
@@ -543,22 +541,29 @@ _set_finite_part, _set_translation, _set_pairings = _setters(AffineFactorization
 
 
 def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Integer z, its pairings ((z, alpha_j))_j and |z|^2/2, for z in the coroot lattice."""
-    z = _coords(z)
-    if not in_coroot_lattice(rs, z):
-        raise ValueError("translation vector is not in the coroot lattice")
-    if any(type(c) is not int for c in z):
-        if any(c.denominator != 1 for c in z):
+    """Integer z, its pairings ((z, alpha_j))_j and |z|^2/2, for z in the coroot lattice.
+
+    One pass tests each coroot coordinate c_i form[i][i] / 2e in integers
+    (as `in_coroot_lattice`) and keeps the numerators."""
+    form, e = rs.form, rs.form_scale
+    ints = []
+    for i, c in enumerate(_vector(rs, z)):
+        n, d = c.numerator, c.denominator
+        if n * form[i][i] % (2 * e * d):
+            raise ValueError("translation vector is not in the coroot lattice")
+        if d != 1:
             raise AssertionError("coroot-lattice vector with non-integral data")
-        z = tuple(c.numerator for c in z)
-    y, den = rs._scaled_pairings(z)
-    if any(v % den for v in y):
-        raise AssertionError("non-integral pairing with a simple root")
-    pairs = [v // den for v in y]
-    half_norm, odd = divmod(sum(c * q for c, q in zip(z, pairs)), 2)
+        ints.append(n)
+    pairs = []
+    for row in form:  # form is symmetric, so its row j pairs with alpha_j
+        q, r = divmod(sum(map(mul, ints, row)), e)
+        if r:
+            raise AssertionError("non-integral pairing with a simple root")
+        pairs.append(q)
+    half_norm, odd = divmod(sum(map(mul, ints, pairs)), 2)
     if odd:
         raise AssertionError("coroot-lattice vector with non-integral data")
-    return z, tuple(pairs), half_norm
+    return tuple(ints), tuple(pairs), half_norm
 
 
 def _translation_matrix(rs: RootSystem, z) -> IntMatrix:
@@ -588,23 +593,23 @@ def factorize(w: AffineWeylElement) -> AffineFactorization:
 
     z is read off the Lambda column.  Recomposing t_z . v entry by entry, the
     delta-row must be -(z, alpha) . v, the delta-column and the Lambda-row
-    those of the identity, and the (delta, Lambda) entry -|z|^2/2.
+    those of the identity, and the (delta, Lambda) entry -|z|^2/2.  The top
+    p rows, read by columns, hold v, the delta-column and z.
     """
     rs = w.rs
     p = rs.rank
     m = w.matrix
-    z, pairs, half_norm = _translation_data(rs, (m[t][p + 1] for t in range(p)))
-    v = w.finite_part_matrix()
-    nz = [(j, q) for j, q in enumerate(pairs) if q]
-    delta_row = tuple(-sum(q * v[j][c] for j, q in nz) for c in range(p))
+    *v_cols, delta_col, lam_col = zip(*m[:p])
+    z, pairs, half_norm = _translation_data(rs, lam_col)
+    delta_row = tuple(-sum(map(mul, pairs, col)) for col in v_cols)
     if (
         m[p][:p] != delta_row
         or m[p][p:] != (1, -half_norm)
-        or any(m[t][p] for t in range(p))
+        or any(delta_col)
         or m[p + 1] != (0,) * (p + 1) + (1,)
     ):
         raise AssertionError("translation factorization does not recompose")
-    return AffineFactorization(v, RationalVector(z), pairs)
+    return AffineFactorization(w.finite_part_matrix(), RationalVector(z), pairs)
 
 
 def star(w: AffineWeylElement, x) -> RationalVector:

@@ -37,11 +37,7 @@ __all__ = [
 
 
 def fmt_vec(coords) -> str:
-    return "[" + ",".join(str(c) for c in coords) + "]"
-
-
-def fmt_word(word) -> str:
-    return " ".join(f"s{i}" for i in word) if word else "e"
+    return "[" + ",".join(map(str, coords)) + "]"
 
 
 def fmt_levi(label: ParabolicLabel) -> str:
@@ -165,8 +161,8 @@ def cmd_enumerate(args) -> tuple[Report, int]:
     if skip:
         raise ConfigurationError(skip)
     columns = ("generators", "weight", "levi", "w_min", "z")
-    rows = []
-    json_rows = []
+    letters = tuple(f"s{i}" for i in range(rs.rank + 1))
+    rows, json_rows = [], []  # only the format that is rendered is built
     for ideal in enumerate_ideals(rs):
         if args.strictly_positive and not is_strictly_positive(ideal):
             continue
@@ -175,33 +171,26 @@ def cmd_enumerate(args) -> tuple[Report, int]:
         if args.minimax and not is_minimax(ideal):
             continue
         w = w_min(ideal)
-        z = factorize(w).translation
+        z = factorize(w).translation.coords
         lab = normalizer(ideal)
-        gens = ideal.generators()
+        gens = [g.coeffs for g in ideal.generators()]
         coords = weight(ideal).coords
-        rows.append(
-            (
-                "|".join(fmt_vec(g.coeffs) for g in gens) or "-",
-                fmt_vec(coords),
-                fmt_levi(lab),
-                fmt_word(w.word),
-                fmt_vec(z.coords),
+        if args.json:
+            json_rows.append(
+                {
+                    "generators": list(map(list, gens)),
+                    "weight": list(map(str, coords)),
+                    "levi": [i + 1 for i in lab.levi_sorted()],
+                    "w_min": list(w.word),
+                    "z": list(map(str, z)),
+                }
             )
-        )
-        json_rows.append(
-            {
-                "generators": [list(g.coeffs) for g in gens],
-                "weight": [str(c) for c in coords],
-                "levi": [i + 1 for i in lab.levi_sorted()],
-                "w_min": list(w.word),
-                "z": [str(c) for c in z.coords],
-            }
-        )
-    footer = (("count", str(len(rows))),)
-    return (
-        Report("enumerate", rs.label, columns, tuple(rows), tuple(json_rows), footer),
-        0,
-    )
+        else:
+            generators = "|".join(map(fmt_vec, gens)) or "-"
+            word = " ".join([letters[i] for i in w.word]) or "e"
+            rows.append((generators, fmt_vec(coords), fmt_levi(lab), word, fmt_vec(z)))
+    footer = (("count", str(len(rows) + len(json_rows))),)
+    return Report("enumerate", rs.label, columns, tuple(rows), tuple(json_rows), footer), 0
 
 
 def cmd_table7(args) -> tuple[Report, int]:
@@ -267,7 +256,10 @@ def cmd_verify(args) -> tuple[Report, int]:
 
 
 def _n_max(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # refused below, with the out-of-range message
     if not 2 <= value <= 60:
         raise argparse.ArgumentTypeError("must be an integer from 2 to 60")
     return value

@@ -431,8 +431,11 @@ class RootSystem:
 
     @cached_property
     def signed_pairing_rows(self) -> tuple[tuple[int, ...], ...]:
-        # form is symmetric, so its row j pairs with alpha_j.
-        return tuple(tuple(sum(map(mul, c, row)) for row in self.form) for c in self.signed_roots)
+        # form is symmetric, so its row j pairs with alpha_j; -gamma pairs to minus gamma's row.
+        rows = tuple(
+            tuple(sum(map(mul, r.coeffs, row)) for row in self.form) for r in self.positive_roots
+        )
+        return rows + tuple(tuple(-v for v in y) for y in rows)
 
     @cached_property
     def signed_pairing_index(self) -> dict[tuple[int, ...], int]:

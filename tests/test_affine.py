@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from adnil import affine, verify
 from adnil.affine import (
+    AffineFactorization,
     AffineRoot,
     AffineWeylElement,
     _images,
@@ -56,7 +57,7 @@ from adnil.ideals import (
     is_strictly_positive,
 )
 from adnil.normalizers import normalizer
-from adnil.rootsys import RationalVector, Root, build, in_coroot_lattice, inner
+from adnil.rootsys import RationalVector, Root, _coords, build, in_coroot_lattice, inner
 from adnil.verify import ORACLE_TYPES, ideal_table, normalizer_routes, suite_normalizer_oracles
 
 DUAL_COXETER = {
@@ -673,6 +674,112 @@ def test_factorize_z_pairs_to_the_delta_row():
             # the integer pairings factorize returns are the same delta row
             assert all(type(q) is int for q in fac.pairings), (label, w.word)
             assert fac.pairings == rs.pairings(z) == w.inverse_matrix[p][:p], (label, w.word)
+
+
+def _reference_translation_data(rs, z):
+    """The two-pass z check: a lattice test, then the pairings, each over _vector."""
+    z = _coords(z)
+    if not in_coroot_lattice(rs, z):
+        raise ValueError("translation vector is not in the coroot lattice")
+    if any(type(c) is not int for c in z):
+        if any(c.denominator != 1 for c in z):
+            raise AssertionError("coroot-lattice vector with non-integral data")
+        z = tuple(c.numerator for c in z)
+    y, den = rs._scaled_pairings(z)
+    if any(v % den for v in y):
+        raise AssertionError("non-integral pairing with a simple root")
+    pairs = [v // den for v in y]
+    half_norm, odd = divmod(sum(c * q for c, q in zip(z, pairs)), 2)
+    if odd:
+        raise AssertionError("coroot-lattice vector with non-integral data")
+    return z, tuple(pairs), half_norm
+
+
+def _reference_factorize(w):
+    rs, m = w.rs, w.matrix
+    p = rs.rank
+    z, pairs, half_norm = _reference_translation_data(rs, (m[t][p + 1] for t in range(p)))
+    v = w.finite_part_matrix()
+    nz = [(j, q) for j, q in enumerate(pairs) if q]
+    delta_row = tuple(-sum(q * v[j][c] for j, q in nz) for c in range(p))
+    if (
+        m[p][:p] != delta_row
+        or m[p][p:] != (1, -half_norm)
+        or any(m[t][p] for t in range(p))
+        or m[p + 1] != (0,) * (p + 1) + (1,)
+    ):
+        raise AssertionError("translation factorization does not recompose")
+    return AffineFactorization(v, RationalVector(z), pairs)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of what it raised; int-ness is part of a result."""
+    try:
+        out = f(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, AffineFactorization):
+        return out, [type(c) for c in out.translation.coords + out.pairings]
+    return out, [type(c) for part in out[:2] for c in part] + [type(out[2])]
+
+
+def _with_entries(w, cells):
+    """w with its matrix entries at cells (t, c) replaced by the given values."""
+    rows = [list(row) for row in w.matrix]
+    for (t, c), value in cells.items():
+        rows[t][c] = value
+    return AffineWeylElement(w.rs, w.word, tuple(map(tuple, rows)), w.inverse_matrix)
+
+
+def test_factorize_matches_the_two_pass_reference():
+    rng = random.Random(53)
+    for label in ("G2", "B3", "C4", "F4", "D5", "E6", "E7"):
+        rs = build(label)
+        p = rs.rank
+        step = 7 if label == "E7" else 1
+        elements = []
+        for ideal in islice(enumerate_ideals(rs), 0, None, step):
+            elements.append(w_min(ideal))
+            if is_strictly_positive(ideal):
+                elements.append(w_max(ideal))
+        elements += [
+            from_word(rs, [rng.randrange(p + 1) for _ in range(rng.randrange(40))])
+            for _ in range(300)
+        ]
+        for w in elements:
+            assert _outcome(factorize, w) == _outcome(_reference_factorize, w), (label, w.word)
+        # hand-built matrices: every entry a denominator-1 Fraction (accepted,
+        # with int data), a half or a unit step in one Lambda-column entry (a
+        # half is off the lattice), a half in column 0; both routes agree
+        w = elements[-1]
+        whole = {(t, c): Fraction(x) for t, row in enumerate(w.matrix) for c, x in enumerate(row)}
+        assert factorize(_with_entries(w, whole)) == factorize(w), label
+        cases = [whole]
+        for t in range(p):
+            half = {(t, p + 1): Fraction(2 * w.matrix[t][p + 1] + 1, 2)}
+            with pytest.raises(ValueError, match="not in the coroot lattice"):
+                factorize(_with_entries(w, half))
+            cases += [half, {(t, p + 1): w.matrix[t][p + 1] + 1}, {(t, 0): Fraction(1, 2)}]
+        for cells in cases:
+            bad = _with_entries(w, cells)
+            assert _outcome(factorize, bad) == _outcome(_reference_factorize, bad), (label, cells)
+        # z directly: ints and halves, a wrong length, floats, Fraction(3)
+        for _ in range(100):
+            z = tuple(rng.choice((rng.randrange(-4, 5), Fraction(rng.randrange(-6, 7), 2)))
+                      for _ in range(p))
+            assert _outcome(affine._translation_data, rs, z) == _outcome(
+                _reference_translation_data, rs, z
+            ), (label, z)
+        for z in ((0,) * (p + 1), (1.0,) * p, (Fraction(3),) * p):
+            assert _outcome(affine._translation_data, rs, z) == _outcome(
+                _reference_translation_data, rs, z
+            ), (label, z)
+    # off the coroot lattice in integers (a short coroot coordinate), on both routes
+    for label, z in (("B2", (0, 1)), ("G2", (1, 0)), ("F4", (1, 0, 0, 0))):
+        rs = build(label)
+        for f in (affine._translation_data, _reference_translation_data):
+            with pytest.raises(ValueError, match="translation vector is not in the coroot lattice"):
+                f(rs, z)
 
 
 def test_normalizer_by_zwall_needs_a_minimal_element():

@@ -395,6 +395,17 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_n_max_refuses_a_non_integer_in_the_range_message(capsys):
+    # a non-integer gets the out-of-range text, not argparse's "invalid <type> value"
+    for value in ("abc", "2.5", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "identities", "--n-max", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --n-max: must be an integer from 2 to 60\n"), value
+        assert "_n_max" not in err and "invalid" not in err
+
+
 def test_label_spelling_does_not_change_the_report(capsys):
     _, canonical, _ = run(capsys, "verify", "shi", "--type", "B2", "--seed", "0")
     code, lowercase, _ = run(capsys, "verify", "shi", "--type", "b2", "--seed", "0")

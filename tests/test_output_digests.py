@@ -3,8 +3,10 @@
 Each digest is the SHA-256 of the command's stdout at commit f3edb7a
 (``enumerate E6 --tsv``, which pins all 833 E6 w_min words and
 z-coordinates, at f36d8e3; ``enumerate E7 --minimax --tsv`` at adba8b9; ``verify typeAC --json`` at
-aa3907c).  A refactor that keeps these passing changed
-no byte of any covered report.
+aa3907c; ``enumerate E6 --json``, ``enumerate E7 --minimax --json`` and the
+rank-10 ``enumerate A10``, whose words reach the letter s10, at d11cd30).
+Leading NAME=VALUE words set environment variables for the command.  A
+refactor that keeps these passing changed no byte of any covered report.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ DIGESTS = (
     ("enumerate F4 --json", "e7ef731db9b825cabedaf972a160b57d980c35dddb92c58c6b858a353812b18c"),
     ("enumerate E6 --tsv", "4851ab6f5c8a78494e9b6a37cdecd7292c0180e63f8590214f80668718c5b8ca"),
     ("enumerate E7 --minimax --tsv", "7d8e0f0a350df0dc395245f645220430c70b3df3fb092072ddac9c68cdd44bb6"),
+    ("enumerate E6 --json", "bff15cb920857b4765134628a733d8034dbc58aa9c28b96b6d8a8643590a0323"),
+    ("enumerate E7 --minimax --json", "8fceca8daa9210483959013d99436f32339f67ad2a321fb318e0d235fab881d6"),
+    (
+        "ADNIL_MAX_RANK=10 enumerate A10 --strictly-positive --abelian --tsv",
+        "b31bd4ef2f9471f919090878eae7d2cb3f44ffd99c81f2180379a120d6985452",
+    ),
     ("verify identities", "5d840fd41d03ecc718c4b27fc2da7435ef32be3f15baf8473cf87af3cf5c9ab8"),
     ("verify counting", "662d3d28af664a3dc5a521f82313910ae002c69063469dc5b5371753b32050bc"),
     ("verify typeAC", "29d29bdc63429de1319e23862bd3781c137ae4c87537749bd5f88a9bd15b77e8"),
@@ -47,7 +55,10 @@ DIGESTS = (
 
 
 @pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])
-def test_stdout_digest(capsys, command, digest):
-    assert main(command.split()) == 0
+def test_stdout_digest(capsys, monkeypatch, command, digest):
+    argv = command.split()
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

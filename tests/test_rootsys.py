@@ -289,6 +289,15 @@ def test_sum_index_is_exact():
                 u = rs.signed_index.get(tuple(x + y for x, y in zip(a, b)))
                 assert rs.signed_sums[s].get(t) == u, (label, s, t)
         assert len(rs.signed_sums) == 2 * n
+        # pairing rows e (root s, alpha_j), the negative half the negated positive half
+        rows = rs.signed_pairing_rows
+        assert rows == tuple(
+            tuple(rs.form_scale * inner(rs, c, rs.positive_roots[rs.simple_index[j]])
+                  for j in range(rs.rank))
+            for c in rs.signed_roots
+        ), label
+        assert rows[n:] == tuple(tuple(-v for v in y) for y in rows[:n]), label
+        assert all(rs.signed_pairing_index[y] == s for s, y in enumerate(rows)), label
 
 
 def test_signed_sums_are_symmetric():
