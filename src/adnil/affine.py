@@ -206,10 +206,11 @@ class AffineWeylElement(_Value):
 
     Two elements are equal iff their action matrices agree; the stored
     word evaluates to the action but need not be reduced unless produced
-    by bi-convex peeling.
+    by bi-convex peeling.  _levels is not a field: it is None, or N(w) as
+    a tuple of levels, verified by the peel or walked once by `_n_levels`.
     """
 
-    __slots__ = ("rs", "word", "matrix", "inverse_matrix")
+    __slots__ = ("rs", "word", "matrix", "inverse_matrix", "_levels")
 
     def __init__(
         self, rs: RootSystem, word: tuple[int, ...], matrix: IntMatrix, inverse_matrix: IntMatrix
@@ -218,6 +219,10 @@ class AffineWeylElement(_Value):
         _set_word(self, word)
         _set_matrix(self, matrix)
         _set_inverse(self, inverse_matrix)
+        _set_levels(self, None)
+
+    def _fields(self) -> tuple:
+        return self.rs, self.word, self.matrix, self.inverse_matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineWeylElement):
@@ -266,7 +271,7 @@ class AffineWeylElement(_Value):
         return f"AffineWeylElement({self.rs.label}, {name})"
 
 
-_set_rs, _set_word, _set_matrix, _set_inverse = _setters(AffineWeylElement)
+_set_rs, _set_word, _set_matrix, _set_inverse, _set_levels = _setters(AffineWeylElement)
 
 
 def identity_element(rs: RootSystem) -> AffineWeylElement:
@@ -333,16 +338,23 @@ def _inversion_levels(rs: RootSystem, m: IntMatrix) -> list[int]:
     return out
 
 
+def _n_levels(w: AffineWeylElement) -> tuple[int, ...]:
+    """N(w) as per-level bitsets: the ones w holds, or one walk, then held."""
+    if w._levels is None:
+        _set_levels(w, tuple(_inversion_levels(w.rs, w.matrix)))
+    return w._levels
+
+
 def n_set(w: AffineWeylElement) -> frozenset[AffineRoot]:
     """Positive affine roots sent to negative ones by w (decoded N(w))."""
     roots = w.rs.signed_roots
-    levels = _inversion_levels(w.rs, w.matrix)
+    levels = _n_levels(w)
     return frozenset(AffineRoot(k, roots[s]) for k, t in enumerate(levels) for s in _iter_bits(t))
 
 
 def _length_and_layer(w: AffineWeylElement) -> tuple[int, int]:
     """The size of N(w) and the bits of the gamma with delta - gamma in it."""
-    levels = _inversion_levels(w.rs, w.matrix)
+    levels = _n_levels(w)
     layer = levels[1] >> len(w.rs.positive_roots) if len(levels) > 1 else 0
     return sum(map(int.bit_count, levels)), layer
 
@@ -406,6 +418,7 @@ def _peel(rs: RootSystem, levels: list[int], stray=()) -> AffineWeylElement:
     w = AffineWeylElement(rs, word, _inverse_of(rs, images), _matrix(rs, images))
     if _inversion_levels(rs, w.matrix) != levels:
         raise ValueError("set is not bi-convex: reconstruction mismatch")
+    _set_levels(w, tuple(levels))  # verified: the walk above gave the same levels
     return w
 
 
@@ -427,7 +440,7 @@ def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
     them, with no replay of the word.  A set that is not an inversion set is
     rejected with a diagnostic that maps the unpeeled roots back through
     g^{-1} (read off the same way), and the inversion set of the result is
-    compared with the input, level by level.
+    compared with the input, level by level, and kept by the result.
     """
     n = len(rs.positive_roots)
     index = rs.signed_index
@@ -549,10 +562,8 @@ def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ..
     ints = []
     for i, c in enumerate(_vector(rs, z)):
         n, d = c.numerator, c.denominator
-        if n * form[i][i] % (2 * e * d):
+        if n * form[i][i] % (2 * e * d):  # also refuses every d != 1
             raise ValueError("translation vector is not in the coroot lattice")
-        if d != 1:
-            raise AssertionError("coroot-lattice vector with non-integral data")
         ints.append(n)
     pairs = []
     for row in form:  # form is symmetric, so its row j pairs with alpha_j
@@ -682,7 +693,7 @@ def check_inversion_sum(w: AffineWeylElement) -> bool:
     rs = w.rs
     r = rs.two_rho_hat
     diff = tuple(a - sum(x * y for x, y in zip(row, r)) for a, row in zip(r, w.inverse_matrix))
-    levels = _inversion_levels(rs, w.matrix)
+    levels = _n_levels(w)
     roots = (rs.signed_roots[s] for t in levels for s in _iter_bits(t))
     finite = (sum(col) for col in zip((0,) * rs.rank, *roots))  # p sums when N(w) is empty too
     total = (*finite, sum(k * t.bit_count() for k, t in enumerate(levels)), 0)

@@ -226,6 +226,34 @@ def test_n_set_matches_the_per_root_reference():
             assert slow == frozenset()
 
 
+def test_held_n_w_matches_a_fresh_walk():
+    # the peel keeps the levels it verified, a read keeps the levels it
+    # walked; either way they are a fresh walk's, and every reader agrees
+    # with the same reader on an element rebuilt from the word
+    start = time.monotonic()
+    rng = random.Random(67)
+    for label in ("G2", "B3", "C4", "F4", "D5", "E6", "E7"):
+        rs = build(label)
+        p = rs.rank
+        peeled = []
+        for ideal in islice(enumerate_ideals(rs), 0, None, 7 if label == "E7" else 1):
+            peeled.append(w_min(ideal))
+            if is_strictly_positive(ideal):
+                peeled.append(w_max(ideal))
+        assert all(type(w._levels) is tuple for w in peeled), label
+        words = []
+        for _ in range(300):
+            u = from_word(rs, [rng.randrange(p + 1) for _ in range(rng.randrange(40))])
+            v = from_word(rs, [rng.randrange(p + 1) for _ in range(rng.randrange(40))])
+            words += [u, u * v, u.inverse()]
+        assert all(w._levels is None for w in words), label
+        for w in peeled + words:
+            assert _read_all(w) == _read_all(from_word(rs, w.word)), (label, w.word)
+            assert type(w._levels) is tuple, (label, w.word)
+            assert w._levels == tuple(_inversion_levels(rs, w.matrix)), (label, w.word)
+    assert time.monotonic() - start < 20
+
+
 def _levels_by_apply_root(w, top):
     """N(w) as per-level bitsets: every positive affine root up to level top through w.apply_root."""
     levels = [0] * (top + 1)
@@ -625,6 +653,20 @@ def test_translation_element_rejects_vectors_off_the_coroot_lattice():
             translation_element(build(label), z)
 
 
+def test_translation_element_rejects_fractional_coroot_coordinates():
+    # a coordinate of denominator 2 or 3 fails the lattice test itself, on
+    # long and short coroots alike, so no later integrality check is needed
+    for label in ("B3", "C3", "F4", "G2"):
+        rs = build(label)
+        for i in range(rs.rank):
+            for c in (Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(4, 3)):
+                z = tuple(c if j == i else 0 for j in range(rs.rank))
+                with pytest.raises(
+                    ValueError, match="^translation vector is not in the coroot lattice$"
+                ):
+                    translation_element(rs, z)
+
+
 def test_star_is_an_action():
     rng = random.Random(3)
     rs = build("B2")
@@ -846,6 +888,59 @@ def test_zwall_route_builds_no_factorization(monkeypatch):
     rs = build("E6")
     for ideal in enumerate_ideals(rs):
         assert normalizer_by_zwall(w_min(ideal)) == normalizer(ideal), ideal
+
+
+def _count_walks(monkeypatch):
+    """Wrap affine._inversion_levels in a counter; the returned list holds the count."""
+    walks = [0]
+    walk = affine._inversion_levels
+
+    def counted(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(affine, "_inversion_levels", counted)
+    return walks
+
+
+def _read_all(w):
+    """The four readers of N(w); first_layer only where it is defined."""
+    out = (n_set(w), length(w), check_inversion_sum(w))
+    return out + (first_layer(w),) if is_dominant(w) else out
+
+
+def test_random_word_law_step_walks_n_w_twice(monkeypatch):
+    # check_inversion_sum walks N(w) and keeps it, n_set reads it back, and
+    # the peel's reconstruction check walks the rebuilt element once
+    walks = _count_walks(monkeypatch)
+    rng = random.Random(61)
+    for label in ("F4", "D4", "A1"):
+        rs = build(label)
+        for _ in range(60):
+            walks[0] = 0
+            w = from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randrange(25))])
+            assert check_inversion_sum(w)
+            rebuilt = word_from_biconvex(rs, n_set(w))
+            assert rebuilt == w and walks[0] == 2, (label, w.word, walks[0])
+
+
+def test_peeled_elements_hold_n_w_for_their_readers(monkeypatch):
+    rs = build("F4")
+    elements = []
+    for ideal in enumerate_ideals(rs):
+        elements.append(w_min(ideal))
+        if is_strictly_positive(ideal):
+            elements.append(w_max(ideal))
+    elements += [translation_element(build(label), z) for label, z in _TRANSLATIONS]
+    walks = _count_walks(monkeypatch)
+    for w in elements:
+        _read_all(w)
+        assert walks[0] == 0, w
+    # a fresh element built from the same words walks once for all four readers
+    for w in elements:
+        walks[0] = 0
+        fresh = from_word(w.rs, w.word)
+        assert _read_all(fresh) == _read_all(fresh) and walks[0] == 1, w
 
 
 def test_affine_levels_bound_the_lattice_simplices():

@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from adnil.affine import AffineFactorization, AffineRoot, AffineWeylElement, simple_reflection
+from adnil.affine import (
+    AffineFactorization,
+    AffineRoot,
+    AffineWeylElement,
+    n_set,
+    simple_reflection,
+)
 from adnil.cli import Report
 from adnil.counting import IdentityCheck, LatticeCount
 from adnil.ideals import IdealChain, UpperIdeal, close_upward, meet
@@ -150,3 +156,18 @@ def test_value_class_contract(name):
         assert c == obj  # B3 compares by identity, so a copy holding it shares it
     if name == "UpperIdeal":
         assert all(c._gens == obj._gens and meet(obj, c) == obj for c in copies)
+    if name == "AffineWeylElement":
+        # reading N(w) fills the slot _levels, which is not a field: the
+        # element still equals, hashes and prints as before, and its copies
+        # and pickles start with no levels and read the same N(w)
+        assert obj._levels is None and copies[0]._levels is None
+        inv = n_set(obj)
+        assert obj._levels is not None and obj._fields() == tuple(fields.values())
+        assert obj == same and hash(obj) == hash(same) and repr(obj) == text
+        with pytest.raises(AttributeError):
+            obj._levels = None
+        read = [copy.copy(obj), copy.deepcopy(obj)]
+        read += [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(6)]
+        for c in read:
+            assert c == obj and hash(c) == hash(obj) and repr(c) == text
+            assert c._levels is None and n_set(c) == inv
