@@ -221,9 +221,6 @@ class AffineWeylElement(_Value):
         _set_inverse(self, inverse_matrix)
         _set_levels(self, None)
 
-    def _fields(self) -> tuple:
-        return self.rs, self.word, self.matrix, self.inverse_matrix
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineWeylElement):
             return NotImplemented

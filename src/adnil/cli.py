@@ -53,12 +53,18 @@ def serialize_ideal(ideal: UpperIdeal) -> dict:
 
 
 def parse_ideal(obj: dict) -> UpperIdeal:
-    """Inverse of serialize_ideal; every coefficient must be an int."""
-    rs = build(obj["type"])
-    generators = [tuple(g) for g in obj["generators"]]
+    """Inverse of serialize_ideal; a malformed payload is refused with ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"ideal payload {obj!r} is not an object")
+    for key, kind in (("type", str), ("generators", list)):
+        if not isinstance(obj.get(key), kind):
+            raise ValueError(f"ideal payload has no {kind.__name__} under {key!r}")
+    generators = obj["generators"]
+    if not all(isinstance(g, list) for g in generators):
+        raise ValueError(f"'generators' {generators!r} is not a list of lists")
     if any(type(c) is not int for g in generators for c in g):
-        raise ValueError(f"generators {obj['generators']!r} have a non-int coefficient")
-    return close_upward(rs, generators)
+        raise ValueError(f"'generators' {generators!r} have a non-int coefficient")
+    return close_upward(build(obj["type"]), generators)
 
 
 def _jsonable(value):

@@ -9,8 +9,10 @@ root system's per-root tables.
 `UpperIdeal(rs, bits)` checks that bits is in range and upward closed.
 Bitsets closed by construction (the walk, closures, meets, joins, chain
 terms, nilradicals, first layers) go through `_trusted` instead, which
-fills the slots directly and skips the checks of `UpperIdeal.__init__`;
-equality, hash and repr are the same either way.
+fills the slots directly and skips the checks of `UpperIdeal.__init__`.
+Only `_trusted` can set `_gens`, the generator bitset the walk carries,
+and copies and pickles go through it so that they keep it.  Equality,
+hash and repr are the same either way.
 
 `_upper_sets` is the one walk over the upward-closed sets of a poset,
 shared with `adnil.normalizers`.  Elements enter in falling index, and
@@ -64,10 +66,10 @@ __all__ = [
 class UpperIdeal(_Value):
     """An upward-closed set of positive roots, as a bitset of root indices."""
 
-    # _gens: bitset of the generators, when the enumeration walk carried them; not compared.
+    # _gens: bitset of the generators, when the enumeration walk carried them, else None.
     __slots__ = ("rs", "bits", "_gens")
 
-    def __init__(self, rs: RootSystem, bits: int, _gens: int | None = None):
+    def __init__(self, rs: RootSystem, bits: int):
         if bits < 0 or bits >> len(rs.positive_roots):
             raise ValueError("bitset out of range for this root system")
         roots, up = rs.positive_roots, rs.up
@@ -80,15 +82,10 @@ class UpperIdeal(_Value):
                 )
         _set_rs(self, rs)
         _set_bits(self, bits)
-        _set_gens(self, _gens)
+        _set_gens(self, None)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rs == other.rs and self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rs, self.bits))
+    def __reduce__(self):
+        return _trusted, (self.rs, self.bits, self._gens)
 
     @property
     def size(self) -> int:

@@ -12,6 +12,8 @@ the ideals.
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 from .ideals import UpperIdeal, _iter_bits, _trusted, _upper_sets, enumerate_ideals, weight
 from .rootsys import RootSystem, _setters, _Value
 
@@ -26,11 +28,11 @@ __all__ = [
 
 
 class ParabolicLabel(_Value):
-    """A standard parabolic, named by its Levi set of simple-root indices (0-based)."""
+    """A standard parabolic, named by its Levi set of simple-root indices (0-based), a frozenset."""
 
     __slots__ = ("rank", "levi")
 
-    def __init__(self, rank: int, levi: frozenset[int]):
+    def __init__(self, rank: int, levi: Collection[int]):
         if type(rank) is not int:
             raise ValueError(f"rank {rank!r} is not an int")
         if rank < 1:
@@ -39,15 +41,7 @@ class ParabolicLabel(_Value):
             if type(a) is not int or not 0 <= a < rank:
                 raise ValueError("Levi indices out of range")
         _set_rank(self, rank)
-        _set_levi(self, levi)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rank == other.rank and self.levi == other.levi
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.levi))
+        _set_levi(self, frozenset(levi))
 
     def levi_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.levi))

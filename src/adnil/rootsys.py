@@ -15,7 +15,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from .linalg import adjugate
 
@@ -41,29 +41,35 @@ class ConfigurationError(ValueError):
 
 
 class _Value:
-    """Base of the immutable value classes, whose fields are their __slots__.
+    """Base of the immutable value classes.
 
-    Equality (same class, equal fields), hash (of the field tuple) and repr
-    are those of a frozen dataclass, and a field cannot be assigned or
-    deleted.  __init__ sets the fields through the slot descriptors (see
-    _setters), and copies and pickles go through the constructor.
+    The fields of a class are its __slots__ less the "_" names, which hold
+    derived state; they are read once, when the class is created.  Equality
+    (same class, equal fields), hash (of the field tuple) and repr are a
+    frozen dataclass's, and no slot can be assigned or deleted.  __init__
+    sets the slots through the slot descriptors (see _setters); copies and
+    pickles call the class with the fields.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        get = attrgetter(*names)
+        cls._field_names = names
+        cls._fields = property(get if len(names) > 1 else lambda obj: (get(obj),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields == other._fields
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields)
 
     def __repr__(self) -> str:
-        inside = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        inside = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._field_names)
         return f"{self.__class__.__qualname__}({inside})"
 
     def __setattr__(self, name, value):
@@ -73,7 +79,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._fields()
+        return self.__class__, self._fields
 
 
 def _setters(cls) -> tuple:
@@ -88,14 +94,6 @@ class Root(_Value):
 
     def __init__(self, coeffs: tuple[int, ...]):
         _set_coeffs(self, coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     @property
     def height(self) -> int:
@@ -112,14 +110,6 @@ class RationalVector(_Value):
 
     def __init__(self, coords: tuple[int | Fraction, ...]):
         _set_coords(self, coords)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     def __repr__(self) -> str:
         return "RationalVector(" + ", ".join(str(c) for c in self.coords) + ")"

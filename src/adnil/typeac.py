@@ -41,8 +41,11 @@ __all__ = [
 ]
 
 
-def _check_pairs(pairs, ok_pair, what: str) -> None:
-    """Each pair a root and both coordinate sequences strictly increasing."""
+def _checked_pairs(pairs, ok_pair, what: str) -> tuple[tuple[int, int], ...]:
+    """The pairs as a tuple of tuples, each a root, both coordinates increasing strictly."""
+    pairs = tuple(pairs)  # a tuple of tuples is stored as given, with no copy
+    if any(type(p) is not tuple for p in pairs):
+        pairs = tuple(map(tuple, pairs))
     last_i, last_j = 0, 1
     for i, j in pairs:
         if not (type(i) is int and type(j) is int and ok_pair(i, j)):
@@ -50,6 +53,7 @@ def _check_pairs(pairs, ok_pair, what: str) -> None:
         if i <= last_i or j <= last_j:
             raise ValueError("generator pairs must increase strictly in both slots")
         last_i, last_j = i, j
+    return pairs
 
 
 class FerrersIdeal(_Value):
@@ -60,7 +64,7 @@ class FerrersIdeal(_Value):
     def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
         if type(n) is not int or n < 1:
             raise ValueError("rank must be an int of at least 1")
-        _check_pairs(pairs, lambda i, j: 1 <= i < j <= n + 1, f"sl_{n + 1}")
+        pairs = _checked_pairs(pairs, lambda i, j: 1 <= i < j <= n + 1, f"sl_{n + 1}")
         _set_ferrers_n(self, n)
         _set_ferrers_pairs(self, pairs)
 
@@ -86,7 +90,7 @@ class SymplecticIdeal(_Value):
     def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
         if type(n) is not int or n < 1:
             raise ValueError("rank must be an int of at least 1")
-        _check_pairs(pairs, lambda i, j: 1 <= i < j and i + j <= 2 * n + 1, f"sp_{2 * n}")
+        pairs = _checked_pairs(pairs, lambda i, j: 1 <= i < j and i + j <= 2 * n + 1, f"sp_{2 * n}")
         _set_symplectic_n(self, n)
         _set_symplectic_pairs(self, pairs)
 
@@ -106,6 +110,7 @@ class SignedWord(_Value):
     __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[int, ...]):
+        letters = tuple(letters)
         total = 0
         for v in letters:
             if type(v) is not int or v not in (-1, 0, 1):

@@ -101,6 +101,22 @@ def test_parse_ideal_refuses_non_int_coefficients():
             parse_ideal({"type": "A2", "generators": [[bad, 0]]})
 
 
+def test_parse_ideal_refuses_a_malformed_payload_naming_the_key():
+    # these used to escape as KeyError or TypeError
+    cases = [
+        ({"generators": [[1, 0]]}, "'type'"),
+        ({"type": "A2"}, "'generators'"),
+        ({"type": 5, "generators": []}, "'type'"),
+        ({"type": "A2", "generators": 5}, "'generators'"),
+        ({"type": "A2", "generators": [5]}, "'generators'"),
+        ({"type": "A2", "generators": "10"}, "'generators'"),
+        ([["A2"], [[1, 0]]], "not an object"),
+    ]
+    for payload, name in cases:
+        with pytest.raises(ValueError, match=name):
+            parse_ideal(payload)
+
+
 def test_table7_ok(capsys):
     code, out, _ = run(capsys, "table7")
     assert code == 0

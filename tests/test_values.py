@@ -17,8 +17,8 @@ from adnil.affine import (
 )
 from adnil.cli import Report
 from adnil.counting import IdentityCheck, LatticeCount
-from adnil.ideals import IdealChain, UpperIdeal, close_upward, meet
-from adnil.normalizers import ParabolicLabel
+from adnil.ideals import IdealChain, UpperIdeal, close_upward, enumerate_ideals, meet
+from adnil.normalizers import ParabolicLabel, normalizer
 from adnil.rootsys import RationalVector, Root, _Value, build
 from adnil.typeac import FerrersIdeal, SignedWord, SymplecticIdeal
 
@@ -52,8 +52,8 @@ CASES = {
         _fields_key("coords"), "RationalVector(1, 1/2, 0)",
     ),
     "UpperIdeal": (
-        UpperIdeal, {"rs": B3, "bits": _IDEAL.bits, "_gens": _IDEAL._generator_bits()},
-        {"bits": B3.upsets[-1]}, {"_gens": None}, _fields_key("rs", "bits"),
+        UpperIdeal, {"rs": B3, "bits": _IDEAL.bits},
+        {"bits": B3.upsets[-1]}, {}, _fields_key("rs", "bits"),
         "UpperIdeal(B3, size=4, gens=[[1, 1, 0]])",
     ),
     "IdealChain": (
@@ -121,12 +121,32 @@ CASES = {
 }
 
 
+# name: other spellings of fields that the constructor stores as the fields of CASES
+SPELLINGS = {
+    "ParabolicLabel": ({"levi": {2}}, {"levi": [2, 2]}, {"levi": (2,)}),
+    "FerrersIdeal": ({"pairs": [(1, 3)]}, {"pairs": [[1, 3]]}),
+    "SymplecticIdeal": ({"pairs": [(1, 3)]}, {"pairs": ([1, 3],)}),
+    "SignedWord": ({"letters": [1, 0, -1]},),
+}
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_value_class_contract(name):
     cls, fields, changed, ignored, key, text = CASES[name]
     obj = cls(**fields)
     assert [getattr(obj, f) for f in fields] == list(fields.values())
     assert repr(obj) == text
+
+    # the fields are the slots without the "_" names, read once per class
+    assert cls._field_names == tuple(fields)
+    assert cls._field_names == tuple(f for f in cls.__slots__ if not f.startswith("_"))
+    assert obj._fields == tuple(fields.values())
+
+    # a validating constructor stores what it validated, in immutable form
+    for spelling in SPELLINGS.get(name, ()):
+        alt = cls(**{**fields, **spelling})
+        assert [type(getattr(alt, f)) for f in fields] == [type(v) for v in fields.values()]
+        assert alt == obj and hash(alt) == hash(obj) and repr(alt) == text
 
     # equal within the class only, hashed as the tuple of the compared fields
     same, twin = cls(*fields.values()), cls(**{**fields, **ignored})
@@ -155,14 +175,14 @@ def test_value_class_contract(name):
         assert type(c) is cls and repr(c) == text
         assert c == obj  # B3 compares by identity, so a copy holding it shares it
     if name == "UpperIdeal":
-        assert all(c._gens == obj._gens and meet(obj, c) == obj for c in copies)
+        assert all(c._gens is None and meet(obj, c) == obj for c in copies)
     if name == "AffineWeylElement":
         # reading N(w) fills the slot _levels, which is not a field: the
         # element still equals, hashes and prints as before, and its copies
         # and pickles start with no levels and read the same N(w)
         assert obj._levels is None and copies[0]._levels is None
         inv = n_set(obj)
-        assert obj._levels is not None and obj._fields() == tuple(fields.values())
+        assert obj._levels is not None and obj._fields == tuple(fields.values())
         assert obj == same and hash(obj) == hash(same) and repr(obj) == text
         with pytest.raises(AttributeError):
             obj._levels = None
@@ -171,3 +191,37 @@ def test_value_class_contract(name):
         for c in read:
             assert c == obj and hash(c) == hash(obj) and repr(c) == text
             assert c._levels is None and n_set(c) == inv
+
+
+def test_only_the_affine_roots_and_elements_write_their_own_equality():
+    found, todo = [], _Value.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("adnil."):
+            found.append(cls)
+    assert sorted(cls.__name__ for cls in found) == sorted(CASES)
+    for cls in found:
+        own = {"__eq__", "__hash__"} & set(vars(cls))
+        assert own == ({"__eq__", "__hash__"} if cls in (AffineRoot, AffineWeylElement) else set())
+
+
+def test_upper_ideal_constructor_takes_no_generators():
+    # a trusted generator bitset made UpperIdeal(B3, bits, 0) equal c but gave it the normalizer
+    # of the zero ideal; only _trusted may carry the generators
+    c = _IDEAL
+    with pytest.raises(TypeError):
+        UpperIdeal(B3, c.bits, 0)
+    with pytest.raises(TypeError):
+        UpperIdeal(B3, c.bits, _gens=0)
+    assert normalizer(UpperIdeal(B3, c.bits)) == normalizer(c) == ParabolicLabel(3, {2})
+
+
+def test_copies_and_pickles_of_walked_ideals_keep_their_generators():
+    for c in enumerate_ideals(B3):
+        assert c._gens is not None
+        copies = [copy.copy(c), copy.deepcopy(c)]
+        copies += [pickle.loads(pickle.dumps(c, protocol)) for protocol in range(6)]
+        for d in copies:
+            assert type(d) is UpperIdeal and d == c and repr(d) == repr(c)
+            assert d._gens == c._gens and normalizer(d) == normalizer(c)
