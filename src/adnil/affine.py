@@ -42,7 +42,6 @@ from .rootsys import (
     RationalVector,
     RootSystem,
     _check_indices,
-    _setters,
     _Value,
     _vector,
 )
@@ -85,10 +84,6 @@ class AffineRoot(_Value):
 
     __slots__ = ("level", "finite")
 
-    def __init__(self, level: int, finite: tuple[int, ...]):
-        _set_level(self, level)
-        _set_finite(self, finite)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.level == other.level and self.finite == other.finite
@@ -104,9 +99,6 @@ class AffineRoot(_Value):
 
     def __repr__(self) -> str:
         return f"AffineRoot({self.level}d+{list(self.finite)})"
-
-
-_set_level, _set_finite = _setters(AffineRoot)
 
 
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
@@ -212,15 +204,6 @@ class AffineWeylElement(_Value):
 
     __slots__ = ("rs", "word", "matrix", "inverse_matrix", "_levels")
 
-    def __init__(
-        self, rs: RootSystem, word: tuple[int, ...], matrix: IntMatrix, inverse_matrix: IntMatrix
-    ):
-        _set_rs(self, rs)
-        _set_word(self, word)
-        _set_matrix(self, matrix)
-        _set_inverse(self, inverse_matrix)
-        _set_levels(self, None)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineWeylElement):
             return NotImplemented
@@ -268,7 +251,7 @@ class AffineWeylElement(_Value):
         return f"AffineWeylElement({self.rs.label}, {name})"
 
 
-_set_rs, _set_word, _set_matrix, _set_inverse, _set_levels = _setters(AffineWeylElement)
+_set_levels = AffineWeylElement._levels.__set__
 
 
 def identity_element(rs: RootSystem) -> AffineWeylElement:
@@ -538,16 +521,6 @@ class AffineFactorization(_Value):
     """w = t_z . v, v finite and z in the coroot lattice (ints), with pairings ((z, alpha_j))_j."""
 
     __slots__ = ("finite_part", "translation", "pairings")
-
-    def __init__(
-        self, finite_part: IntMatrix, translation: RationalVector, pairings: tuple[int, ...]
-    ):
-        _set_finite_part(self, finite_part)
-        _set_translation(self, translation)
-        _set_pairings(self, pairings)
-
-
-_set_finite_part, _set_translation, _set_pairings = _setters(AffineFactorization)
 
 
 def _translation_data(rs: RootSystem, z) -> tuple[tuple[int, ...], tuple[int, ...], int]:

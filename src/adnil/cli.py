@@ -21,7 +21,7 @@ from .ideals import (
     weight,
 )
 from .normalizers import ParabolicLabel, normalizer
-from .rootsys import ConfigurationError, RationalVector, _setters, _Value, build
+from .rootsys import ConfigurationError, RationalVector, _Value, build
 from .verify import SUITES, run_suites, run_table7
 
 __all__ = [
@@ -91,25 +91,6 @@ class Report(_Value):
     """
 
     __slots__ = ("command", "label", "columns", "rows", "json_rows", "footer")
-
-    def __init__(
-        self,
-        command: str,
-        label: str | None,
-        columns: tuple[str, ...],
-        rows: tuple[tuple[str, ...], ...],
-        json_rows: tuple[dict, ...],
-        footer: tuple[tuple[str, str | tuple[str, ...]], ...],
-    ):
-        _set_command(self, command)
-        _set_label(self, label)
-        _set_columns(self, columns)
-        _set_rows(self, rows)
-        _set_json_rows(self, json_rows)
-        _set_footer(self, footer)
-
-
-_set_command, _set_label, _set_columns, _set_rows, _set_json_rows, _set_footer = _setters(Report)
 
 
 def _footer_lines(footer):

@@ -13,7 +13,7 @@ from math import comb
 from .ideals import enumerate_ideals
 from .linalg import adjugate
 from .normalizers import _removed_simples
-from .rootsys import RootSystem, _check_int, _setters, _Value
+from .rootsys import RootSystem, _check_int, _Value
 
 __all__ = [
     "catalan",
@@ -184,13 +184,6 @@ class LatticeCount(_Value):
 
     __slots__ = ("count", "points")
 
-    def __init__(self, count: int, points: tuple[tuple[int, ...], ...]):
-        _set_count(self, count)
-        _set_points(self, points)
-
-
-_set_count, _set_points = _setters(LatticeCount)
-
 
 def _step_table(adj: list[list[int]], f: int) -> list[list[int]]:
     """step[k][c]: the class of y + e_k for y of class c.
@@ -343,18 +336,9 @@ class IdentityCheck(_Value):
 
     __slots__ = ("name", "argument", "lhs", "rhs")
 
-    def __init__(self, name: str, argument: int, lhs: int, rhs: int):
-        _set_name(self, name)
-        _set_argument(self, argument)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
-
-
-_set_name, _set_argument, _set_lhs, _set_rhs = _setters(IdentityCheck)
 
 
 def verify_identities(n_max: int) -> tuple[IdentityCheck, ...]:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .rootsys import RationalVector, Root, RootSystem, _setters, _Value, _vector
+from .rootsys import RationalVector, Root, RootSystem, _Value, _vector
 
 __all__ = [
     "UpperIdeal",
@@ -80,9 +80,7 @@ class UpperIdeal(_Value):
                 raise ValueError(
                     f"not upward closed: {roots[i]} is in but {roots[j]} is out"
                 )
-        _set_rs(self, rs)
-        _set_bits(self, bits)
-        _set_gens(self, None)
+        self._fill(rs, bits)
 
     def __reduce__(self):
         return _trusted, (self.rs, self.bits, self._gens)
@@ -125,7 +123,8 @@ class UpperIdeal(_Value):
 
 
 _new = object.__new__
-_set_rs, _set_bits, _set_gens = _setters(UpperIdeal)
+_set_rs, _set_bits = UpperIdeal.rs.__set__, UpperIdeal.bits.__set__
+_set_gens = UpperIdeal._gens.__set__
 
 
 def _trusted(rs: RootSystem, bits: int, gens: int | None = None) -> UpperIdeal:
@@ -147,11 +146,7 @@ class IdealChain(_Value):
     __slots__ = ("powers", "stalled")
 
     def __init__(self, powers: tuple[UpperIdeal, ...], stalled: bool = False):
-        _set_powers(self, powers)
-        _set_stalled(self, stalled)
-
-
-_set_powers, _set_stalled = _setters(IdealChain)
+        self._fill(powers, stalled)
 
 
 def _iter_bits(bits: int) -> Iterator[int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Collection
 
 from .ideals import UpperIdeal, _iter_bits, _trusted, _upper_sets, enumerate_ideals, weight
-from .rootsys import RootSystem, _setters, _Value
+from .rootsys import RootSystem, _Value
 
 __all__ = [
     "ParabolicLabel",
@@ -40,8 +40,7 @@ class ParabolicLabel(_Value):
         for a in levi:
             if type(a) is not int or not 0 <= a < rank:
                 raise ValueError("Levi indices out of range")
-        _set_rank(self, rank)
-        _set_levi(self, frozenset(levi))
+        self._fill(rank, frozenset(levi))
 
     def levi_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.levi))
@@ -49,9 +48,6 @@ class ParabolicLabel(_Value):
     def __repr__(self) -> str:
         inside = ",".join(f"a{a + 1}" for a in sorted(self.levi))
         return f"ParabolicLabel({{{inside}}})"
-
-
-_set_rank, _set_levi = _setters(ParabolicLabel)
 
 
 def _removed_simples(rs: RootSystem, gens: int) -> int:

@@ -46,9 +46,10 @@ class _Value:
     The fields of a class are its __slots__ less the "_" names, which hold
     derived state; they are read once, when the class is created.  Equality
     (same class, equal fields), hash (of the field tuple) and repr are a
-    frozen dataclass's, and no slot can be assigned or deleted.  __init__
-    sets the slots through the slot descriptors (see _setters); copies and
-    pickles call the class with the fields.
+    frozen dataclass's, and no slot can be assigned or deleted.  _fill(self,
+    *fields) sets every slot through its descriptor, the "_" slots to None;
+    it is the __init__ of a class that writes none.  Copies and pickles call
+    the class with the fields.
     """
 
     __slots__ = ()
@@ -59,6 +60,17 @@ class _Value:
         get = attrgetter(*names)
         cls._field_names = names
         cls._fields = property(get if len(names) > 1 else lambda obj: (get(obj),))
+        # compiled once per class, the way collections.namedtuple builds __new__,
+        # so it costs what hand-written setter calls cost
+        body = "".join(f"\n _set_{f}(self, {f if f in names else None})" for f in cls.__slots__)
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.__slots__}
+        exec(f"def _fill(self, {', '.join(names)}):{body}", scope)
+        fill = cls._fill = scope["_fill"]
+        if "__init__" in vars(cls):
+            fill.__qualname__ = f"{cls.__qualname__}._fill"
+        else:
+            fill.__qualname__ = f"{cls.__qualname__}.__init__"  # named in arity errors
+            cls.__init__ = fill
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -82,18 +94,10 @@ class _Value:
         return self.__class__, self._fields
 
 
-def _setters(cls) -> tuple:
-    """The __set__ of each slot descriptor of cls, in slot order."""
-    return tuple(getattr(cls, f).__set__ for f in cls.__slots__)
-
-
 class Root(_Value):
     """A positive or negative root as integer simple-root coefficients."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        _set_coeffs(self, coeffs)
 
     @property
     def height(self) -> int:
@@ -108,14 +112,8 @@ class RationalVector(_Value):
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple[int | Fraction, ...]):
-        _set_coords(self, coords)
-
     def __repr__(self) -> str:
         return "RationalVector(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-(_set_coeffs,), (_set_coords,) = _setters(Root), _setters(RationalVector)
 
 
 def _coords(x) -> tuple:

@@ -13,7 +13,7 @@ from math import comb
 
 from .ideals import UpperIdeal, close_upward
 from .normalizers import ParabolicLabel
-from .rootsys import Root, _check_int, _setters, _Value, build
+from .rootsys import Root, _check_int, _Value, build
 
 __all__ = [
     "FerrersIdeal",
@@ -65,8 +65,7 @@ class FerrersIdeal(_Value):
         if type(n) is not int or n < 1:
             raise ValueError("rank must be an int of at least 1")
         pairs = _checked_pairs(pairs, lambda i, j: 1 <= i < j <= n + 1, f"sl_{n + 1}")
-        _set_ferrers_n(self, n)
-        _set_ferrers_pairs(self, pairs)
+        self._fill(n, pairs)
 
     def member_pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs of the ideal: (i, j) lies above a generator (a, b) iff i<=a, j>=b."""
@@ -91,8 +90,7 @@ class SymplecticIdeal(_Value):
         if type(n) is not int or n < 1:
             raise ValueError("rank must be an int of at least 1")
         pairs = _checked_pairs(pairs, lambda i, j: 1 <= i < j and i + j <= 2 * n + 1, f"sp_{2 * n}")
-        _set_symplectic_n(self, n)
-        _set_symplectic_pairs(self, pairs)
+        self._fill(n, pairs)
 
     def member_pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs of the ideal, through the symmetrized picture."""
@@ -118,12 +116,7 @@ class SignedWord(_Value):
             total += v
             if total < 0:
                 raise ValueError("partial sums must stay nonnegative")
-        _set_letters(self, letters)
-
-
-_set_ferrers_n, _set_ferrers_pairs = _setters(FerrersIdeal)
-_set_symplectic_n, _set_symplectic_pairs = _setters(SymplecticIdeal)
-(_set_letters,) = _setters(SignedWord)
+        self._fill(letters)
 
 
 def _root_A(n: int, i: int, j: int) -> Root:

@@ -142,6 +142,14 @@ def test_value_class_contract(name):
     assert cls._field_names == tuple(f for f in cls.__slots__ if not f.startswith("_"))
     assert obj._fields == tuple(fields.values())
 
+    # one generated _fill sets the fields in slot order and the "_" slots to None
+    code = cls._fill.__code__
+    assert code.co_varnames[1 : code.co_argcount] == cls._field_names
+    assert all(getattr(obj, f) is None for f in cls.__slots__ if f.startswith("_"))
+    for args in ((), (*fields.values(), None)):
+        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) "):
+            cls(*args)
+
     # a validating constructor stores what it validated, in immutable form
     for spelling in SPELLINGS.get(name, ()):
         alt = cls(**{**fields, **spelling})
@@ -204,6 +212,21 @@ def test_only_the_affine_roots_and_elements_write_their_own_equality():
     for cls in found:
         own = {"__eq__", "__hash__"} & set(vars(cls))
         assert own == ({"__eq__", "__hash__"} if cls in (AffineRoot, AffineWeylElement) else set())
+
+
+def test_only_the_validating_classes_and_the_chain_write_their_own_constructor():
+    # every other class takes its generated _fill as __init__
+    found, todo = [], _Value.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("adnil."):
+            found.append(cls)
+    assert sorted(cls.__name__ for cls in found) == sorted(CASES)
+    own = {cls for cls in found if cls.__init__ is not cls._fill}
+    assert own == {
+        UpperIdeal, ParabolicLabel, FerrersIdeal, SymplecticIdeal, SignedWord, IdealChain
+    }
 
 
 def test_upper_ideal_constructor_takes_no_generators():
