@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .affine import factorize, is_minimax, w_min
 from .counting import count_routes, enumeration_skip
@@ -252,6 +253,7 @@ def _n_max(text: str) -> int:
     return value
 
 
+@cache  # built on the first call, shared by the later ones
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()

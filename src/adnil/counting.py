@@ -115,10 +115,13 @@ def gf_count_from_marks(marks, target: int) -> int:
     1s) is positive.
     """
     marks = tuple(marks)
+    _check_int(target, -1, "target degree must be +1 or -1")
     if target not in (1, -1):
         raise ValueError("target degree must be +1 or -1")
-    if not marks or any(c < 1 for c in marks):
+    if not marks:
         raise ValueError("marks must be positive integers")
+    for c in marks:
+        _check_int(c, 1, "marks must be positive integers")
     ones = marks.count(1)
     if ones == 0:
         raise ValueError("marks must include the extra node's mark 1")
@@ -263,6 +266,7 @@ def lattice_count(
             c = up[c]
 
     walk(0, 0, 0, ())
+    del walk  # its closure holds it: drop that cycle, and points with it, now
     return LatticeCount(len(points), tuple(points))
 
 
@@ -343,8 +347,7 @@ class IdentityCheck(_Value):
 
 def verify_identities(n_max: int) -> tuple[IdentityCheck, ...]:
     """Exact checks of the sequence and count identities for all n up to n_max."""
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    _check_int(n_max, 2, "n_max must be at least 2")
     checks: list[IdentityCheck] = []
 
     def add(name: str, n: int, lhs: int, rhs: int) -> None:

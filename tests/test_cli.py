@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import adnil
-from adnil import counting, ideals, normalizers, verify
+from adnil import cli, counting, ideals, normalizers, verify
 from adnil.cli import main, parse_ideal, serialize_ideal
 from adnil.ideals import enumerate_ideals
 from adnil.rootsys import ConfigurationError, build
@@ -23,6 +24,14 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # building the argparse tree cost more than answering `count B3`
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
+    assert run(capsys, "count", "B3") == run(capsys, "count", "B3")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_import_stays_light():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 from fractions import Fraction
 from itertools import product
@@ -83,6 +84,9 @@ INT_ARGUMENT_CASES = {
     "count_so2n_borel-n": lambda bad: count_so2n_borel(bad, 1),
     "count_so2n_borel-target": lambda bad: count_so2n_borel(4, bad),
     "extended_marks": lambda bad: extended_marks("A", bad),
+    "gf_count_from_marks-target": lambda bad: gf_count_from_marks((1, 1, 1), bad),
+    "gf_count_from_marks-mark": lambda bad: gf_count_from_marks((1, bad, 1), 1),
+    "verify_identities": lambda bad: verify_identities(bad),
 }
 
 
@@ -295,6 +299,19 @@ def test_a2_lattice_points_pinned():
     assert result.points == ((-1, -1), (-1, 2), (0, 0), (1, 1), (2, -1))
     assert result.count == 5
     assert lattice_count(rs, "max").points == ((1, 1), (0, 0))
+
+
+def test_lattice_count_leaves_no_garbage_cycle():
+    # the recursive walk closes over itself; left as it was, that cycle kept
+    # every point alive until the cyclic collector next ran
+    rs = build("B3")
+    gc.collect()
+    gc.disable()
+    try:
+        assert lattice_count(rs, "min").count == 20
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_lattice_count_rejects_bad_arguments():

@@ -201,7 +201,8 @@ def test_value_class_contract(name):
             assert c._levels is None and n_set(c) == inv
 
 
-def test_only_the_affine_roots_and_elements_write_their_own_equality():
+def _value_classes() -> list[type]:
+    """Every value class of the package; they are the classes of CASES."""
     found, todo = [], _Value.__subclasses__()
     while todo:
         cls = todo.pop()
@@ -209,21 +210,18 @@ def test_only_the_affine_roots_and_elements_write_their_own_equality():
         if cls.__module__.startswith("adnil."):
             found.append(cls)
     assert sorted(cls.__name__ for cls in found) == sorted(CASES)
-    for cls in found:
+    return found
+
+
+def test_only_the_affine_roots_and_elements_write_their_own_equality():
+    for cls in _value_classes():
         own = {"__eq__", "__hash__"} & set(vars(cls))
         assert own == ({"__eq__", "__hash__"} if cls in (AffineRoot, AffineWeylElement) else set())
 
 
 def test_only_the_validating_classes_and_the_chain_write_their_own_constructor():
     # every other class takes its generated _fill as __init__
-    found, todo = [], _Value.__subclasses__()
-    while todo:
-        cls = todo.pop()
-        todo += cls.__subclasses__()
-        if cls.__module__.startswith("adnil."):
-            found.append(cls)
-    assert sorted(cls.__name__ for cls in found) == sorted(CASES)
-    own = {cls for cls in found if cls.__init__ is not cls._fill}
+    own = {cls for cls in _value_classes() if cls.__init__ is not cls._fill}
     assert own == {
         UpperIdeal, ParabolicLabel, FerrersIdeal, SymplecticIdeal, SignedWord, IdealChain
     }
