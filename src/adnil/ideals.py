@@ -6,7 +6,7 @@ dominance order.  Ideals are stored as bitsets over the root index of
 their root system; all set operations are integer bit twiddling on the
 root system's per-root tables.
 
-`UpperIdeal(rs, bits)` checks that bits is in range and upward closed.
+`UpperIdeal(rs, bits)` checks that bits is an int, in range and upward closed.
 Bitsets closed by construction (the walk, closures, meets, joins, chain
 terms, nilradicals, first layers) go through `_trusted` instead, which
 fills the slots directly and skips the checks of `UpperIdeal.__init__`.
@@ -70,6 +70,8 @@ class UpperIdeal(_Value):
     __slots__ = ("rs", "bits", "_gens")
 
     def __init__(self, rs: RootSystem, bits: int):
+        if type(bits) is not int:
+            raise ValueError(f"bitset {bits!r} is not an int")
         if bits < 0 or bits >> len(rs.positive_roots):
             raise ValueError("bitset out of range for this root system")
         roots, up = rs.positive_roots, rs.up

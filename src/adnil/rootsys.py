@@ -248,7 +248,8 @@ class RootSystem:
     (that e, the lcm of the symmetrizer denominators),
     fundamental_weights / fundamental_coweights, coweights (their
     coordinates in ints, over one denominator coweight_scale), rho,
-    rho_check, and the root-poset tables over root indices: sums[i] (dict
+    rho_check, cartan_adjugate (the integer adjugate f C^-1, a tuple of int
+    tuples), and the root-poset tables over root indices: sums[i] (dict
     j -> k with gamma_i + gamma_j = gamma_k), partners[i] (bitset of the j
     with gamma_i + gamma_j a root, the keys of sums[i]), simple_bits (bitset of
     the simple roots), up[i] (bitset of the upper covers gamma_i + alpha_a),
@@ -303,6 +304,7 @@ class RootSystem:
 
         self.f = 1 + sum(1 for c in self.marks if c == 1)
         det, adj = adjugate(self.cartan)
+        self.cartan_adjugate = tuple(map(tuple, adj))
         if det != self.f:
             raise AssertionError(f"det(cartan) = {det} but index of connection = {self.f}")
 

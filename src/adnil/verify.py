@@ -391,86 +391,66 @@ def suite_counting(types) -> list[tuple[str, str]]:
             )
         results.append((f"three-route[{label}]", "; ".join(details)))
 
-    for n in range(2, 9):
-        for target in (1, -1):
-            _require(
-                count_sp2n_borel(n, target)
-                == gf_count_from_marks(extended_marks("C", n), target),
-                "symplectic-closed-form",
-                n=n,
-                target=target,
-            )
-    for n in range(4, 9):
-        for target in (1, -1):
-            _require(
-                count_so2n_borel(n, target)
-                == gf_count_from_marks(extended_marks("D", n), target),
-                "even-orthogonal-closed-form",
-                n=n,
-                target=target,
-            )
+    for family, first, closed_form, check in (
+        ("C", 2, count_sp2n_borel, "symplectic-closed-form"),
+        ("D", 4, count_so2n_borel, "even-orthogonal-closed-form"),
+    ):
+        for n in range(first, 9):
+            for target in (1, -1):
+                _require(
+                    closed_form(n, target)
+                    == gf_count_from_marks(extended_marks(family, n), target),
+                    check,
+                    n=n,
+                    target=target,
+                )
     results.append(("closed-forms[B/C/D]", "ranks 2..8"))
     return results
 
 
 def suite_typeac() -> list[tuple[str, str]]:
-    """Coordinate combinatorics for the special linear and symplectic families."""
+    """Coordinate combinatorics for the special linear and symplectic families.
+
+    One `fibers` walk per type: each ideal is checked against its fiber's
+    label, and each fiber against the model fiber of the simples it removes.
+    """
     results = []
     for n in range(1, 6):
         rs = build(f"A{n}")
-        ideals = list(enumerate_ideals(rs))
-        fibs = fibers(rs)
-        n_mm = 0
-        n_selfdual = 0
-        for ideal in ideals:
-            c = typeac.from_upper_ideal_A(ideal)
-            _require(
-                c.to_upper_ideal().bits == ideal.bits
-                and typeac.normalizer_A(c) == normalizer(ideal),
-                "ferrers-roundtrip",
-                type=f"A{n}",
-                ideal=ideal,
-            )
-            _require(
-                typeac.dual_A(typeac.dual_A(c)) == c,
-                "ferrers-duality-involution",
-                type=f"A{n}",
-                ideal=ideal,
-            )
-            mm = typeac.is_minimax_A(c)
-            borel = ParabolicLabel(n, frozenset())
-            _require(
-                mm == is_minimax(ideal)
-                and mm == (typeac.normalizer_A(typeac.dual_A(c)) == borel)
-                and (typeac.is_minimax_A(typeac.dual_A(c)) == (typeac.normalizer_A(c) == borel)),
-                "ferrers-duality-minimax",
-                type=f"A{n}",
-                ideal=ideal,
-            )
-            n_mm += mm
-            n_selfdual += typeac.dual_A(c) == c
-        _require(
-            n_mm == motzkin(n)
-            and n_selfdual == (catalan(n // 2) if n % 2 == 0 else 0),
-            "ferrers-minimax-count",
-            type=f"A{n}",
-            minimax=n_mm,
-            selfdual=n_selfdual,
-        )
+        borel = ParabolicLabel(n, frozenset())
+        n_ideals = n_mm = n_selfdual = total = 0
+        for lab, (members, minima) in fibers(rs).items():
+            for ideal in members:
+                c = typeac.from_upper_ideal_A(ideal)
+                dual = typeac.dual_A(c)
+                mm = typeac.is_minimax_A(c)
+                at_ideal = {"type": rs.label, "ideal": ideal}
+                _require(
+                    c.to_upper_ideal().bits == ideal.bits and typeac.normalizer_A(c) == lab,
+                    "ferrers-roundtrip",
+                    **at_ideal,
+                )
+                _require(typeac.dual_A(dual) == c, "ferrers-duality-involution", **at_ideal)
+                _require(
+                    mm == is_minimax(ideal)
+                    and mm == (typeac.normalizer_A(dual) == borel)
+                    and typeac.is_minimax_A(dual) == (lab == borel),
+                    "ferrers-duality-minimax",
+                    **at_ideal,
+                )
+                n_mm += mm
+                n_selfdual += dual == c
+            n_ideals += len(members)
 
-        total = 0
-        for mask in range(1 << n):
-            removed = {l for l in range(1, n + 1) if mask >> (l - 1) & 1}
+            removed = {a + 1 for a in range(n) if a not in lab.levi}
             s = len(removed)
-            lab = typeac._label_from_removed(n, removed)
+            at_fiber = {"type": rs.label, "removed": sorted(removed)}
             fib = typeac.fiber_A(n, removed)
-            members, minima = fibs.get(lab, ([], []))
             _require(
                 {c.to_upper_ideal().bits for c in fib} == {c.bits for c in members}
                 and len(fib) == motzkin(s),
                 "ferrers-fiber",
-                type=f"A{n}",
-                removed=sorted(removed),
+                **at_fiber,
                 size=len(fib),
             )
             total += len(fib)
@@ -482,70 +462,63 @@ def suite_typeac() -> list[tuple[str, str]]:
                 and is_abelian(mini_u)
                 and power.bits == mini_u.bits,
                 "ferrers-fiber-minimum",
-                type=f"A{n}",
-                removed=sorted(removed),
+                **at_fiber,
                 minimum=mini_u,
             )
             got_mm = sum(1 for c in fib if typeac.is_minimax_A(c))
             _require(
                 got_mm == (catalan(s // 2) if s % 2 == 0 else 0),
                 "ferrers-fiber-minimax-count",
-                type=f"A{n}",
-                removed=sorted(removed),
+                **at_fiber,
                 count=got_mm,
             )
-        _require(total == catalan(n + 1), "ferrers-fiber-partition", type=f"A{n}", total=total)
-        results.append((f"ferrers[A{n}]", f"{len(ideals)} ideals"))
+        _require(
+            n_mm == motzkin(n)
+            and n_selfdual == (catalan(n // 2) if n % 2 == 0 else 0),
+            "ferrers-minimax-count",
+            type=rs.label,
+            minimax=n_mm,
+            selfdual=n_selfdual,
+        )
+        _require(total == catalan(n + 1), "ferrers-fiber-partition", type=rs.label, total=total)
+        results.append((f"ferrers[A{n}]", f"{n_ideals} ideals"))
 
     for n in range(2, 5):
         rs = build(f"C{n}")
-        ideals = list(enumerate_ideals(rs))
-        fibs = fibers(rs)
-        n_mm = 0
+        n_ideals = n_mm = total = 0
         mm_by_corank: dict[int, int] = {}
-        for ideal in ideals:
-            c = typeac.from_upper_ideal_C(ideal)
-            cbar = typeac.symmetrize(c)
-            _require(
-                c.to_upper_ideal().bits == ideal.bits
-                and typeac.normalizer_C(c) == normalizer(ideal)
-                and typeac.desymmetrize(cbar) == c
-                and typeac.symmetrize(typeac.dual_C(c)) == typeac.dual_A(cbar)
-                and typeac.dual_C(typeac.dual_C(c)) == c
-                and typeac.is_minimax_C(c) == is_minimax(ideal),
-                "symplectic-roundtrip",
-                type=f"C{n}",
-                ideal=ideal,
-            )
-            n_mm += typeac.is_minimax_C(c)
-        _require(
-            n_mm == directed_animals(n),
-            "symplectic-minimax-count",
-            type=f"C{n}",
-            minimax=n_mm,
-        )
+        for lab, (members, minima) in fibers(rs).items():
+            for ideal in members:
+                c = typeac.from_upper_ideal_C(ideal)
+                cbar = typeac.symmetrize(c)
+                _require(
+                    c.to_upper_ideal().bits == ideal.bits
+                    and typeac.normalizer_C(c) == lab
+                    and typeac.desymmetrize(cbar) == c
+                    and typeac.symmetrize(typeac.dual_C(c)) == typeac.dual_A(cbar)
+                    and typeac.dual_C(typeac.dual_C(c)) == c
+                    and typeac.is_minimax_C(c) == is_minimax(ideal),
+                    "symplectic-roundtrip",
+                    type=rs.label,
+                    ideal=ideal,
+                )
+                n_mm += typeac.is_minimax_C(c)
+            n_ideals += len(members)
 
-        total = 0
-        for mask in range(1 << n):
-            removed = {l for l in range(1, n + 1) if mask >> (l - 1) & 1}
-            lab = typeac._label_from_removed(n, removed)
+            removed = {a + 1 for a in range(n) if a not in lab.levi}
+            at_fiber = {"type": rs.label, "removed": sorted(removed)}
             fib = typeac.fiber_C(n, removed)
-            members, minima = fibs.get(lab, ([], []))
             core = len([l for l in removed if l != n])
             _require(
                 {c.to_upper_ideal().bits for c in fib} == {c.bits for c in members}
                 and len(fib) == directed_animals(core + 1),
                 "symplectic-fiber",
-                type=f"C{n}",
-                removed=sorted(removed),
+                **at_fiber,
                 size=len(fib),
             )
             total += len(fib)
             _require(
-                len(minima) == 1 and is_abelian(minima[0]),
-                "symplectic-fiber-minimum",
-                type=f"C{n}",
-                removed=sorted(removed),
+                len(minima) == 1 and is_abelian(minima[0]), "symplectic-fiber-minimum", **at_fiber
             )
             mmf = typeac.fiber_minimax_C(n, removed)
             want = {c.pairs for c in fib if typeac.is_minimax_C(c)}
@@ -554,8 +527,7 @@ def suite_typeac() -> list[tuple[str, str]]:
                 and len(mmf)
                 == (0 if n in removed else typeac.minimax_fiber_count_C(len(removed))),
                 "symplectic-fiber-minimax",
-                type=f"C{n}",
-                removed=sorted(removed),
+                **at_fiber,
             )
             mm_by_corank[len(removed)] = mm_by_corank.get(len(removed), 0) + len(mmf)
             if n not in removed:
@@ -563,21 +535,25 @@ def suite_typeac() -> list[tuple[str, str]]:
                     _require(
                         typeac.decode_word(n, removed, typeac.encode_word(c)) == c,
                         "symplectic-word-roundtrip",
-                        type=f"C{n}",
-                        removed=sorted(removed),
+                        **at_fiber,
                     )
                 partner = typeac.fiber_C(n, removed | {n})
                 _require(
                     sorted(typeac.encode_word(c).letters for c in partner)
                     == sorted(typeac.encode_word(c).letters for c in fib),
                     "symplectic-last-root-bijection",
-                    type=f"C{n}",
-                    removed=sorted(removed),
+                    **at_fiber,
                 )
         _require(
-            total == len(ideals) == comb(2 * n, n),
+            n_mm == directed_animals(n),
+            "symplectic-minimax-count",
+            type=rs.label,
+            minimax=n_mm,
+        )
+        _require(
+            total == n_ideals == comb(2 * n, n),
             "symplectic-fiber-partition",
-            type=f"C{n}",
+            type=rs.label,
             total=total,
         )
         poly = typeac.minimax_fiber_polynomial(n)
@@ -586,10 +562,10 @@ def suite_typeac() -> list[tuple[str, str]]:
             and sum((-1) ** s * v for s, v in enumerate(poly)) == riordan(n - 1)
             and all(mm_by_corank.get(s, 0) == v for s, v in enumerate(poly)),
             "symplectic-minimax-polynomial",
-            type=f"C{n}",
+            type=rs.label,
             coefficients=list(poly),
         )
-        results.append((f"symplectic[C{n}]", f"{len(ideals)} ideals"))
+        results.append((f"symplectic[C{n}]", f"{n_ideals} ideals"))
 
     for s in range(21):
         b = typeac.ballot(s)

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import adnil.ideals
 from adnil.affine import (
     affine_simple_root,
     factorize,
@@ -348,3 +349,17 @@ def test_criterion_8_coordinate_models():
         assert ballot(s) == comb(s, s // 2)
         if s <= 20:
             assert sum(1 for _ in _signed_words(s, with_zero=False)) == ballot(s)
+
+
+def test_coordinate_models_walk_each_type_once(monkeypatch):
+    # the per-ideal checks read their ideals off the fiber walk of each type
+    walks = []
+    real = adnil.ideals._upper_sets
+
+    def counted(above):
+        walks.append(len(above))
+        return real(above)
+
+    monkeypatch.setattr(adnil.ideals, "_upper_sets", counted)
+    suite_typeac()
+    assert len(walks) == 8  # A1..A5 and C2..C4

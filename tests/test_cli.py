@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import os
@@ -46,6 +47,25 @@ def test_import_stays_light():
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def test_every_module_level_import_is_used():
+    # an import left behind when its caller moved is dead weight; a re-export
+    # is named in __all__
+    for path in sorted(Path(adnil.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, exported = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used - exported == set(), path.name
 
 
 def test_enumerate_row_counts(capsys):

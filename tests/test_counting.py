@@ -256,6 +256,23 @@ def test_index_connectedness_factor():
             assert coweight == rs.f * coroot, (label, which)
 
 
+def test_lattice_count_reads_the_adjugate_kept_by_build(monkeypatch):
+    # build runs the one Cartan elimination; the lattice walk must not run it again
+    systems = [build(label) for label in ("A3", "B3", "D4", "E6", "G2")]
+    variants = list(product(("min", "max"), (False, True), ("coroot", "coweight")))
+
+    def counts():
+        return [[lattice_count(rs, *v).count for v in variants] for rs in systems]
+
+    before = counts()
+
+    def refuse(*args):
+        raise AssertionError("the Cartan elimination ran again")
+
+    monkeypatch.setattr("adnil.linalg.pivot", refuse)
+    assert counts() == before
+
+
 def test_carried_classes_match_the_per_point_coroot_test():
     # the walk's class tables against adj y = 0 mod f at every coweight point,
     # in walk order; D4 and D6 have the non-cyclic class group Z2 x Z2

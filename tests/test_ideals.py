@@ -155,6 +155,10 @@ def test_upper_ideal_validation():
         UpperIdeal(rs, 1 << 10)
     with pytest.raises(ValueError):
         UpperIdeal(rs, -1)
+    # a bool or a float is not a bitset, though `>>` takes the one and not the other
+    for bits in (True, 1.0):
+        with pytest.raises(ValueError, match=f"bitset {bits!r} is not an int"):
+            UpperIdeal(build("A1"), bits)
 
 
 def test_close_upward_rejects_non_roots():

@@ -131,6 +131,7 @@ def test_adjugate_of_every_cartan_matrix():
         n = rs.rank
         det, adj = adjugate(rs.cartan)
         assert det == rs.f, label
+        assert rs.cartan_adjugate == tuple(map(tuple, adj)), label
         for i in range(n):
             for j in range(n):
                 s = sum(rs.cartan[i][k] * adj[k][j] for k in range(n))
