@@ -394,12 +394,11 @@ def _peel(rs: RootSystem, levels: list[int], stray=()) -> AffineWeylElement:
                 ready |= 1 << j
             elif ready >> j & 1:  # a bi-convex set never gets here
                 ready ^= 1 << j
-    word = tuple(peeled[::-1])
-    w = AffineWeylElement(rs, word, _inverse_of(rs, images), _matrix(rs, images))
-    if _inversion_levels(rs, w.matrix) != levels:
+    word, matrix = tuple(peeled[::-1]), _inverse_of(rs, images)
+    if _inversion_levels(rs, matrix) != levels:
         raise ValueError("set is not bi-convex: reconstruction mismatch")
-    _set_levels(w, tuple(levels))  # verified: the walk above gave the same levels
-    return w
+    # verified: the walk above gave the same levels, so the element keeps them
+    return AffineWeylElement._make(rs, word, matrix, _matrix(rs, images), tuple(levels))
 
 
 def word_from_biconvex(rs: RootSystem, roots) -> AffineWeylElement:
@@ -561,12 +560,11 @@ def _translation_matrix(rs: RootSystem, z) -> IntMatrix:
 
 
 def translation_element(rs: RootSystem, z) -> AffineWeylElement:
-    """The translation t_z, with a peeled reduced word; z is validated once, in its matrix."""
-    m = _translation_matrix(rs, z)
-    out = _peel(rs, _inversion_levels(rs, m))
-    if out.matrix != m:
-        raise AssertionError("translation reconstruction mismatch")
-    return out
+    """The translation t_z, with a peeled reduced word; z is validated once, in its matrix.
+
+    The peel checks N(out) = N(t_z), which fixes out = t_z, as z is on the coroot lattice.
+    """
+    return _peel(rs, _inversion_levels(rs, _translation_matrix(rs, z)))
 
 
 def factorize(w: AffineWeylElement) -> AffineFactorization:
@@ -647,7 +645,7 @@ def normalizer_by_zwall(w: AffineWeylElement) -> ParabolicLabel:
         if sum(map(abs, finite)) != 1 or max(finite) != 1:
             raise AssertionError("wall does not pull back to a finite simple root")
         levi.add(finite.index(1))
-    return ParabolicLabel(w.rs.rank, frozenset(levi))
+    return ParabolicLabel._make(w.rs.rank, frozenset(levi))
 
 
 def rho_hat(rs: RootSystem) -> tuple[Fraction, ...]:

@@ -6,13 +6,13 @@ dominance order.  Ideals are stored as bitsets over the root index of
 their root system; all set operations are integer bit twiddling on the
 root system's per-root tables.
 
-`UpperIdeal(rs, bits)` checks that bits is an int, in range and upward closed.
-Bitsets closed by construction (the walk, closures, meets, joins, chain
-terms, nilradicals, first layers) go through `_trusted` instead, which
-fills the slots directly and skips the checks of `UpperIdeal.__init__`.
-Only `_trusted` can set `_gens`, the generator bitset the walk carries,
-and copies and pickles go through it so that they keep it.  Equality,
-hash and repr are the same either way.
+`UpperIdeal(rs, bits)` checks outside input: that bits is an int, in range
+and upward closed.  Bitsets closed by construction (the walk, closures,
+meets, joins, chain terms, nilradicals, first layers) are built by
+`UpperIdeal._make`, the trusted constructor of every value class, aliased
+`_trusted`.  Only `_make` can set `_gens`, the generator bitset the walk
+carries, and copies and pickles go through it so that they keep it.
+Equality, hash and repr are the same either way.
 
 `_upper_sets` is the one walk over the upward-closed sets of a poset,
 shared with `adnil.normalizers`.  Elements enter in falling index, and
@@ -124,22 +124,7 @@ class UpperIdeal(_Value):
         return f"UpperIdeal({self.rs.label}, size={self.size}, gens=[{gens}])"
 
 
-_new = object.__new__
-_set_rs, _set_bits = UpperIdeal.rs.__set__, UpperIdeal.bits.__set__
-_set_gens = UpperIdeal._gens.__set__
-
-
-def _trusted(rs: RootSystem, bits: int, gens: int | None = None) -> UpperIdeal:
-    """An UpperIdeal built without the checks of the public constructor.
-
-    For bitsets upward closed by construction; gens, when given, must be
-    the bitset of the generators.
-    """
-    ideal = _new(UpperIdeal)
-    _set_rs(ideal, rs)
-    _set_bits(ideal, bits)
-    _set_gens(ideal, gens)
-    return ideal
+_trusted = UpperIdeal._make  # for bitsets upward closed by construction; gens, if given, exact
 
 
 class IdealChain(_Value):

@@ -69,14 +69,14 @@ def normalizer(ideal: UpperIdeal) -> ParabolicLabel:
     """
     rs = ideal.rs
     removed = _removed_simples(rs, ideal._generator_bits())
-    return ParabolicLabel(rs.rank, frozenset(_iter_bits(~removed & ((1 << rs.rank) - 1))))
+    return ParabolicLabel._make(rs.rank, frozenset(_iter_bits(~removed & ((1 << rs.rank) - 1))))
 
 
 def normalizer_by_weight(ideal: UpperIdeal) -> ParabolicLabel:
     """Parabolic label by orthogonality of the ideal weight to simple roots."""
     rs = ideal.rs
     y, _ = rs._scaled_pairings(weight(ideal).coords)
-    return ParabolicLabel(rs.rank, frozenset(a for a, v in enumerate(y) if v == 0))
+    return ParabolicLabel._make(rs.rank, frozenset(a for a, v in enumerate(y) if v == 0))
 
 
 def nilradical(rs: RootSystem, label: ParabolicLabel) -> UpperIdeal:

@@ -46,10 +46,12 @@ class _Value:
     The fields of a class are its __slots__ less the "_" names, which hold
     derived state; they are read once, when the class is created.  Equality
     (same class, equal fields), hash (of the field tuple) and repr are a
-    frozen dataclass's, and no slot can be assigned or deleted.  _fill(self,
+    frozen dataclass's, and no slot can be assigned or deleted.  The class
+    checks outside input; a value the library derives is built by the static
+    _make(*fields, <"_" slot>=None), which never calls __init__.  _fill(self,
     *fields) sets every slot through its descriptor, the "_" slots to None;
-    it is the __init__ of a class that writes none.  Copies and pickles call
-    the class with the fields.
+    it is the __init__ of a class that writes none and ends a validating
+    one.  Copies and pickles call the class with the fields.
     """
 
     __slots__ = ()
@@ -57,15 +59,22 @@ class _Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        derived = [f for f in cls.__slots__ if f not in names]
         get = attrgetter(*names)
         cls._field_names = names
         cls._fields = property(get if len(names) > 1 else lambda obj: (get(obj),))
-        # compiled once per class, the way collections.namedtuple builds __new__,
-        # so it costs what hand-written setter calls cost
-        body = "".join(f"\n _set_{f}(self, {f if f in names else None})" for f in cls.__slots__)
+        # compiled in one exec per class, the way collections.namedtuple builds
+        # __new__, so they cost what hand-written setter calls cost; a "_" slot
+        # is a parameter of _make and a None global of _fill
+        args, hidden = ", ".join(names), "".join(f", {f}=None" for f in derived)
+        sets = "".join(f"\n _set_{f}(self, {f})" for f in cls.__slots__)
         scope = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.__slots__}
-        exec(f"def _fill(self, {', '.join(names)}):{body}", scope)
-        fill = cls._fill = scope["_fill"]
+        scope.update(dict.fromkeys(derived), __name__=cls.__module__, _new=object.__new__, cls=cls)
+        made = f"def _make({args}{hidden}):\n self = _new(cls){sets}\n return self"
+        exec(f"def _fill(self, {args}):{sets}\n{made}", scope)
+        fill, make = scope["_fill"], scope["_make"]
+        make.__qualname__ = f"{cls.__qualname__}._make"
+        cls._fill, cls._make = fill, staticmethod(make)
         if "__init__" in vars(cls):
             fill.__qualname__ = f"{cls.__qualname__}._fill"
         else:

@@ -301,7 +301,7 @@ def wall_levi(ideal: UpperIdeal, w: AffineWeylElement) -> ParabolicLabel:
             rows = _boundary_rows(ideal)
         if _wall(rows, a, p):
             levi.append(a)
-    return ParabolicLabel(p, frozenset(levi))
+    return ParabolicLabel._make(p, frozenset(levi))
 
 
 @lru_cache(maxsize=None)

@@ -41,11 +41,14 @@ __all__ = [
 ]
 
 
+def _check_rank(n) -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError("rank must be an int of at least 1")
+
+
 def _checked_pairs(pairs, ok_pair, what: str) -> tuple[tuple[int, int], ...]:
     """The pairs as a tuple of tuples, each a root, both coordinates increasing strictly."""
-    pairs = tuple(pairs)  # a tuple of tuples is stored as given, with no copy
-    if any(type(p) is not tuple for p in pairs):
-        pairs = tuple(map(tuple, pairs))
+    pairs = tuple(map(tuple, pairs))
     last_i, last_j = 0, 1
     for i, j in pairs:
         if not (type(i) is int and type(j) is int and ok_pair(i, j)):
@@ -62,8 +65,7 @@ class FerrersIdeal(_Value):
     __slots__ = ("n", "pairs")
 
     def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
-        if type(n) is not int or n < 1:
-            raise ValueError("rank must be an int of at least 1")
+        _check_rank(n)
         pairs = _checked_pairs(pairs, lambda i, j: 1 <= i < j <= n + 1, f"sl_{n + 1}")
         self._fill(n, pairs)
 
@@ -87,8 +89,7 @@ class SymplecticIdeal(_Value):
     __slots__ = ("n", "pairs")
 
     def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
-        if type(n) is not int or n < 1:
-            raise ValueError("rank must be an int of at least 1")
+        _check_rank(n)
         pairs = _checked_pairs(pairs, lambda i, j: 1 <= i < j and i + j <= 2 * n + 1, f"sp_{2 * n}")
         self._fill(n, pairs)
 
@@ -160,7 +161,7 @@ def from_upper_ideal_A(ideal: UpperIdeal) -> FerrersIdeal:
     for g in ideal.generators():
         nonzero = [t for t, c in enumerate(g.coeffs) if c]
         pairs.append((nonzero[0] + 1, nonzero[-1] + 2))
-    return FerrersIdeal(rs.rank, tuple(sorted(pairs)))
+    return FerrersIdeal._make(rs.rank, tuple(sorted(pairs)))
 
 
 def from_upper_ideal_C(ideal: UpperIdeal) -> SymplecticIdeal:
@@ -169,7 +170,7 @@ def from_upper_ideal_C(ideal: UpperIdeal) -> SymplecticIdeal:
     if rs.family != "C":
         raise ValueError("expected a type C root system")
     pairs = sorted(_pair_from_root_C(rs.rank, g.coeffs) for g in ideal.generators())
-    return SymplecticIdeal(rs.rank, tuple(pairs))
+    return SymplecticIdeal._make(rs.rank, tuple(pairs))
 
 
 def _removed_set_A(c: FerrersIdeal) -> set[int]:
@@ -177,17 +178,18 @@ def _removed_set_A(c: FerrersIdeal) -> set[int]:
     return {i for i, _ in c.pairs} | {j - 1 for _, j in c.pairs}
 
 
-def _removed_members(removed, top: int, span: str) -> list[int]:
-    """The removed indices in increasing order, each an int in 1..top."""
+def _removed_members(n, removed, below_n: bool = False) -> list[int]:
+    """Check the rank n, then the removed indices: sorted ints in 1..n (1..n-1 when below_n)."""
+    _check_rank(n)
     members = set(removed)
-    if any(type(l) is not int or not 1 <= l <= top for l in members):
-        raise ValueError(f"removed indices must lie in {span}")
+    if any(type(l) is not int or not 1 <= l <= n - below_n for l in members):
+        raise ValueError(f"removed indices must lie in 1..n{'-1' if below_n else ''}")
     return sorted(members)
 
 
 def _label_from_removed(rank: int, removed) -> ParabolicLabel:
     levi = frozenset(l - 1 for l in range(1, rank + 1) if l not in removed)
-    return ParabolicLabel(rank, levi)
+    return ParabolicLabel._make(rank, levi)
 
 
 def normalizer_A(c: FerrersIdeal) -> ParabolicLabel:
@@ -203,13 +205,13 @@ def fiber_A(n: int, removed) -> list[FerrersIdeal]:
     for every t exactly when the partial sums stay nonnegative.  Generators
     are (a_t, b_t + 1); output is lexicographic in (a, b).
     """
-    members = _removed_members(removed, n, "1..n")
+    members = _removed_members(n, removed)
     found = sorted(
         _halves(members, letters)
         for letters in _signed_words(len(members), with_zero=True)
         if sum(letters) == 0
     )
-    return [FerrersIdeal(n, tuple((x, y + 1) for x, y in zip(a, b))) for a, b in found]
+    return [FerrersIdeal._make(n, tuple((x, y + 1) for x, y in zip(a, b))) for a, b in found]
 
 
 def fiber_minimum_A(n: int, removed) -> FerrersIdeal:
@@ -218,12 +220,12 @@ def fiber_minimum_A(n: int, removed) -> FerrersIdeal:
     With removed indices l_1 < ... < l_s, its generators are the pairs
     (l_t, l_{floor(s/2)+t} + 1) for t up to ceil(s/2).
     """
-    members = _removed_members(removed, n, "1..n")
+    members = _removed_members(n, removed)
     s = len(members)
     pairs = tuple(
         (members[t], members[s // 2 + t] + 1) for t in range((s + 1) // 2)
     )
-    return FerrersIdeal(n, pairs)
+    return FerrersIdeal._make(n, pairs)
 
 
 def dual_A(c: FerrersIdeal) -> FerrersIdeal:
@@ -232,7 +234,7 @@ def dual_A(c: FerrersIdeal) -> FerrersIdeal:
     seconds = {j - 1 for _, j in c.pairs}
     new_first = [l for l in range(1, c.n + 1) if l not in seconds]
     new_second = [l for l in range(1, c.n + 1) if l not in firsts]
-    return FerrersIdeal(c.n, tuple((a, b + 1) for a, b in zip(new_first, new_second)))
+    return FerrersIdeal._make(c.n, tuple((a, b + 1) for a, b in zip(new_first, new_second)))
 
 
 def is_minimax_A(c: FerrersIdeal) -> bool:
@@ -248,7 +250,7 @@ def symmetrize(c: SymplecticIdeal) -> FerrersIdeal:
     """
     two_n = 2 * c.n
     mirrored = {(two_n + 1 - j, two_n + 1 - i) for i, j in c.pairs}
-    return FerrersIdeal(two_n - 1, tuple(sorted(set(c.pairs) | mirrored)))
+    return FerrersIdeal._make(two_n - 1, tuple(sorted(set(c.pairs) | mirrored)))
 
 
 def desymmetrize(cbar: FerrersIdeal) -> SymplecticIdeal:
@@ -260,10 +262,7 @@ def desymmetrize(cbar: FerrersIdeal) -> SymplecticIdeal:
     for m in range(k):
         if cbar.pairs[m][0] + cbar.pairs[k - 1 - m][1] != 2 * n + 1:
             raise ValueError("ideal is not mirror-symmetric")
-    half = SymplecticIdeal(n, cbar.pairs[: (k + 1) // 2])
-    if symmetrize(half) != cbar:
-        raise AssertionError("symmetrization round trip failed")
-    return half
+    return SymplecticIdeal._make(n, cbar.pairs[: (k + 1) // 2])
 
 
 def normalizer_C(c: SymplecticIdeal) -> ParabolicLabel:
@@ -304,18 +303,16 @@ def _ideal_from_halves(n: int, a_part, b_part) -> SymplecticIdeal:
     an entry equal to n, present in both halves or neither, is its own
     mirror.  Generators are the first ceil(k/2) pairs (a_t, b_t + 1).
     """
-    if (n in a_part) != (n in b_part):
-        raise ValueError("the midpoint must lie in both halves or neither")
     a_full = sorted(set(a_part) | {2 * n - b for b in b_part if b != n})
     b_full = sorted(set(b_part) | {2 * n - a for a in a_part if a != n})
     k = len(a_full)
     pairs = tuple((a_full[t], b_full[t] + 1) for t in range((k + 1) // 2))
-    return SymplecticIdeal(n, pairs)
+    return SymplecticIdeal._make(n, pairs)
 
 
 def decode_word(n: int, removed, word: SignedWord) -> SymplecticIdeal:
     """Ideal for a sign word over removed indices below n (letters as in `_halves`)."""
-    members = _removed_members(removed, n - 1, "1..n-1")
+    members = _removed_members(n, removed, below_n=True)
     if len(word.letters) != len(members):
         raise ValueError("word length must equal the number of removed indices")
     return _ideal_from_halves(n, *_halves(members, word.letters))
@@ -334,7 +331,7 @@ def encode_word(c: SymplecticIdeal) -> SignedWord:
             letters.append(1)
         else:
             letters.append(-1)
-    return SignedWord(tuple(letters))
+    return SignedWord._make(tuple(letters))
 
 
 def fiber_C(n: int, removed) -> list[SymplecticIdeal]:
@@ -344,7 +341,7 @@ def fiber_C(n: int, removed) -> list[SymplecticIdeal]:
     is removed it is inserted into both sequences.  Output is lexicographic
     in the generator pairs.
     """
-    members = _removed_members(removed, n, "1..n")
+    members = _removed_members(n, removed)
     core = [l for l in members if l != n]
     out = []
     for letters in _signed_words(len(core), with_zero=True):
@@ -362,11 +359,11 @@ def fiber_minimax_C(n: int, removed) -> list[SymplecticIdeal]:
 
     Nonempty only when every removed index is below n.
     """
-    members = _removed_members(removed, n, "1..n")
+    members = _removed_members(n, removed)
     if n in members:
         return []
     return [
-        decode_word(n, members, SignedWord(letters))
+        _ideal_from_halves(n, *_halves(members, letters))
         for letters in _signed_words(len(members), with_zero=False)
     ]
 

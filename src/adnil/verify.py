@@ -125,7 +125,7 @@ def _simple_image_levi(w) -> ParabolicLabel:
         if (level == 0 and finite.count(1) == 1 and finite.count(0) == p - 1)
         or (level == 1 and tuple(finite) == minus_theta)
     )
-    return ParabolicLabel(p, levi)
+    return ParabolicLabel._make(p, levi)
 
 
 def normalizer_routes(ideal: UpperIdeal, w) -> dict[str, ParabolicLabel]:
@@ -413,6 +413,8 @@ def suite_typeac() -> list[tuple[str, str]]:
 
     One `fibers` walk per type: each ideal is checked against its fiber's
     label, and each fiber against the model fiber of the simples it removes.
+    A model fiber with the bits of the members has their pairs too.  The
+    words of each label are held for the label that also removes n.
     """
     results = []
     for n in range(1, 6):
@@ -420,6 +422,7 @@ def suite_typeac() -> list[tuple[str, str]]:
         borel = ParabolicLabel(n, frozenset())
         n_ideals = n_mm = n_selfdual = total = 0
         for lab, (members, minima) in fibers(rs).items():
+            fiber_mm = 0
             for ideal in members:
                 c = typeac.from_upper_ideal_A(ideal)
                 dual = typeac.dual_A(c)
@@ -438,8 +441,9 @@ def suite_typeac() -> list[tuple[str, str]]:
                     "ferrers-duality-minimax",
                     **at_ideal,
                 )
-                n_mm += mm
+                fiber_mm += mm
                 n_selfdual += dual == c
+            n_mm += fiber_mm
             n_ideals += len(members)
 
             removed = {a + 1 for a in range(n) if a not in lab.levi}
@@ -465,12 +469,11 @@ def suite_typeac() -> list[tuple[str, str]]:
                 **at_fiber,
                 minimum=mini_u,
             )
-            got_mm = sum(1 for c in fib if typeac.is_minimax_A(c))
             _require(
-                got_mm == (catalan(s // 2) if s % 2 == 0 else 0),
+                fiber_mm == (catalan(s // 2) if s % 2 == 0 else 0),
                 "ferrers-fiber-minimax-count",
                 **at_fiber,
-                count=got_mm,
+                count=fiber_mm,
             )
         _require(
             n_mm == motzkin(n)
@@ -487,22 +490,27 @@ def suite_typeac() -> list[tuple[str, str]]:
         rs = build(f"C{n}")
         n_ideals = n_mm = total = 0
         mm_by_corank: dict[int, int] = {}
+        words: dict[frozenset[int], list[tuple[int, ...]]] = {}
         for lab, (members, minima) in fibers(rs).items():
+            want = set()
             for ideal in members:
                 c = typeac.from_upper_ideal_C(ideal)
                 cbar = typeac.symmetrize(c)
+                mm = typeac.is_minimax_C(c)
                 _require(
                     c.to_upper_ideal().bits == ideal.bits
                     and typeac.normalizer_C(c) == lab
                     and typeac.desymmetrize(cbar) == c
                     and typeac.symmetrize(typeac.dual_C(c)) == typeac.dual_A(cbar)
                     and typeac.dual_C(typeac.dual_C(c)) == c
-                    and typeac.is_minimax_C(c) == is_minimax(ideal),
+                    and mm == is_minimax(ideal),
                     "symplectic-roundtrip",
                     type=rs.label,
                     ideal=ideal,
                 )
-                n_mm += typeac.is_minimax_C(c)
+                n_mm += mm
+                if mm:
+                    want.add(c.pairs)
             n_ideals += len(members)
 
             removed = {a + 1 for a in range(n) if a not in lab.levi}
@@ -521,7 +529,6 @@ def suite_typeac() -> list[tuple[str, str]]:
                 len(minima) == 1 and is_abelian(minima[0]), "symplectic-fiber-minimum", **at_fiber
             )
             mmf = typeac.fiber_minimax_C(n, removed)
-            want = {c.pairs for c in fib if typeac.is_minimax_C(c)}
             _require(
                 {c.pairs for c in mmf} == want
                 and len(mmf)
@@ -530,6 +537,7 @@ def suite_typeac() -> list[tuple[str, str]]:
                 **at_fiber,
             )
             mm_by_corank[len(removed)] = mm_by_corank.get(len(removed), 0) + len(mmf)
+            words[frozenset(removed)] = sorted(typeac.encode_word(c).letters for c in fib)
             if n not in removed:
                 for c in fib:
                     _require(
@@ -537,12 +545,13 @@ def suite_typeac() -> list[tuple[str, str]]:
                         "symplectic-word-roundtrip",
                         **at_fiber,
                     )
-                partner = typeac.fiber_C(n, removed | {n})
+        for removed, letters in words.items():
+            if n not in removed:
                 _require(
-                    sorted(typeac.encode_word(c).letters for c in partner)
-                    == sorted(typeac.encode_word(c).letters for c in fib),
+                    words[removed | {n}] == letters,
                     "symplectic-last-root-bijection",
-                    **at_fiber,
+                    type=rs.label,
+                    removed=sorted(removed),
                 )
         _require(
             n_mm == directed_animals(n),

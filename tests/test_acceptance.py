@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 import adnil.ideals
+import adnil.typeac
 from adnil.affine import (
     affine_simple_root,
     factorize,
@@ -352,14 +353,21 @@ def test_criterion_8_coordinate_models():
 
 
 def test_coordinate_models_walk_each_type_once(monkeypatch):
-    # the per-ideal checks read their ideals off the fiber walk of each type
-    walks = []
-    real = adnil.ideals._upper_sets
+    # the per-ideal checks read their ideals off the fiber walk of each type,
+    # and each symplectic model fiber is built once, at its own label
+    walks, model_fibers = [], []
+    real, real_fiber_C = adnil.ideals._upper_sets, adnil.typeac.fiber_C
 
     def counted(above):
         walks.append(len(above))
         return real(above)
 
+    def counted_fiber_C(n, removed):
+        model_fibers.append((n, frozenset(removed)))
+        return real_fiber_C(n, removed)
+
     monkeypatch.setattr(adnil.ideals, "_upper_sets", counted)
+    monkeypatch.setattr(adnil.typeac, "fiber_C", counted_fiber_C)
     suite_typeac()
     assert len(walks) == 8  # A1..A5 and C2..C4
+    assert len(model_fibers) == len(set(model_fibers)) == 4 + 8 + 16  # every C2..C4 label

@@ -103,6 +103,51 @@ def test_bools_are_refused_as_indices(case):
         call()
 
 
+# The functions that take an outside rank check it on entry, with the
+# constructors' message: they build their values through the trusted _make.
+RANK_ENTRY_POINTS = {
+    "fiber_A": fiber_A,
+    "fiber_minimum_A": fiber_minimum_A,
+    "fiber_C": fiber_C,
+    "fiber_minimax_C": fiber_minimax_C,
+    "decode_word": lambda n, removed: decode_word(n, removed, SignedWord((1,) * len(removed))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ENTRY_POINTS))
+def test_rank_entry_points_refuse_a_rank_that_is_not_an_int_of_at_least_1(name):
+    for bad in (True, 0, 1.0):
+        for removed in (set(), {1}):
+            with pytest.raises(ValueError, match="^rank must be an int of at least 1$"):
+                RANK_ENTRY_POINTS[name](bad, removed)
+
+
+def test_derived_values_pass_their_validating_constructors():
+    # every value the module builds through _make, over the fibers of A1-A6
+    # and C2-C5, is one its public constructor accepts and builds alike
+    derived = []
+    for n in range(1, 7):
+        derived += map(from_upper_ideal_A, enumerate_ideals(build(f"A{n}")))
+        for removed in _subsets(range(1, n + 1)):
+            fib = fiber_A(n, removed)
+            derived += [*fib, *map(dual_A, fib), fiber_minimum_A(n, removed), normalizer_A(fib[0])]
+    for n in range(2, 6):
+        derived += map(from_upper_ideal_C, enumerate_ideals(build(f"C{n}")))
+        for removed in _subsets(range(1, n + 1)):
+            fib = fiber_C(n, removed)
+            derived += [*fib, *fiber_minimax_C(n, removed), normalizer_C(fib[0])]
+            for c in fib:
+                cbar = symmetrize(c)
+                derived += [cbar, desymmetrize(cbar), dual_C(c), encode_word(c)]
+                if n not in removed:
+                    derived.append(decode_word(n, removed, encode_word(c)))
+    assert len(derived) == 4501
+    for value in derived:
+        again = type(value)(*value._fields)
+        assert again == value
+        assert [type(f) for f in again._fields] == [type(f) for f in value._fields]
+
+
 # Counts refuse a bool or a float as rootsys._check_int does: ballot(True)
 # used to answer ballot(1), and ballot(2.0) raised a TypeError.
 COUNT_CASES = {

@@ -150,6 +150,23 @@ def test_value_class_contract(name):
         with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) "):
             cls(*args)
 
+    # the trusted _make, compiled with _fill, builds the same value with no
+    # __init__; its "_" slots are None unless given by keyword
+    made = cls._make(*fields.values())
+    assert type(made) is cls and made == obj and obj == made and repr(made) == text
+    if key is not None:
+        assert hash(made) == hash(obj)
+    assert all(getattr(made, f) is None for f in cls.__slots__ if f.startswith("_"))
+    for protocol in range(6):
+        back = pickle.loads(pickle.dumps(made, protocol))
+        assert type(back) is cls and back == obj and repr(back) == text
+    derived = {f: object() for f in cls.__slots__ if f.startswith("_")}
+    code = cls._make.__code__
+    assert code.co_varnames[: code.co_argcount] == (*cls._field_names, *derived)
+    assert cls._make.__globals__ is cls._fill.__globals__  # one exec
+    held = cls._make(*fields.values(), **derived)
+    assert held == obj and all(getattr(held, f) is v for f, v in derived.items())
+
     # a validating constructor stores what it validated, in immutable form
     for spelling in SPELLINGS.get(name, ()):
         alt = cls(**{**fields, **spelling})
