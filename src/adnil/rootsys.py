@@ -135,12 +135,14 @@ def _coords(x) -> tuple:
 
 
 def _vector(rs: RootSystem, x) -> tuple:
-    """Coefficient tuple of x, which must have one int or Fraction per simple root."""
+    """Coefficient tuple of x, which must have one int or Fraction per simple root.
+
+    A bool is not an int here, as in `_check_int`: True would read as 1."""
     c = _coords(x)
     if len(c) != rs.rank:
         raise ValueError(f"vector of length {len(c)} in a rank-{rs.rank} root system")
     for v in c:  # about twice as fast as all() over a generator
-        if not isinstance(v, (int, Fraction)):
+        if type(v) is bool or not isinstance(v, (int, Fraction)):
             raise ValueError(f"vector {c!r} has an entry that is neither an int nor a Fraction")
     return c
 

@@ -5,15 +5,25 @@ where (i, j) = alpha_i + ... + alpha_{j-1}, and (i, j) with i < j and
 i + j <= 2n+1 for sp_{2n}, long exactly when i + j = 2n+1.  Normalizers are
 named by the set of simple indices removed from the Levi (1-based here);
 converters produce the 0-based Levi labels used elsewhere.
+
+The sp_{2n} root (i, j) is the sl_{2n} root (i, j) folded by t -> 2n - t,
+the fold `symmetrize` applies to ideals: its coefficient s < n is
+a_s + a_{2n-s} and its coefficient n is a_n.  In both families a root is
+the pair (i, i + height), with i its first simple index:
+- folding keeps the height, and the sl root (i, j) has height j - i;
+- i + j <= 2n+1 puts the mirror 2n - s of every s < i above j - 1, so
+  every folded coefficient below i is zero, and the fold starts at i.
+`from_upper_ideal_A/C` read generator pairs by this rule, and
+`to_upper_ideal` reads an ideal off the root tables of `build(label)`.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .ideals import UpperIdeal, close_upward
+from .ideals import UpperIdeal, _trusted
 from .normalizers import ParabolicLabel
-from .rootsys import Root, _check_int, _Value, build
+from .rootsys import RootSystem, _check_int, _Value, build
 
 __all__ = [
     "FerrersIdeal",
@@ -79,8 +89,7 @@ class FerrersIdeal(_Value):
         return tuple(out)
 
     def to_upper_ideal(self) -> UpperIdeal:
-        rs = build(f"A{self.n}")
-        return close_upward(rs, [_root_A(self.n, i, j) for i, j in self.pairs])
+        return _closure(build(f"A{self.n}"), [_root_A(self.n, i, j) for i, j in self.pairs])
 
 
 class SymplecticIdeal(_Value):
@@ -99,8 +108,7 @@ class SymplecticIdeal(_Value):
         return tuple((i, j) for i, j in mirror if i + j <= 2 * self.n + 1)
 
     def to_upper_ideal(self) -> UpperIdeal:
-        rs = build(f"C{self.n}")
-        return close_upward(rs, [_root_C(self.n, i, j) for i, j in self.pairs])
+        return _closure(build(f"C{self.n}"), [_root_C(self.n, i, j) for i, j in self.pairs])
 
 
 class SignedWord(_Value):
@@ -120,57 +128,44 @@ class SignedWord(_Value):
         self._fill(letters)
 
 
-def _root_A(n: int, i: int, j: int) -> Root:
-    """alpha_i + ... + alpha_{j-1} as a coefficient vector."""
-    return Root(tuple(1 if i <= t <= j - 1 else 0 for t in range(1, n + 1)))
+def _root_A(n: int, i: int, j: int) -> tuple[int, ...]:
+    """Pair (i, j) of sl_{n+1}: alpha_i + ... + alpha_{j-1} as a coefficient tuple."""
+    return tuple(1 if i <= t < j else 0 for t in range(1, n + 1))
 
 
-def _root_C(n: int, i: int, j: int) -> Root:
-    """Pair (i, j) of sp_{2n} as a coefficient vector."""
-    coeffs = [0] * n
-    if j <= n + 1:
-        for t in range(i, j):
-            coeffs[t - 1] = 1
-    else:
-        single_end = 2 * n - j
-        for t in range(i, single_end + 1):
-            coeffs[t - 1] = 1
-        for t in range(max(i, single_end + 1), n):
-            coeffs[t - 1] = 2
-        coeffs[n - 1] = 1
-    return Root(tuple(coeffs))
+def _root_C(n: int, i: int, j: int) -> tuple[int, ...]:
+    """Pair (i, j) of sp_{2n}: the sl_{2n} root (i, j) folded by t -> 2n - t."""
+    a = _root_A(2 * n - 1, i, j)
+    return (*(a[s] + a[-1 - s] for s in range(n - 1)), a[n - 1])
 
 
-def _pair_from_root_C(n: int, coeffs: tuple[int, ...]) -> tuple[int, int]:
-    i = next(t + 1 for t, c in enumerate(coeffs) if c)
-    if 2 in coeffs:
-        j = 2 * n + 1 - (coeffs.index(2) + 1)
-    else:
-        j = max(t + 1 for t, c in enumerate(coeffs) if c) + 1
-    if _root_C(n, i, j).coeffs != coeffs:
-        raise ValueError(f"coefficient vector {coeffs} is not a root of sp_{2 * n}")
-    return i, j
+def _closure(rs: RootSystem, roots) -> UpperIdeal:
+    """The ideal the given positive roots of rs generate, off its root tables."""
+    bits = 0
+    for c in roots:
+        bits |= rs.upsets[rs.root_index[c]]
+    return _trusted(rs, bits)
+
+
+def _pairs(ideal: UpperIdeal, family: str) -> tuple[tuple[int, int], ...]:
+    """Generator pairs of an ideal of the family: each root is (i, i + height)."""
+    if ideal.rs.family != family:
+        raise ValueError(f"expected a type {family} root system")
+    pairs = []
+    for g in ideal.generators():
+        i = next(t for t, c in enumerate(g.coeffs, 1) if c)
+        pairs.append((i, i + g.height))
+    return tuple(sorted(pairs))
 
 
 def from_upper_ideal_A(ideal: UpperIdeal) -> FerrersIdeal:
     """Pair form of a type A upper ideal."""
-    rs = ideal.rs
-    if rs.family != "A":
-        raise ValueError("expected a type A root system")
-    pairs = []
-    for g in ideal.generators():
-        nonzero = [t for t, c in enumerate(g.coeffs) if c]
-        pairs.append((nonzero[0] + 1, nonzero[-1] + 2))
-    return FerrersIdeal._make(rs.rank, tuple(sorted(pairs)))
+    return FerrersIdeal._make(ideal.rs.rank, _pairs(ideal, "A"))
 
 
 def from_upper_ideal_C(ideal: UpperIdeal) -> SymplecticIdeal:
     """Pair form of a type C upper ideal."""
-    rs = ideal.rs
-    if rs.family != "C":
-        raise ValueError("expected a type C root system")
-    pairs = sorted(_pair_from_root_C(rs.rank, g.coeffs) for g in ideal.generators())
-    return SymplecticIdeal._make(rs.rank, tuple(pairs))
+    return SymplecticIdeal._make(ideal.rs.rank, _pairs(ideal, "C"))
 
 
 def _removed_set_A(c: FerrersIdeal) -> set[int]:

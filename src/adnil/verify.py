@@ -193,8 +193,8 @@ def suite_normalizer_oracles(tables) -> list[tuple[str, str]]:
 
 
 def _random_word(rng: random.Random, rank: int) -> tuple[int, ...]:
-    n = rng.randrange(0, 25)
-    return tuple(rng.randrange(0, rank + 1) for _ in range(n))
+    n = rng.randrange(25)
+    return tuple(rng.randrange(rank + 1) for _ in range(n))
 
 
 def suite_affine(tables, seed: int) -> list[tuple[str, str]]:
@@ -344,7 +344,7 @@ def suite_shi(tables, seed: int) -> list[tuple[str, str]]:
         attempts = 0
         while found < 10 and attempts < 400:
             attempts += 1
-            ks = [rng.randrange(0, 3) for _ in range(rs.rank)]
+            ks = [rng.randrange(3) for _ in range(rs.rank)]
             if sum(ks) == 0 or sum(ks) > 3:
                 continue
             z = rs.from_pairings(tuple(-k for k in ks))

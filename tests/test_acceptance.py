@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+import sys
 import time
 from math import comb
 
 import pytest
 
 import adnil.ideals
+import adnil.rootsys
 import adnil.typeac
 from adnil.affine import (
     affine_simple_root,
@@ -22,6 +26,7 @@ from adnil.affine import (
 )
 from adnil.verify import (
     ORACLE_TYPES,
+    _random_word,
     ideal_table,
     run_table7,
     suite_affine,
@@ -352,9 +357,32 @@ def test_criterion_8_coordinate_models():
             assert sum(1 for _ in _signed_words(s, with_zero=False)) == ballot(s)
 
 
+def _count_calls(monkeypatch, target) -> list:
+    """Count the calls of target through every adnil module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return target(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "adnil" or name.startswith("adnil."):
+            for attr, value in list(vars(module).items()):
+                if value is target:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 def test_coordinate_models_walk_each_type_once(monkeypatch):
     # the per-ideal checks read their ideals off the fiber walk of each type,
-    # and each symplectic model fiber is built once, at its own label
+    # and each symplectic model fiber is built once, at its own label; the
+    # models read their ideals off the root tables, since no outside input
+    # reaches them, and build each sp root once
+    for label in ("A1", "A2", "A3", "A4", "A5", "C2", "C3", "C4"):
+        build(label)
+    closures = _count_calls(monkeypatch, adnil.ideals.close_upward)
+    vectors = _count_calls(monkeypatch, adnil.rootsys._vector)
+    folds = _count_calls(monkeypatch, adnil.typeac._root_C)
     walks, model_fibers = [], []
     real, real_fiber_C = adnil.ideals._upper_sets, adnil.typeac.fiber_C
 
@@ -371,3 +399,17 @@ def test_coordinate_models_walk_each_type_once(monkeypatch):
     suite_typeac()
     assert len(walks) == 8  # A1..A5 and C2..C4
     assert len(model_fibers) == len(set(model_fibers)) == 4 + 8 + 16  # every C2..C4 label
+    assert (len(closures), len(vectors), len(folds)) == (0, 0, 352)
+
+
+def test_random_words_are_pinned():
+    # the affine suite's first words for seed 0, as suite_affine seeds them;
+    # any change to how they are drawn changes what the suite checks
+    pinned = {
+        "F4": "67d8b8d8f2c01f72f8608e7887908433d5c08e0899d49fa784c6b08405adc24f",
+        "D4": "0999c3df5e27feaf7d116b701b97f8c4ccb390bdd2e483ebc033196cb8d663f7",
+    }
+    for label, digest in pinned.items():
+        rng = random.Random(f"0:{label}")
+        words = [_random_word(rng, build(label).rank) for _ in range(1000)]
+        assert hashlib.sha256(repr(words).encode()).hexdigest() == digest, label

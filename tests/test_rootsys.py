@@ -538,10 +538,11 @@ def test_vectors_of_the_wrong_length_are_rejected():
     ),
 )
 def test_float_entries_are_rejected(entry):
-    # a float would put binary fractions into exact coordinates, or fail later
+    # a float would put binary fractions into exact coordinates, or fail later;
+    # a bool would pass as an int, True as 1
     rs = build("B2")
     entry(rs, (1, Fraction(0)))
-    for bad in ((0.5, 0.25), (0.1, 0), (1, 1.0)):
+    for bad in ((0.5, 0.25), (0.1, 0), (1, 1.0), (True, False), (1, True), (False, Fraction(1))):
         with pytest.raises(ValueError, match="neither an int nor a Fraction"):
             entry(rs, bad)
 

@@ -8,12 +8,15 @@ from math import comb
 import pytest
 
 from adnil.affine import is_minimax
-from adnil.ideals import enumerate_ideals, ideal_powers, is_abelian
+from adnil.ideals import close_upward, enumerate_ideals, ideal_powers, is_abelian
 from adnil.normalizers import ParabolicLabel, nilradical, normalizer
 from adnil.typeac import (
     FerrersIdeal,
     SignedWord,
     SymplecticIdeal,
+    _pairs,
+    _root_A,
+    _root_C,
     _signed_words,
     ballot,
     decode_word,
@@ -207,6 +210,45 @@ def test_symplectic_round_trip_and_membership():
             m = 2 * n
             pairs = set(cbar.member_pairs())
             assert all((m + 1 - b, m + 1 - a) in pairs for (a, b) in pairs)
+
+
+def test_pair_rule_and_fold_cover_every_root():
+    # every root of A1-A9 and C2-C8 is the pair (i, i + height), i its first
+    # simple index; each sp_{2n} pair is a root of C_n, the sl_{2n} root of
+    # the same pair folded by t -> 2n - t
+    for label in [f"A{n}" for n in range(1, 10)] + [f"C{n}" for n in range(2, 9)]:
+        rs = build(label)
+        n, root = rs.rank, _root_A if rs.family == "A" else _root_C
+        for g in rs.positive_roots:
+            ((i, j),) = _pairs(close_upward(rs, [g]), rs.family)
+            assert j - i == g.height and g.coeffs[i - 1] and not any(g.coeffs[: i - 1])
+            assert root(n, i, j) == g.coeffs, (label, g)
+        if rs.family == "C":
+            sp_pairs = [(i, j) for i in range(1, 2 * n) for j in range(i + 1, 2 * n + 2 - i)]
+            for i, j in sp_pairs:
+                a = _root_A(2 * n - 1, i, j)
+                folded = tuple(a[s - 1] + a[2 * n - s - 1] for s in range(1, n)) + (a[n - 1],)
+                assert _root_C(n, i, j) == folded
+            # n^2 pairs onto the n^2 positive roots
+            assert sorted(_root_C(n, i, j) for i, j in sp_pairs) == sorted(rs.root_index)
+
+
+def test_model_ideals_match_close_upward():
+    # to_upper_ideal reads the root tables; close_upward checks every root
+    checked = 0
+    for family, ranks, fiber, root in (
+        ("A", range(1, 7), fiber_A, _root_A),
+        ("C", range(2, 6), fiber_C, _root_C),
+    ):
+        for n in ranks:
+            rs = build(f"{family}{n}")
+            for removed in _subsets(range(1, n + 1)):
+                for c in fiber(n, removed):
+                    roots = [root(n, i, j) for i, j in c.pairs]
+                    assert c.to_upper_ideal() == close_upward(rs, roots), (c, removed)
+                    checked += 1
+    # every ideal of A1-A6 and C2-C5 lies in one fiber
+    assert checked == sum(map(catalan, range(2, 8))) + sum(comb(2 * n, n) for n in range(2, 6))
 
 
 def test_fiber_a_counts_and_contents():
