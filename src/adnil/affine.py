@@ -656,16 +656,20 @@ def rho_hat(rs: RootSystem) -> tuple[Fraction, ...]:
 def check_inversion_sum(w: AffineWeylElement) -> bool:
     """Whether rho_hat - w^{-1}(rho_hat) equals the sum over N(w).
 
-    Compared doubled, in integers: 2 rho_hat - w^{-1}(2 rho_hat) = 2 sum N(w).
+    Compared doubled, in integers: 2 rho_hat - w^{-1}(2 rho_hat) = 2 sum N(w),
+    row by row; the roots of N(w) are read in one pass over its bits and
+    summed by column.
     """
     rs = w.rs
-    r = rs.two_rho_hat
-    diff = tuple(a - sum(x * y for x, y in zip(row, r)) for a, row in zip(r, w.inverse_matrix))
     levels = _n_levels(w)
-    roots = (rs.signed_roots[s] for t in levels for s in _iter_bits(t))
-    finite = (sum(col) for col in zip((0,) * rs.rank, *roots))  # p sums when N(w) is empty too
-    total = (*finite, sum(k * t.bit_count() for k, t in enumerate(levels)), 0)
-    return diff == tuple(2 * t for t in total)
+    roots = [rs.signed_roots[s] for t in levels for s in _iter_bits(t)]
+    total = [*map(sum, zip(*roots))] if roots else [0] * rs.rank
+    total += (sum(k * t.bit_count() for k, t in enumerate(levels)), 0)
+    r = rs.two_rho_hat
+    for a, row, t in zip(r, w.inverse_matrix, total):
+        if a - sum(map(mul, row, r)) != 2 * t:
+            return False
+    return True
 
 
 def inverse_simple_levels(w: AffineWeylElement) -> tuple[int, ...]:

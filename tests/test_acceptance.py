@@ -13,6 +13,7 @@ import pytest
 import adnil.ideals
 import adnil.rootsys
 import adnil.typeac
+import adnil.verify
 from adnil.affine import (
     affine_simple_root,
     factorize,
@@ -26,6 +27,8 @@ from adnil.affine import (
 )
 from adnil.verify import (
     ORACLE_TYPES,
+    RANDOM_WORDS,
+    VerificationFailure,
     _random_word,
     ideal_table,
     run_table7,
@@ -413,3 +416,117 @@ def test_random_words_are_pinned():
         rng = random.Random(f"0:{label}")
         words = [_random_word(rng, build(label).rank) for _ in range(1000)]
         assert hashlib.sha256(repr(words).encode()).hexdigest() == digest, label
+
+
+def _pinned_words(rs) -> list[tuple[int, ...]]:
+    """The random words suite_affine draws for rs at seed 0."""
+    rng = random.Random(f"0:{rs.label}")
+    return [_random_word(rng, rs.rank) for _ in range(RANDOM_WORDS)]
+
+
+def _reference_random_words(rs):
+    """The random-word laws run on every word, through the names the suite
+    calls: the first failure as (check, payload), or None."""
+    v = adnil.verify
+    for word in _pinned_words(rs):
+        w = v.from_word(rs, word)
+        if not v.check_inversion_sum(w):
+            return "inversion-sum", {"type": rs.label, "word": list(word)}
+        inv = v.n_set(w)
+        rebuilt = v.word_from_biconvex(rs, inv)
+        if not (rebuilt == w and len(rebuilt.word) == len(inv) <= len(word)):
+            return "biconvex-roundtrip", {"type": rs.label, "word": list(word)}
+    return None
+
+
+def _suite_random_words(table):
+    """suite_affine on one table at seed 0: its failure as (check, payload), or None."""
+    try:
+        suite_affine([table], 0)
+    except VerificationFailure as failure:
+        return failure.check, failure.payload
+    return None
+
+
+def _matrices(rs, words) -> list:
+    return [adnil.verify.from_word(rs, word).matrix for word in words]
+
+
+@pytest.mark.parametrize("label", ["F4", "D4"])
+def test_random_word_laws_run_once_per_distinct_element(monkeypatch, label):
+    table = ideal_table(label)
+    rs = table[0]
+    distinct = len(set(_matrices(rs, _pinned_words(rs))))
+    assert distinct < RANDOM_WORDS // 2  # about 415 on F4, 450 on D4
+    counts = {}
+    for name in ("check_inversion_sum", "word_from_biconvex"):
+        real = getattr(adnil.verify, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(adnil.verify, name, counted)
+    assert _suite_random_words(table) is None
+    assert counts == {"check_inversion_sum": distinct, "word_from_biconvex": distinct}
+    counts.clear()
+    assert _reference_random_words(rs) is None
+    assert counts == {"check_inversion_sum": RANDOM_WORDS, "word_from_biconvex": RANDOM_WORDS}
+
+
+@pytest.mark.parametrize("label", ["F4", "D4"])
+def test_a_law_fault_fails_on_the_first_word_of_its_element(monkeypatch, label):
+    table = ideal_table(label)
+    rs = table[0]
+    words = _pinned_words(rs)
+    matrices = _matrices(rs, words)
+    first = {}
+    for k, m in enumerate(matrices):
+        first.setdefault(m, k)
+    # elements met again later, whose first word is past word 0, in word order
+    late = [(k, m) for m, k in first.items() if k > 0 and matrices.count(m) > 1]
+    (k_sum, m_sum), (k_peel, m_peel) = late[len(late) // 3], late[2 * len(late) // 3]
+    real_sum, real_peel = adnil.verify.check_inversion_sum, adnil.verify.word_from_biconvex
+    monkeypatch.setattr(
+        adnil.verify, "check_inversion_sum", lambda w: w.matrix != m_sum and real_sum(w)
+    )
+    want = ("inversion-sum", {"type": label, "word": list(words[k_sum])})
+    assert _suite_random_words(table) == _reference_random_words(rs) == want
+
+    monkeypatch.setattr(adnil.verify, "check_inversion_sum", real_sum)
+    # a peel that rebuilds the identity for one element
+    identity = adnil.verify.from_word(rs, ())
+
+    def faulty_peel(rs_, inv):
+        rebuilt = real_peel(rs_, inv)
+        return identity if rebuilt.matrix == m_peel else rebuilt
+
+    monkeypatch.setattr(adnil.verify, "word_from_biconvex", faulty_peel)
+    want = ("biconvex-roundtrip", {"type": label, "word": list(words[k_peel])})
+    assert _suite_random_words(table) == _reference_random_words(rs) == want
+
+
+@pytest.mark.parametrize("label", ["F4", "D4"])
+def test_the_length_bound_is_checked_on_every_word(monkeypatch, label):
+    # a short word that evaluates to an element already checked, whose
+    # |N(w)| exceeds the word's length, fails the bound on that word
+    table = ideal_table(label)
+    rs = table[0]
+    words = _pinned_words(rs)
+    real = adnil.verify.from_word
+    k_long = next(k for k, word in enumerate(words) if length(real(rs, word)) >= 2)
+    long_word, n_long = words[k_long], length(real(rs, words[k_long]))
+    # the first word past k_long that is too short for it and not drawn before it
+    k_short = next(
+        k
+        for k, word in enumerate(words)
+        if k > k_long and len(word) < n_long and word not in words[:k_long]
+    )
+    short = words[k_short]
+    monkeypatch.setattr(
+        adnil.verify,
+        "from_word",
+        lambda rs_, word: real(rs_, long_word if tuple(word) == short else word),
+    )
+    want = ("biconvex-roundtrip", {"type": label, "word": list(short)})
+    assert _suite_random_words(table) == _reference_random_words(rs) == want

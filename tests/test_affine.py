@@ -162,6 +162,32 @@ def test_n_set_size_is_length_and_biconvex_round_trip():
             assert check_inversion_sum(w)
 
 
+def _reference_inversion_sum(w) -> bool:
+    """2 rho_hat - w^{-1}(2 rho_hat) against twice the sum of n_set(w), in one tuple each."""
+    r = w.rs.two_rho_hat
+    diff = tuple(a - sum(x * y for x, y in zip(row, r)) for a, row in zip(r, w.inverse_matrix))
+    inv = n_set(w)
+    finite = [sum(mu.finite[j] for mu in inv) for j in range(w.rs.rank)]
+    return diff == tuple(2 * t for t in (*finite, sum(mu.level for mu in inv), 0))
+
+
+def test_inversion_sum_matches_the_reference_and_rejects_a_wrong_inverse():
+    # an element paired with the inverse matrix of another fails the law
+    rng = random.Random(17)
+    for label in ("A1", "G2", "D4", "F4"):
+        rs = build(label)
+        words = [[rng.randrange(rs.rank + 1) for _ in range(rng.randrange(16))] for _ in range(60)]
+        elements = [from_word(rs, word) for word in words]
+        rejected = 0
+        for w, v in zip(elements, elements[1:] + elements[:1]):
+            assert check_inversion_sum(w) and _reference_inversion_sum(w)
+            mixed = AffineWeylElement._make(rs, w.word, w.matrix, v.inverse_matrix)
+            got = check_inversion_sum(mixed)
+            assert got == _reference_inversion_sum(mixed), (label, w.word, v.word)
+            rejected += not got
+        assert rejected > 40, label
+
+
 def _slow_n_set(w):
     """Reference inversion set: w applied to +gamma and -gamma, one root at a time."""
     p = w.rs.rank
